@@ -31,13 +31,12 @@ from .errors import (
     MapSizeMismatch,
     MissingFile,
     MissingMiddleFinger,
-    NonConvergence,
     NumericalError,
     ParseError,
     SchemaVersionMismatch,
     SingleClassData,
 )
-from .fusion import FusionConfig, PcaModel, fit_pca, fuse, fuse_matrix, pca_transform
+from .fusion import FusionConfig, PcaModel, fit_pca, fuse, fuse_matrix
 from .harness import (
     ExperimentConfig,
     SyntheticSpec,
@@ -70,7 +69,6 @@ from .svm import (
     MulticlassSvm,
     Preprocessing,
     classify,
-    decision_value,
     decision_values,
     grid_search,
     load_model,
@@ -95,7 +93,6 @@ from .tracking import (
     load_frame,
     project_to_palm_plane,
     save_frame,
-    tracking_vector,
 )
 
 __version__ = "0.1.0"

@@ -15,7 +15,6 @@ import numpy as np
 from . import harness, jsonio
 from .data import dataset_summary, generate_synthetic, default_templates, save_dataset
 from .errors import ConfigError, DataError, GestureLabError, NumericalError
-from .fusion import FusionConfig
 from .harness import (
     DEFAULT_ABLATION_COMBOS,
     FeatureStore,
@@ -23,16 +22,16 @@ from .harness import (
     build_feature_store,
     config_from_dict,
     emit_report,
+    fit_preprocessing,
     fusion_sweep,
     load_samples,
+    raw_features,
     run_experiment,
-    worker_count,
     write_cv_table_csv,
     write_predictions_csv,
 )
 from .svm import (
     KernelParams,
-    Preprocessing,
     classify,
     grid_search,
     load_model,
@@ -144,14 +143,18 @@ def _load_store(args, cfg):
 def _read_feature_store(path):
     try:
         data = np.load(path, allow_pickle=False)
+        files = getattr(data, "files", ())  # a plain .npy file loads as one array
+        missing = [k for k in ("tracking", "labels", "sample_ids") if k not in files]
+        if missing:
+            raise DataError(f"feature file {path} lacks {', '.join(missing)}")
+        return FeatureStore(
+            tracking=data["tracking"],
+            hog=data["hog"] if "hog" in files else None,
+            labels=data["labels"],
+            sample_ids=[str(s) for s in data["sample_ids"]],
+        )
     except (OSError, ValueError) as exc:
         raise DataError(f"cannot read feature file {path}: {exc}") from exc
-    return FeatureStore(
-        tracking=data["tracking"],
-        hog=data["hog"] if "hog" in data.files else None,
-        labels=data["labels"],
-        sample_ids=[str(s) for s in data["sample_ids"]],
-    )
 
 
 def _write_feature_store(store, path):
@@ -201,31 +204,18 @@ def _cmd_extract(args):
     return 0
 
 
-def _fit_preprocessing(store, cfg, k, retention):
-    from .fusion import fit_pca, fuse_matrix
-
-    mask = FeatureMask.parse(cfg.features)
-    tracking = store.tracking[:, mask.column_indices()]
-    hog = store.hog if cfg.use_hog else None
-    hog_dim = hog.shape[1] if hog is not None else 0
-    fusion = FusionConfig(mask=mask, hog_weight=k if cfg.use_hog else 1.0, hog_dim=hog_dim)
-    raw = np.hstack([tracking, hog]) if hog is not None else tracking.copy()
-    pca = None
-    if retention is not None:
-        weighted = fuse_matrix(tracking, hog, fusion)
-        if isinstance(retention, int) and not isinstance(retention, bool):
-            pca = fit_pca(weighted, n_components=retention)
-        else:
-            pca = fit_pca(weighted, retained_fraction=float(retention))
-    return raw, Preprocessing(fusion=fusion, pca=pca)
+def _preprocessing_from_args(args, cfg, store):
+    """Raw rows of `store` and the preprocessing fitted on all of them."""
+    k = args.k if args.k is not None else cfg.k_values[0]
+    retention = _parse_values(args.retention)[0] if args.retention else cfg.retentions[0]
+    raw, fusion = raw_features(store, FeatureMask.parse(cfg.features), cfg.use_hog, k)
+    return raw, fit_preprocessing(raw, fusion, retention)
 
 
 def _cmd_train(args):
     cfg = _build_config(args)
     store = _load_store(args, cfg)
-    k = args.k if args.k is not None else (cfg.k_values[0] if cfg.k_values else 1.0)
-    retention = _parse_values(args.retention)[0] if args.retention else cfg.retentions[0]
-    raw, pre = _fit_preprocessing(store, cfg, k, retention)
+    raw, pre = _preprocessing_from_args(args, cfg, store)
     projected = pre.apply(raw)
 
     if args.c is not None and args.gamma is not None:
@@ -239,7 +229,6 @@ def _cmd_train(args):
             folds=cfg.folds,
             seed=harness.derive_seed(cfg.seed, "grid:train"),
             tol=cfg.svm_tol,
-            workers=worker_count(),
         )
         print(f"grid search selected C={params.c} gamma={params.gamma}")
     model = train_multiclass(
@@ -249,7 +238,6 @@ def _cmd_train(args):
         tol=cfg.svm_tol,
         max_iter=cfg.svm_max_iter,
         preprocessing=pre,
-        workers=worker_count(),
     )
     save_model(model, args.out)
     n_sv = sum(len(m.support_vectors) for m in model.models.values())
@@ -271,9 +259,8 @@ def _cmd_predict(args):
     cfg.use_hog = model.preprocessing.fusion.hog_dim > 0
     cfg.features = model.preprocessing.fusion.mask.label()
     store = _load_store(args, cfg)
-    mask = model.preprocessing.fusion.mask
-    tracking = store.tracking[:, mask.column_indices()]
-    raw = np.hstack([tracking, store.hog]) if cfg.use_hog else tracking
+    fusion = model.preprocessing.fusion
+    raw, _ = raw_features(store, fusion.mask, cfg.use_hog, fusion.hog_weight)
     labels, votes = classify(model, raw)
     rows = [
         (store.sample_ids[i], int(store.labels[i]), int(labels[i]), int(votes[i]))
@@ -288,9 +275,7 @@ def _cmd_predict(args):
 def _cmd_grid_search(args):
     cfg = _build_config(args)
     store = _load_store(args, cfg)
-    k = args.k if args.k is not None else (cfg.k_values[0] if cfg.k_values else 1.0)
-    retention = _parse_values(args.retention)[0] if args.retention else cfg.retentions[0]
-    raw, pre = _fit_preprocessing(store, cfg, k, retention)
+    raw, pre = _preprocessing_from_args(args, cfg, store)
     params, table = grid_search(
         pre.apply(raw),
         store.labels,
@@ -299,7 +284,6 @@ def _cmd_grid_search(args):
         folds=cfg.folds,
         seed=harness.derive_seed(cfg.seed, "grid:cli"),
         tol=cfg.svm_tol,
-        workers=worker_count(),
     )
     if args.out:
         write_cv_table_csv(table, args.out)

@@ -67,7 +67,3 @@ class SchemaVersionMismatch(DataError):
 
 class NumericalError(GestureLabError):
     """Base class for numerical failures."""
-
-
-class NonConvergence(NumericalError):
-    """An optimizer exhausted its iteration budget before reaching tolerance."""

@@ -138,7 +138,7 @@ class PcaModel:
     mean: np.ndarray
     components: np.ndarray  # (k, d)
     variances: np.ndarray  # (k,), non-increasing
-    retained_fraction: float
+    retained_fraction: float  # variance share the kept components carry
 
     @property
     def n_components(self):
@@ -200,6 +200,8 @@ def fit_pca(data, retained_fraction=None, n_components=None):
     Exactly one of `retained_fraction` (select the smallest component
     count whose cumulative variance fraction meets the threshold) or
     `n_components` (fixed count, capped at the rank) must be given.
+    The model records the variance share its components actually keep,
+    which can exceed the requested fraction.
     Components carry a deterministic sign: the largest-magnitude entry
     of each is positive.  Equal eigenvalues keep the solver's order
     (stable sort by descending eigenvalue).
@@ -247,12 +249,10 @@ def fit_pca(data, retained_fraction=None, n_components=None):
         if n_components < 1:
             raise ValueError("n_components must be >= 1")
         k = min(n_components, rank)
-        achieved = cumulative[k - 1] / total
     else:
         target = retained_fraction * total
         k = int(np.searchsorted(cumulative, target, side="left")) + 1
         k = min(k, rank)
-        achieved = retained_fraction
 
     components = components[:k].copy()
     for row in components:
@@ -262,10 +262,5 @@ def fit_pca(data, retained_fraction=None, n_components=None):
         mean=mean,
         components=components,
         variances=eigvals[:k].copy(),
-        retained_fraction=float(achieved),
+        retained_fraction=float(cumulative[k - 1] / total),
     )
-
-
-def pca_transform(model, x):
-    """Project `x` onto the fitted components (see PcaModel.transform)."""
-    return model.transform(x)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import default_templates, generate_synthetic, load_dataset, split_indices
 from .errors import ConfigError, GestureLabError
-from .fusion import FusionConfig, fit_pca, fuse_matrix
+from .fusion import FusionConfig, fit_pca
 from .image import ImagePipelineConfig, HogParams, UndistortionMap, extract_image_features
 from .svm import (
     KernelParams,
@@ -28,23 +28,6 @@ from .svm import (
     train_multiclass,
 )
 from .tracking import FULL_MASK, FeatureMask, extract_tracking_features
-
-THREADS_ENV = "GESTURELAB_THREADS"
-
-
-def worker_count():
-    """Worker cap from the environment; defaults to sequential."""
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{THREADS_ENV} must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ConfigError(f"{THREADS_ENV} must be >= 1, got {value}")
-    return value
-
 
 def derive_seed(master_seed, tag):
     """Published seed derivation: SHA-256 of 'gesturelab:<master>:<tag>'."""
@@ -272,48 +255,56 @@ class Report:
         ]
 
 
+def raw_features(store, mask, use_hog, k):
+    """Unweighted [tracking[mask], hog] rows of a store and their layout.
+
+    The returned FusionConfig weights the HOG segment by `k` when HOG is
+    used; Preprocessing.apply turns the raw rows into fused ones.
+    """
+    tracking = store.tracking[:, mask.column_indices()]
+    hog = store.hog if use_hog else None
+    fusion = FusionConfig(
+        mask=mask,
+        hog_weight=float(k) if use_hog else 1.0,
+        hog_dim=0 if hog is None else hog.shape[1],
+    )
+    raw = tracking if hog is None else np.hstack([tracking, hog])
+    return raw, fusion
+
+
+def fit_preprocessing(raw, fusion, retention):
+    """Preprocessing fitted on the raw training rows `raw`.
+
+    `retention` is None (no PCA), an int component count or a float
+    retained-variance fraction; PCA is fitted on the weighted rows.
+    """
+    pre = Preprocessing(fusion=fusion)
+    if retention is None:
+        return pre
+    weighted = pre.apply(raw)
+    if isinstance(retention, int) and not isinstance(retention, bool):
+        pre.pca = fit_pca(weighted, n_components=retention)
+    else:
+        pre.pca = fit_pca(weighted, retained_fraction=float(retention))
+    return pre
+
+
 def _run_cell(store, cell, cfg):
     labels = store.labels
-    cols = cell.mask.column_indices()
-    tracking = store.tracking[:, cols]
-    hog = store.hog if cell.use_hog else None
-    hog_dim = hog.shape[1] if hog is not None else 0
-    fusion_cfg = FusionConfig(
-        mask=cell.mask,
-        hog_weight=float(cell.k) if cell.use_hog else 1.0,
-        hog_dim=hog_dim,
-    )
-    raw = np.hstack([tracking, hog]) if hog is not None else tracking.copy()
+    raw, fusion_cfg = raw_features(store, cell.mask, cell.use_hog, cell.k)
     classes = [int(c) for c in np.unique(labels)]
     class_index = {c: k for k, c in enumerate(classes)}
-    workers = worker_count()
-
-    def fit_preprocessing(train_idx):
-        pca = None
-        if cell.retention is not None:
-            weighted = fuse_matrix(
-                tracking[train_idx],
-                hog[train_idx] if hog is not None else None,
-                fusion_cfg,
-            )
-            if isinstance(cell.retention, int) and not isinstance(cell.retention, bool):
-                pca = fit_pca(weighted, n_components=cell.retention)
-            else:
-                pca = fit_pca(weighted, retained_fraction=float(cell.retention))
-        return Preprocessing(fusion=fusion_cfg, pca=pca)
 
     def search(train_idx, tag):
-        pre = fit_preprocessing(train_idx)
-        projected = pre.apply(raw[train_idx])
+        pre = fit_preprocessing(raw[train_idx], fusion_cfg, cell.retention)
         return grid_search(
-            projected,
+            pre.apply(raw[train_idx]),
             labels[train_idx],
             cfg.c_grid,
             cfg.gamma_grid,
             folds=cfg.folds,
             seed=derive_seed(cfg.seed, tag),
             tol=cfg.svm_tol,
-            workers=workers,
         )
 
     params = None
@@ -334,7 +325,7 @@ def _run_cell(store, cell, cfg):
         )
         if cfg.grid_mode == "per_repetition":
             params, cv_table = search(train_idx, f"grid:{cell.tag()}:{r}")
-        pre = fit_preprocessing(train_idx)
+        pre = fit_preprocessing(raw[train_idx], fusion_cfg, cell.retention)
         model = train_multiclass(
             pre.apply(raw[train_idx]),
             labels[train_idx],
@@ -342,7 +333,6 @@ def _run_cell(store, cell, cfg):
             tol=cfg.svm_tol,
             max_iter=cfg.svm_max_iter,
             preprocessing=pre,
-            workers=workers,
         )
         all_converged &= model.all_converged()
         predicted, votes_won = classify(model, raw[test_idx])
@@ -462,11 +452,6 @@ def write_confusion_csv(classes, matrix, path):
     _write_lines(lines, path)
 
 
-def emit_confusion(result, path):
-    """Write one cell's summed confusion matrix (see write_confusion_csv)."""
-    write_confusion_csv(result.classes, result.confusion, path)
-
-
 def write_predictions_csv(rows, path):
     lines = ["sample_id,true,pred,votes"]
     for sample_id, true, pred, votes in rows:
@@ -487,7 +472,9 @@ def emit_report(report, out_dir):
     write_report_csv(report, os.path.join(out_dir, "report.csv"))
     for result in report.cells:
         tag = result.cell.tag()
-        emit_confusion(result, os.path.join(out_dir, f"confusion_{tag}.csv"))
+        write_confusion_csv(
+            result.classes, result.confusion, os.path.join(out_dir, f"confusion_{tag}.csv")
+        )
         for r, rows in enumerate(result.predictions):
             write_predictions_csv(
                 rows, os.path.join(out_dir, f"predictions_{tag}_rep{r:03d}.csv")

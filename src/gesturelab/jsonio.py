@@ -11,15 +11,11 @@ import math
 import numpy as np
 
 
-def dumps(obj, indent=0):
-    """Serialize `obj` to a JSON string with 17-significant-digit floats."""
+def dumps(obj):
+    """Serialize `obj` to a compact JSON string with 17-significant-digit floats."""
     parts = []
     _encode(obj, parts)
-    text = "".join(parts)
-    if indent:
-        # re-indent by a parse-free pass is fragile; keep compact output
-        raise ValueError("indented output not supported")
-    return text
+    return "".join(parts)
 
 
 def dump_path(obj, path):

@@ -22,15 +22,17 @@ from . import jsonio
 from .errors import (
     DimensionMismatch,
     InsufficientData,
+    NumericalError,
     SchemaVersionMismatch,
     SingleClassData,
 )
-from .fusion import FusionConfig, PcaModel
+from .fusion import FusionConfig, PcaModel, fuse_matrix
 
 DEFAULT_TOL = 1e-3
 DEFAULT_MAX_ITER = 1_000_000
 SV_EPS = 1e-8
-FULL_KERNEL_LIMIT = 4096
+# Relative tolerance of the dual equality y'a = 0, in units of c * n.
+EQUALITY_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -74,48 +76,6 @@ def rbf_kernel_matrix(X, Y, gamma):
     return np.exp(-gamma * sq)
 
 
-class KernelCache:
-    """Row-on-demand RBF kernel of a fixed training matrix.
-
-    Small problems precompute the full matrix; larger ones keep an LRU
-    of rows.  Both modes obtain rows from the same computation, so
-    results are bit-identical with and without the full cache.
-    """
-
-    def __init__(self, X, gamma, full_limit=FULL_KERNEL_LIMIT, lru_rows=512):
-        self.X = np.asarray(X, dtype=float)
-        self.gamma = gamma
-        self.n = len(self.X)
-        self._sq = (self.X * self.X).sum(axis=1)
-        self._full = None
-        self._lru = None
-        self._lru_rows = lru_rows
-        if self.n <= full_limit:
-            self._full = np.empty((self.n, self.n))
-            for i in range(self.n):
-                self._full[i] = self._compute_row(i)
-        else:
-            self._lru = {}
-
-    def _compute_row(self, i):
-        sq = self._sq + self._sq[i] - 2.0 * (self.X @ self.X[i])
-        np.clip(sq, 0.0, None, out=sq)
-        row = np.exp(-self.gamma * sq)
-        row[i] = 1.0
-        return row
-
-    def row(self, i):
-        if self._full is not None:
-            return self._full[i]
-        row = self._lru.pop(i, None)
-        if row is None:
-            row = self._compute_row(i)
-            if len(self._lru) >= self._lru_rows:
-                self._lru.pop(next(iter(self._lru)))
-        self._lru[i] = row  # reinsert as most recent
-        return row
-
-
 @dataclass
 class SmoResult:
     alpha: np.ndarray
@@ -127,15 +87,20 @@ class SmoResult:
 def smo_solve(kernel, y, c, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     """Solve the SVM dual for labels y in {-1, +1}.
 
-    `kernel` is a KernelCache (or any object with .row(i)).  Iterates
-    two-variable updates on the maximal-violating pair until the KKT
-    violation gap drops below `tol` or the iteration budget is spent.
-    Returns multipliers, the bias (averaged over free support vectors,
-    or the midpoint of the feasible interval if none are free), a
-    convergence flag, and the update count.
+    `kernel` is the dense (n, n) training kernel matrix, as LIBSVM's
+    precomputed-kernel mode takes it.  Iterates two-variable updates on
+    the maximal-violating pair until the KKT violation gap drops below
+    `tol` or the iteration budget is spent.  Returns multipliers, the
+    bias (averaged over free support vectors, or the midpoint of the
+    feasible interval if none are free), a convergence flag, and the
+    update count.  A non-finite or infeasible result (for example from
+    a kernel holding NaN) raises NumericalError.
     """
     y = np.asarray(y, dtype=float)
     n = y.size
+    kernel = np.asarray(kernel, dtype=float)
+    if kernel.shape != (n, n):
+        raise DimensionMismatch(f"kernel is {kernel.shape}, labels need ({n}, {n})")
     alpha = np.zeros(n)
     grad = -np.ones(n)  # gradient of the dual objective at alpha = 0
     pos = y > 0
@@ -155,8 +120,8 @@ def smo_solve(kernel, y, c, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
             converged = True
             break
 
-        row_i = kernel.row(i)
-        row_j = kernel.row(j)
+        row_i = kernel[i]
+        row_j = kernel[j]
         curvature = max(row_i[i] + row_j[j] - 2.0 * row_i[j], 1e-12)
         step = (v[i] - v[j]) / curvature
         cap_i = (c - alpha[i]) if pos[i] else alpha[i]
@@ -168,10 +133,6 @@ def smo_solve(kernel, y, c, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
         grad += step * y * (row_i - row_j)
         iterations += 1
 
-    # Dual feasibility must hold regardless of convergence.
-    if alpha.min() < 0.0 or alpha.max() > c + 1e-8 or abs(np.dot(alpha, y)) > 1e-8:
-        raise RuntimeError("SMO produced an infeasible dual solution")
-
     v = -y * grad
     free = (alpha > 0.0) & (alpha < c)
     if free.any():
@@ -182,6 +143,14 @@ def smo_solve(kernel, y, c, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
         hi = v[up].max() if up.any() else 0.0
         lo = v[low].min() if low.any() else 0.0
         bias = float(0.5 * (hi + lo))
+
+    # Dual feasibility must hold regardless of convergence.  Each update
+    # keeps y'a = 0 up to rounding of terms no larger than c, so the
+    # tolerance scales with c and n.
+    if not (np.isfinite(alpha).all() and np.isfinite(bias)):
+        raise NumericalError(f"SMO produced a non-finite solution after {iterations} updates")
+    if alpha.min() < 0.0 or alpha.max() > c or abs(np.dot(alpha, y)) > EQUALITY_RTOL * c * n:
+        raise NumericalError(f"SMO produced an infeasible dual solution after {iterations} updates")
     return SmoResult(alpha=alpha, bias=bias, converged=converged, iterations=iterations)
 
 
@@ -197,7 +166,11 @@ class BinarySvmModel:
 
 
 def train_binary(X, y, params, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
-    """Train a binary RBF SVM on rows of X with labels y in {-1, +1}."""
+    """Train a binary RBF SVM on rows of X with labels y in {-1, +1}.
+
+    The training kernel is one dense n x n matrix from rbf_kernel_matrix
+    (the function prediction uses) with its diagonal set to exactly 1.
+    """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
     if X.ndim != 2 or len(X) != len(y):
@@ -206,8 +179,9 @@ def train_binary(X, y, params, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
         raise SingleClassData("binary training needs both labels present")
     y = np.where(y > 0, 1.0, -1.0)
 
-    cache = KernelCache(X, params.gamma)
-    result = smo_solve(cache, y, params.c, tol=tol, max_iter=max_iter)
+    kernel = rbf_kernel_matrix(X, X, params.gamma)
+    np.fill_diagonal(kernel, 1.0)
+    result = smo_solve(kernel, y, params.c, tol=tol, max_iter=max_iter)
 
     sv = result.alpha > SV_EPS
     if not sv.any():
@@ -237,10 +211,6 @@ def decision_values(model, X):
     return float(vals[0]) if single else vals
 
 
-def decision_value(model, x):
-    return decision_values(model, x)
-
-
 # ---------------------------------------------------------------------------
 # One-vs-one multi-class wrapper
 
@@ -250,8 +220,8 @@ class Preprocessing:
     """Feature preprocessing baked into a trained multi-class model.
 
     Input vectors are the unweighted concatenation [tracking segments,
-    raw HOG]; apply() scales the HOG segment by the fusion weight and
-    projects through PCA when fitted.
+    raw HOG]; apply() weights them with fuse_matrix (one vector or any
+    stack of them) and projects through PCA when fitted.
     """
 
     fusion: FusionConfig
@@ -264,9 +234,8 @@ class Preprocessing:
                 f"input has {X.shape[-1]} dims, preprocessing expects {self.fusion.total_dim}"
             )
         td = self.fusion.tracking_dim
-        out = np.concatenate(
-            [X[..., :td], self.fusion.hog_weight * X[..., td:]], axis=-1
-        )
+        rows = X.reshape(-1, X.shape[-1])
+        out = fuse_matrix(rows[:, :td], rows[:, td:], self.fusion).reshape(X.shape)
         if self.pca is not None:
             out = self.pca.transform(out)
         return out
@@ -307,39 +276,25 @@ def train_multiclass(
     tol=DEFAULT_TOL,
     max_iter=DEFAULT_MAX_ITER,
     preprocessing=None,
-    workers=1,
 ):
-    """Train one binary model per unordered class pair.
+    """Train one binary model per unordered class pair, in class-pair order.
 
-    Pair trainings are independent and may run on a small thread pool;
-    the assembled model is identical for any worker count.
+    Pairs are trained one after another: the SMO loop holds the
+    interpreter lock, so a thread pool over pairs does not pay.
     """
     X = np.asarray(X, dtype=float)
     labels = np.asarray(labels)
     classes = [c.item() if hasattr(c, "item") else c for c in np.unique(labels)]
     pairs = class_pairs(classes)
-
-    def _train_pair(pair):
-        ci, cj = pair
+    models = {}
+    for ci, cj in pairs:
         rows = np.flatnonzero((labels == ci) | (labels == cj))
         y = np.where(labels[rows] == ci, 1.0, -1.0)
         try:
-            return train_binary(X[rows], y, params, tol=tol, max_iter=max_iter)
+            models[(ci, cj)] = train_binary(X[rows], y, params, tol=tol, max_iter=max_iter)
         except SingleClassData as exc:
             raise SingleClassData(f"class pair ({ci}, {cj}): {exc}") from exc
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            trained = list(pool.map(_train_pair, pairs))
-    else:
-        trained = [_train_pair(pair) for pair in pairs]
-    return MulticlassSvm(
-        classes=classes,
-        models=dict(zip(pairs, trained)),
-        preprocessing=preprocessing,
-    )
+    return MulticlassSvm(classes=classes, models=models, preprocessing=preprocessing)
 
 
 def vote_table(model, X):
@@ -414,7 +369,7 @@ def stratified_folds(labels, folds, seed):
     return assignment
 
 
-def grid_search(X, labels, c_grid, gamma_grid, folds=10, seed=0, tol=DEFAULT_TOL, workers=1):
+def grid_search(X, labels, c_grid, gamma_grid, folds=10, seed=0, tol=DEFAULT_TOL):
     """Pick (C, gamma) by stratified k-fold cross-validated accuracy.
 
     Ties go to the smaller C, then the smaller gamma.  Classes with
@@ -455,9 +410,7 @@ def grid_search(X, labels, c_grid, gamma_grid, folds=10, seed=0, tol=DEFAULT_TOL
             for f in range(folds):
                 train = fold_of != f
                 held = ~train
-                model = train_multiclass(
-                    X[train], labels[train], params, tol=tol, workers=workers
-                )
+                model = train_multiclass(X[train], labels[train], params, tol=tol)
                 pred = predict(model, X[held])
                 hits = int(np.sum(pred == labels[held]))
                 correct += hits

@@ -305,11 +305,6 @@ def extract_tracking_features(frame, angle_range=DEFAULT_ANGLE_RANGE):
     )
 
 
-def tracking_vector(frame, mask=FULL_MASK, angle_range=DEFAULT_ANGLE_RANGE):
-    """Masked feature vector for one frame (convenience wrapper)."""
-    return extract_tracking_features(frame, angle_range).vector(mask)
-
-
 def frame_to_dict(frame):
     return {
         "palm_center": frame.palm_center.tolist(),

@@ -31,7 +31,6 @@ from gesturelab.image import (
     undistort,
 )
 from gesturelab.svm import (
-    KernelCache,
     KernelParams,
     predict,
     rbf_kernel,
@@ -196,7 +195,7 @@ def test_criterion_4_svm_oracle():
         gamma = float(rng.uniform(0.1, 2.0))
         K = rbf_kernel_matrix(X, X, gamma)
 
-        result = smo_solve(KernelCache(X, gamma), y, c, tol=1e-6)
+        result = smo_solve(K, y, c, tol=1e-6)
         assert result.converged
         assert result.alpha.min() >= 0.0
         assert result.alpha.max() <= c + 1e-8

@@ -182,6 +182,16 @@ def test_exit_code_data_error(tmp_path):
     assert run_cli("extract", "--manifest", tmp_path / "nope", "--out", tmp_path / "f.npz") == 2
 
 
+def test_exit_code_feature_file_missing_arrays(tmp_path):
+    features = tmp_path / "f.npz"
+    np.savez(features, labels=np.arange(4))
+    code = run_cli(
+        "train", "--features-file", features, "--c", 1.0, "--gamma", 0.1,
+        "--out", tmp_path / "model.json",
+    )
+    assert code == 2
+
+
 def test_exit_code_nonconvergence(tmp_path, dataset_dir):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"svm_max_iter": 1, "use_hog": False}))

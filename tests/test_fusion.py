@@ -157,6 +157,17 @@ def test_pca_retention_minimality(rng):
             assert vals[: k - 1].sum() / total < fraction
 
 
+def test_pca_records_retained_variance(rng):
+    data = rng.normal(size=(60, 8)) @ np.diag(rng.uniform(0.1, 4.0, size=8))
+    total = np.var(data, axis=0, ddof=1).sum()
+    for fraction in (0.5, 0.8, 0.95):
+        model = fit_pca(data, retained_fraction=fraction)
+        assert model.retained_fraction == pytest.approx(model.variances.sum() / total, abs=1e-12)
+        assert model.retained_fraction >= fraction
+    model = fit_pca(data, n_components=3)
+    assert model.retained_fraction == pytest.approx(model.variances.sum() / total, abs=1e-12)
+
+
 def test_pca_orthonormal_components(rng):
     data = rng.normal(size=(60, 12))
     model = fit_pca(data, retained_fraction=0.9)

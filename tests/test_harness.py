@@ -11,13 +11,12 @@ from gesturelab.harness import (
     build_feature_store,
     config_from_dict,
     derive_seed,
-    emit_confusion,
     emit_report,
     experiment_cells,
     fusion_sweep,
     load_samples,
     run_experiment,
-    worker_count,
+    write_confusion_csv,
     write_report_csv,
 )
 
@@ -92,16 +91,6 @@ def test_derive_seed_is_stable():
     assert derive_seed(7, "split:0") != derive_seed(8, "split:0")
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("GESTURELAB_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("GESTURELAB_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("GESTURELAB_THREADS", "zero")
-    with pytest.raises(ConfigError):
-        worker_count()
-
-
 def test_experiment_cell_grid_shape():
     cfg = small_config(
         use_hog=True,
@@ -168,16 +157,6 @@ def test_different_master_seed_changes_splits(store):
     rep_b = run_experiment(cfg_b, store=store)
     # same data, different splits; prediction logs should differ
     assert rep_a.cells[0].predictions != rep_b.cells[0].predictions
-
-
-def test_thread_count_does_not_change_results(tmp_path, store, monkeypatch):
-    cfg = small_config(repetitions=1)
-    monkeypatch.delenv("GESTURELAB_THREADS", raising=False)
-    emit_report(run_experiment(cfg, store=store), tmp_path / "seq")
-    monkeypatch.setenv("GESTURELAB_THREADS", "4")
-    emit_report(run_experiment(cfg, store=store), tmp_path / "par")
-    for name in sorted(os.listdir(tmp_path / "seq")):
-        assert (tmp_path / "seq" / name).read_bytes() == (tmp_path / "par" / name).read_bytes()
 
 
 def test_per_repetition_grid_mode(store):
@@ -268,7 +247,7 @@ def test_confusion_csv_format(tmp_path, store):
     report = run_experiment(small_config(repetitions=1), store=store)
     cell = report.cells[0]
     path = tmp_path / "confusion.csv"
-    emit_confusion(cell, path)
+    write_confusion_csv(cell.classes, cell.confusion, path)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "class," + ",".join(str(c) for c in cell.classes)
     assert len(lines) == 1 + len(cell.classes) + 1

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
-from gesturelab.errors import DimensionMismatch, InsufficientData, SingleClassData
+from gesturelab.errors import (
+    DimensionMismatch,
+    InsufficientData,
+    NumericalError,
+    SingleClassData,
+)
 from gesturelab.fusion import FusionConfig, fit_pca
 from gesturelab.svm import (
     BinarySvmModel,
-    KernelCache,
     KernelParams,
     MulticlassSvm,
     Preprocessing,
@@ -79,14 +83,6 @@ def test_kernel_matrix_is_psd(rng):
         assert np.abs(K - K.T).max() == 0.0
 
 
-def test_kernel_cache_modes_bit_identical(rng):
-    X = rng.normal(size=(30, 4))
-    full = KernelCache(X, 0.3)
-    lru = KernelCache(X, 0.3, full_limit=0, lru_rows=4)
-    for i in [0, 7, 7, 29, 3, 0, 11, 7]:
-        assert np.array_equal(full.row(i), lru.row(i))
-
-
 # ---------------------------------------------------------------------------
 # Binary training
 
@@ -122,7 +118,7 @@ def test_smo_matches_projected_gradient_oracle(rng):
         c = float(rng.uniform(0.5, 10.0))
         gamma = float(rng.uniform(0.1, 2.0))
         K = rbf_kernel_matrix(X, X, gamma)
-        result = smo_solve(KernelCache(X, gamma), y, c, tol=1e-6)
+        result = smo_solve(K, y, c, tol=1e-6)
         alpha_pg = svm_dual_solve_pg(K, y, c)
         assert result.alpha.min() >= 0.0
         assert result.alpha.max() <= c + 1e-8
@@ -130,6 +126,14 @@ def test_smo_matches_projected_gradient_oracle(rng):
         smo_obj = dual_objective(K, y, result.alpha)
         pg_obj = dual_objective(K, y, alpha_pg)
         assert abs(smo_obj - pg_obj) < 1e-4
+
+
+def test_smo_rejects_non_finite_kernel():
+    y = np.array([1.0, -1.0, 1.0, -1.0])
+    with pytest.raises(NumericalError):
+        smo_solve(np.full((4, 4), np.nan), y, 1.0, max_iter=5)
+    with pytest.raises(DimensionMismatch):
+        smo_solve(np.eye(3), y, 1.0)
 
 
 def test_free_support_vectors_sit_on_margin(rng):
@@ -279,17 +283,6 @@ def test_multiclass_single_class_pair_reports_identity():
         train_binary(X[:2], np.array([1, 1]), KernelParams(1.0, 1.0))
 
 
-def test_multiclass_workers_match_sequential(rng):
-    X, y = make_blobs(rng, [(0.0, 0.0), (4.0, 0.0), (0.0, 4.0)], per_class=10)
-    params = KernelParams(c=10.0, gamma=0.5)
-    seq = train_multiclass(X, y, params, workers=1)
-    par = train_multiclass(X, y, params, workers=3)
-    probes = rng.normal(size=(20, 2)) * 3
-    assert np.array_equal(predict(seq, probes), predict(par, probes))
-    for pair in seq.models:
-        assert np.array_equal(seq.models[pair].dual_coefs, par.models[pair].dual_coefs)
-
-
 # ---------------------------------------------------------------------------
 # Grid search
 
@@ -368,6 +361,18 @@ def test_model_roundtrip_with_preprocessing(tmp_path, rng):
         assert np.array_equal(a.support_vectors, b.support_vectors)
         assert np.array_equal(a.dual_coefs, b.dual_coefs)
         assert a.bias == b.bias
+
+
+def test_preprocessing_applies_to_one_row_or_many(rng):
+    mask = FeatureMask.parse("ang+tip")
+    raw = rng.normal(size=(5, mask.dims() + 4))
+    pre = Preprocessing(fusion=FusionConfig(mask=mask, hog_weight=2.5, hog_dim=4))
+    td = mask.dims()
+    expected = np.hstack([raw[:, :td], 2.5 * raw[:, td:]])
+    assert np.array_equal(pre.apply(raw), expected)
+    assert np.array_equal(pre.apply(raw[1]), expected[1])
+    with pytest.raises(DimensionMismatch):
+        pre.apply(raw[:, 1:])
 
 
 def test_model_version_check(rng):

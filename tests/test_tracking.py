@@ -19,7 +19,6 @@ from gesturelab.tracking import (
     frame_to_dict,
     load_frame,
     save_frame,
-    tracking_vector,
 )
 
 
@@ -238,10 +237,11 @@ def test_extract_segment_lengths(rng):
 
 def test_extract_mask_dimensions(rng):
     frame = make_random_frame(rng)
-    assert tracking_vector(frame, FeatureMask.parse("ang+dist+tip")).shape == (20,)
-    assert tracking_vector(frame, FeatureMask.parse("ang+dist+elev+tip")).shape == (25,)
-    assert tracking_vector(frame, FeatureMask.parse("adt")).shape == (20,)
-    assert tracking_vector(frame, FeatureMask.parse("dist")).shape == (5,)
+    feats = extract_tracking_features(frame)
+    assert feats.vector(FeatureMask.parse("ang+dist+tip")).shape == (20,)
+    assert feats.vector(FeatureMask.parse("ang+dist+elev+tip")).shape == (25,)
+    assert feats.vector(FeatureMask.parse("adt")).shape == (20,)
+    assert feats.vector(FeatureMask.parse("dist")).shape == (5,)
 
 
 def test_extract_empty_frame_is_total():
