@@ -36,7 +36,7 @@ from .errors import (
     SchemaVersionMismatch,
     SingleClassData,
 )
-from .fusion import FusionConfig, PcaModel, fit_pca, fuse, fuse_matrix
+from .fusion import FusionConfig, PcaModel, fit_pca, fuse_matrix
 from .harness import (
     ExperimentConfig,
     SyntheticSpec,

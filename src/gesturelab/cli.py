@@ -9,6 +9,7 @@ with individual flags taking precedence.  Exit codes: 0 success,
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .svm import (
     save_model,
     train_multiclass,
 )
-from .tracking import FeatureMask
+from .tracking import FULL_MASK, FeatureMask
 
 
 class _Parser(argparse.ArgumentParser):
@@ -103,29 +104,22 @@ def _build_config(args, return_raw=False):
         value = getattr(args, attr, None)
         if value is not None:
             setattr(synth, name, value)
-    simple = {
-        "manifest": "manifest",
-        "features": "features",
-        "use_hog": "use_hog",
-        "folds": "folds",
-        "repetitions": "repetitions",
-        "train_fraction": "train_fraction",
-        "seed": "seed",
-        "grid_mode": "grid_mode",
-        "undistort_map": "undistort_map",
-    }
-    for attr, name in simple.items():
-        value = getattr(args, attr, None)
+    for name in (
+        "manifest",
+        "features",
+        "use_hog",
+        "folds",
+        "repetitions",
+        "train_fraction",
+        "seed",
+        "grid_mode",
+        "undistort_map",
+    ):
+        value = getattr(args, name, None)
         if value is not None:
             setattr(cfg, name, value)
-    lists = {
-        "k_values": "k_values",
-        "retentions": "retentions",
-        "c_grid": "c_grid",
-        "gamma_grid": "gamma_grid",
-    }
-    for attr, name in lists.items():
-        value = getattr(args, attr, None)
+    for name in ("k_values", "retentions", "c_grid", "gamma_grid"):
+        value = getattr(args, name, None)
         if value is not None:
             setattr(cfg, name, tuple(_parse_values(value)))
     cfg.validate()
@@ -147,14 +141,25 @@ def _read_feature_store(path):
         missing = [k for k in ("tracking", "labels", "sample_ids") if k not in files]
         if missing:
             raise DataError(f"feature file {path} lacks {', '.join(missing)}")
-        return FeatureStore(
-            tracking=data["tracking"],
-            hog=data["hog"] if "hog" in files else None,
-            labels=data["labels"],
-            sample_ids=[str(s) for s in data["sample_ids"]],
-        )
+        tracking = np.asarray(data["tracking"], dtype=float)
+        hog = np.asarray(data["hog"], dtype=float) if "hog" in files else None
+        labels, sample_ids = data["labels"], data["sample_ids"]
     except (OSError, ValueError) as exc:
         raise DataError(f"cannot read feature file {path}: {exc}") from exc
+    if tracking.ndim != 2 or tracking.shape[1] != FULL_MASK.dims():
+        raise DataError(
+            f"feature file {path}: tracking is {tracking.shape}, expected (n, {FULL_MASK.dims()})"
+        )
+    n = len(tracking)
+    for name, array, ndim in (("labels", labels, 1), ("sample_ids", sample_ids, 1), ("hog", hog, 2)):
+        if array is not None and (array.ndim != ndim or len(array) != n):
+            raise DataError(f"feature file {path}: {name} is {array.shape}, tracking has {n} rows")
+    for name, array in (("tracking", tracking), ("hog", hog)):
+        if array is not None and not np.isfinite(array).all():
+            raise DataError(f"feature file {path}: {name} holds non-finite values")
+    return FeatureStore(
+        tracking=tracking, hog=hog, labels=labels, sample_ids=[str(s) for s in sample_ids]
+    )
 
 
 def _write_feature_store(store, path):
@@ -329,13 +334,7 @@ def _cmd_report(args):
 
 
 def _cmd_show_config(args):
-    cfg = _build_config(args)
-    from dataclasses import asdict
-
-    data = asdict(cfg)
-    data["image"]["undistort_size"] = list(data["image"]["undistort_size"])
-    data["image"]["hog_size"] = list(data["image"]["hog_size"])
-    print(jsonio.dumps(data))
+    print(jsonio.dumps(asdict(_build_config(args))))
     return 0
 
 

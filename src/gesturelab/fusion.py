@@ -25,8 +25,7 @@ from .errors import (
     LayoutMismatch,
     SchemaVersionMismatch,
 )
-from .image import HogDescriptor
-from .tracking import FeatureMask, TrackingFeatures
+from .tracking import FeatureMask
 
 # Eigenvalues below RANK_TOL * largest are treated as numerical zeros.
 RANK_TOL = 1e-12
@@ -80,51 +79,22 @@ class FusionConfig:
         )
 
 
-def _tracking_part(tracking, cfg):
-    if isinstance(tracking, TrackingFeatures):
-        vec = tracking.vector(cfg.mask)
-    else:
-        vec = np.asarray(tracking, dtype=float)
-    if vec.shape[-1] != cfg.tracking_dim:
-        raise LayoutMismatch(
-            f"tracking segment has {vec.shape[-1]} dims, layout expects {cfg.tracking_dim}"
-        )
-    return vec
-
-
-def _hog_part(hog, cfg):
-    if hog is None:
-        vec = np.zeros(cfg.hog_dim)
-    elif isinstance(hog, HogDescriptor):
-        vec = hog.values
-    else:
-        vec = np.asarray(hog, dtype=float)
-    if vec.shape[-1] != cfg.hog_dim:
-        raise LayoutMismatch(
-            f"hog segment has {vec.shape[-1]} dims, layout expects {cfg.hog_dim}"
-        )
-    return vec
-
-
-def fuse(tracking, hog, cfg):
-    """Fused vector: [selected tracking segments, hog_weight * HOG]."""
-    t = _tracking_part(tracking, cfg)
-    h = _hog_part(hog, cfg)
-    return np.concatenate([t, cfg.hog_weight * h])
-
-
 def fuse_matrix(tracking, hog, cfg):
-    """Row-wise fusion of a tracking matrix with a HOG matrix."""
+    """Fused rows [selected tracking segments, hog_weight * HOG].
+
+    `tracking` and `hog` are one vector each or stacks with the same
+    leading shape; `hog` None stands for an all-zero HOG segment.
+    """
     t = np.asarray(tracking, dtype=float)
-    h = np.zeros((len(t), cfg.hog_dim)) if hog is None else np.asarray(hog, dtype=float)
-    if t.ndim != 2 or h.ndim != 2 or len(t) != len(h):
-        raise LayoutMismatch("tracking and hog matrices must have matching rows")
-    if t.shape[1] != cfg.tracking_dim or h.shape[1] != cfg.hog_dim:
+    h = np.zeros(t.shape[:-1] + (cfg.hog_dim,)) if hog is None else np.asarray(hog, dtype=float)
+    if min(t.ndim, h.ndim) == 0 or t.shape[:-1] != h.shape[:-1]:
+        raise LayoutMismatch("tracking and hog must have matching rows")
+    if t.shape[-1] != cfg.tracking_dim or h.shape[-1] != cfg.hog_dim:
         raise LayoutMismatch(
-            f"matrix segments {t.shape[1]}+{h.shape[1]} do not match layout "
+            f"segments {t.shape[-1]}+{h.shape[-1]} do not match layout "
             f"{cfg.tracking_dim}+{cfg.hog_dim}"
         )
-    return np.hstack([t, cfg.hog_weight * h])
+    return np.concatenate([t, cfg.hog_weight * h], axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,9 @@ class ExperimentConfig:
 
     `retentions` entries may be None (no PCA), a float in (0, 1]
     (retained-variance fraction) or an int >= 1 (component count).
+    `grid_mode` "per_cell" grid-searches once per cell, on split 0 (the
+    split repetition 0 trains on); "per_repetition" searches on every
+    repetition's split.
     """
 
     manifest: str | None = None
@@ -295,26 +298,9 @@ def _run_cell(store, cell, cfg):
     classes = [int(c) for c in np.unique(labels)]
     class_index = {c: k for k, c in enumerate(classes)}
 
-    def search(train_idx, tag):
-        pre = fit_preprocessing(raw[train_idx], fusion_cfg, cell.retention)
-        return grid_search(
-            pre.apply(raw[train_idx]),
-            labels[train_idx],
-            cfg.c_grid,
-            cfg.gamma_grid,
-            folds=cfg.folds,
-            seed=derive_seed(cfg.seed, tag),
-            tol=cfg.svm_tol,
-        )
-
+    per_repetition = cfg.grid_mode == "per_repetition"
     params = None
     cv_table = []
-    if cfg.grid_mode == "per_cell":
-        train0, _ = split_indices(
-            labels, cfg.train_fraction, derive_seed(cfg.seed, "split:0"), stratified=True
-        )
-        params, cv_table = search(train0, f"grid:{cell.tag()}")
-
     accuracies = []
     confusion = np.zeros((len(classes), len(classes)), dtype=int)
     predictions = []
@@ -323,11 +309,21 @@ def _run_cell(store, cell, cfg):
         train_idx, test_idx = split_indices(
             labels, cfg.train_fraction, derive_seed(cfg.seed, f"split:{r}"), stratified=True
         )
-        if cfg.grid_mode == "per_repetition":
-            params, cv_table = search(train_idx, f"grid:{cell.tag()}:{r}")
         pre = fit_preprocessing(raw[train_idx], fusion_cfg, cell.retention)
+        train_rows = pre.apply(raw[train_idx])
+        if per_repetition or r == 0:
+            tag = f"grid:{cell.tag()}:{r}" if per_repetition else f"grid:{cell.tag()}"
+            params, cv_table = grid_search(
+                train_rows,
+                labels[train_idx],
+                cfg.c_grid,
+                cfg.gamma_grid,
+                folds=cfg.folds,
+                seed=derive_seed(cfg.seed, tag),
+                tol=cfg.svm_tol,
+            )
         model = train_multiclass(
-            pre.apply(raw[train_idx]),
+            train_rows,
             labels[train_idx],
             params,
             tol=cfg.svm_tol,

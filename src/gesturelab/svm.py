@@ -220,8 +220,9 @@ class Preprocessing:
     """Feature preprocessing baked into a trained multi-class model.
 
     Input vectors are the unweighted concatenation [tracking segments,
-    raw HOG]; apply() weights them with fuse_matrix (one vector or any
-    stack of them) and projects through PCA when fitted.
+    raw HOG]; apply() splits one vector or a stack of them at the layout's
+    tracking width, weights them with fuse_matrix and projects through
+    PCA when fitted.
     """
 
     fusion: FusionConfig
@@ -234,8 +235,7 @@ class Preprocessing:
                 f"input has {X.shape[-1]} dims, preprocessing expects {self.fusion.total_dim}"
             )
         td = self.fusion.tracking_dim
-        rows = X.reshape(-1, X.shape[-1])
-        out = fuse_matrix(rows[:, :td], rows[:, td:], self.fusion).reshape(X.shape)
+        out = fuse_matrix(X[..., :td], X[..., td:], self.fusion)
         if self.pca is not None:
             out = self.pca.transform(out)
         return out
@@ -322,34 +322,23 @@ def vote_table(model, X):
     return votes, margins
 
 
+def classify(model, X):
+    """Predicted labels plus the winner's vote count for rows of X.
+
+    The winner has the most votes; among tied classes, the largest
+    margin sum, then the first in class order.
+    """
+    votes, margins = vote_table(model, X)
+    tied = votes == votes.max(axis=1, keepdims=True)
+    winners = np.argmax(np.where(tied, margins, -np.inf), axis=1)
+    labels = np.asarray(model.classes)[winners]
+    return labels, votes[np.arange(len(votes)), winners]
+
+
 def predict(model, X):
     """Predicted class label(s) by majority vote over all pairs."""
-    X = np.asarray(X, dtype=float)
-    single = X.ndim == 1
-    votes, margins = vote_table(model, X)
-    winners = _vote_winners(votes, margins)
-    labels = [model.classes[k] for k in winners]
-    return labels[0] if single else np.asarray(labels)
-
-
-def _vote_winners(votes, margins):
-    winners = np.empty(len(votes), dtype=int)
-    for r in range(len(votes)):
-        best = int(np.max(votes[r]))
-        tied = np.flatnonzero(votes[r] == best)
-        if len(tied) == 1:
-            winners[r] = tied[0]
-        else:
-            winners[r] = tied[int(np.argmax(margins[r][tied]))]
-    return winners
-
-
-def classify(model, X):
-    """Predicted labels plus the winner's vote count for rows of X."""
-    votes, margins = vote_table(model, X)
-    winners = _vote_winners(votes, margins)
-    labels = np.asarray([model.classes[k] for k in winners])
-    return labels, votes[np.arange(len(votes)), winners]
+    labels, _ = classify(model, X)
+    return labels[0].item() if np.ndim(X) == 1 else labels
 
 
 # ---------------------------------------------------------------------------

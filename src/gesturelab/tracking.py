@@ -68,6 +68,9 @@ class HandFrame:
         self.fingertips = tips.reshape(-1, 3)
         if len(self.fingertips) > NUM_FINGERS:
             raise ValueError(f"at most {NUM_FINGERS} fingertips, got {len(self.fingertips)}")
+        for name in ("palm_center", "palm_normal", "hand_direction", "fingertips"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         for name in ("palm_normal", "hand_direction"):
             if abs(np.linalg.norm(getattr(self, name)) - 1.0) > _UNIT_TOL:
                 raise ValueError(f"{name} must be unit length")

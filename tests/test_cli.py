@@ -182,14 +182,43 @@ def test_exit_code_data_error(tmp_path):
     assert run_cli("extract", "--manifest", tmp_path / "nope", "--out", tmp_path / "f.npz") == 2
 
 
+def _feature_arrays(**changes):
+    """A valid 6-sample, 2-class feature archive with `changes` applied."""
+    rng = np.random.default_rng(3)
+    arrays = {
+        "tracking": rng.uniform(0.5, 1.0, size=(6, 25)),
+        "hog": rng.uniform(0.0, 1.0, size=(6, 4)),
+        "labels": np.array([0, 0, 0, 1, 1, 1]),
+        "sample_ids": np.array([f"s{i}" for i in range(6)]),
+    }
+    arrays.update(changes)
+    return arrays
+
+
+def _with_value(name, row, col, value):
+    arrays = _feature_arrays()
+    arrays[name][row, col] = value
+    return arrays
+
+
 def test_exit_code_feature_file_missing_arrays(tmp_path):
-    features = tmp_path / "f.npz"
-    np.savez(features, labels=np.arange(4))
-    code = run_cli(
-        "train", "--features-file", features, "--c", 1.0, "--gamma", 0.1,
-        "--out", tmp_path / "model.json",
-    )
-    assert code == 2
+    cases = {
+        "labels only": {"labels": np.arange(4)},
+        "short labels": _feature_arrays(labels=np.array([0, 1])),
+        "short sample_ids": _feature_arrays(sample_ids=np.array(["s0", "s1"])),
+        "short hog": _feature_arrays(hog=np.zeros((4, 4))),
+        "narrow tracking": _feature_arrays(tracking=np.ones((6, 3))),
+        "nan tracking": _with_value("tracking", 2, 7, np.nan),
+        "inf hog": _with_value("hog", 4, 1, np.inf),
+    }
+    for name, arrays in cases.items():
+        features = tmp_path / "f.npz"
+        np.savez(features, **arrays)
+        code = run_cli(
+            "train", "--features-file", features, "--c", 1.0, "--gamma", 0.1,
+            "--out", tmp_path / "model.json",
+        )
+        assert code == 2, name
 
 
 def test_exit_code_nonconvergence(tmp_path, dataset_dir):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gesturelab.errors import DegenerateData, DimensionMismatch, LayoutMismatch
-from gesturelab.fusion import FusionConfig, PcaModel, fit_pca, fuse, fuse_matrix
+from gesturelab.fusion import FusionConfig, PcaModel, fit_pca, fuse_matrix
 from gesturelab.svm import rbf_kernel
 from gesturelab.tracking import FeatureMask
 from oracles import jacobi_eigh
@@ -18,7 +18,7 @@ def test_fuse_dimensions_and_unscaled_hog(rng):
     cfg = FusionConfig(mask=ADT, hog_weight=1.0, hog_dim=1764)
     t = rng.normal(size=20)
     h = rng.normal(size=1764)
-    fused = fuse(t, h, cfg)
+    fused = fuse_matrix(t, h, cfg)
     assert fused.shape == (1784,)
     assert np.array_equal(fused[:20], t)
     assert np.array_equal(fused[20:], h)
@@ -26,15 +26,15 @@ def test_fuse_dimensions_and_unscaled_hog(rng):
 
 def test_fuse_zero_weight_annihilates():
     cfg = FusionConfig(mask=ADT, hog_weight=0.0, hog_dim=8)
-    fused = fuse(np.ones(20), np.ones(8), cfg)
+    fused = fuse_matrix(np.ones(20), np.ones(8), cfg)
     assert np.array_equal(fused[20:], np.zeros(8))
 
 
 def test_fuse_weight_scales_linearly(rng):
     h = rng.normal(size=16)
     t = rng.normal(size=20)
-    one = fuse(t, h, FusionConfig(mask=ADT, hog_weight=1.0, hog_dim=16))
-    five = fuse(t, h, FusionConfig(mask=ADT, hog_weight=5.0, hog_dim=16))
+    one = fuse_matrix(t, h, FusionConfig(mask=ADT, hog_weight=1.0, hog_dim=16))
+    five = fuse_matrix(t, h, FusionConfig(mask=ADT, hog_weight=5.0, hog_dim=16))
     assert np.array_equal(five[20:], 5.0 * one[20:])
     assert np.array_equal(five[:20], one[:20])
 
@@ -43,17 +43,17 @@ def test_fuse_is_linear_in_hog_segment(rng):
     cfg = FusionConfig(mask=ADT, hog_weight=3.0, hog_dim=12)
     t = rng.normal(size=20)
     h = rng.normal(size=12)
-    with_h = fuse(t, h, cfg)
-    without = fuse(t, np.zeros(12), cfg)
+    with_h = fuse_matrix(t, h, cfg)
+    without = fuse_matrix(t, np.zeros(12), cfg)
     assert np.allclose(with_h - without, np.concatenate([np.zeros(20), 3.0 * h]), atol=0)
 
 
 def test_fuse_layout_mismatch():
     cfg = FusionConfig(mask=ADT, hog_weight=1.0, hog_dim=8)
     with pytest.raises(LayoutMismatch):
-        fuse(np.zeros(19), np.zeros(8), cfg)
+        fuse_matrix(np.zeros(19), np.zeros(8), cfg)
     with pytest.raises(LayoutMismatch):
-        fuse(np.zeros(20), np.zeros(9), cfg)
+        fuse_matrix(np.zeros(20), np.zeros(9), cfg)
     with pytest.raises(LayoutMismatch):
         fuse_matrix(np.zeros((4, 20)), np.zeros((3, 8)), cfg)
 
@@ -83,7 +83,7 @@ def test_rbf_weighting_equivalence(rng):
         cfgk = FusionConfig(mask=ADT, hog_weight=k, hog_dim=30)
         t1, t2 = rng.normal(size=(2, 20))
         h1, h2 = rng.normal(size=(2, 30))
-        lhs = rbf_kernel(fuse(t1, h1, cfgk), fuse(t2, h2, cfgk), gamma)
+        lhs = rbf_kernel(fuse_matrix(t1, h1, cfgk), fuse_matrix(t2, h2, cfgk), gamma)
         dt = np.sum((t1 - t2) ** 2)
         dh = np.sum((h1 - h2) ** 2)
         rhs = np.exp(-gamma * (dt + k * k * dh))

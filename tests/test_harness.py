@@ -165,6 +165,24 @@ def test_per_repetition_grid_mode(store):
     assert len(report.cells[0].cv_table) == 1
 
 
+@pytest.mark.parametrize("grid_mode", ["per_cell", "per_repetition"])
+def test_pca_fitted_once_per_repetition(store, monkeypatch, grid_mode):
+    from gesturelab import harness
+
+    calls = []
+    fit_pca = harness.fit_pca
+
+    def counting_fit_pca(*args, **kwargs):
+        calls.append(1)
+        return fit_pca(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "fit_pca", counting_fit_pca)
+    cfg = small_config(retentions=(0.9,), repetitions=3, grid_mode=grid_mode)
+    report = run_experiment(cfg, store=store)
+    assert len(report.cells) == 1
+    assert len(calls) == cfg.repetitions
+
+
 def test_errors_carry_cell_context():
     from gesturelab.errors import InsufficientData
 

@@ -361,3 +361,15 @@ def test_frame_dict_bad_record():
 
     with pytest.raises(ParseError):
         frame_from_dict({"palm_center": [0, 0, 0]})
+
+
+@pytest.mark.parametrize("field", ["palm_center", "palm_normal", "hand_direction", "fingertips"])
+def test_frame_rejects_non_finite_values(rng, field):
+    from gesturelab.errors import ParseError
+
+    record = frame_to_dict(make_random_frame(rng))
+    values = np.array(record[field], dtype=float)
+    values.flat[-1] = np.nan
+    record[field] = values.tolist()
+    with pytest.raises(ParseError, match=f"{field} must be finite"):
+        frame_from_dict(record)
