@@ -15,7 +15,6 @@ from .data import (
     generate_synthetic,
     load_dataset,
     save_dataset,
-    split,
     split_indices,
 )
 from .errors import (

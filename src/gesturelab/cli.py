@@ -7,7 +7,6 @@ with individual flags taking precedence.  Exit codes: 0 success,
 """
 
 import argparse
-import json
 import sys
 from dataclasses import asdict
 
@@ -91,12 +90,9 @@ def _build_config(args, return_raw=False):
     raw = {}
     if getattr(args, "config", None):
         try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except FileNotFoundError as exc:
-            raise ConfigError(f"config file not found: {args.config}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{args.config}: {exc}") from exc
+            raw = jsonio.load_path(args.config)
+        except DataError as exc:
+            raise ConfigError(f"config {exc}") from exc
     cfg = config_from_dict(raw)
 
     synth = cfg.synthetic
@@ -210,18 +206,17 @@ def _cmd_extract(args):
 
 
 def _preprocessing_from_args(args, cfg, store):
-    """Raw rows of `store` and the preprocessing fitted on all of them."""
+    """The preprocessing fitted on all rows of `store` and those rows through it."""
     k = args.k if args.k is not None else cfg.k_values[0]
     retention = _parse_values(args.retention)[0] if args.retention else cfg.retentions[0]
     raw, fusion = raw_features(store, FeatureMask.parse(cfg.features), cfg.use_hog, k)
-    return raw, fit_preprocessing(raw, fusion, retention)
+    return fit_preprocessing(raw, fusion, retention)
 
 
 def _cmd_train(args):
     cfg = _build_config(args)
     store = _load_store(args, cfg)
-    raw, pre = _preprocessing_from_args(args, cfg, store)
-    projected = pre.apply(raw)
+    pre, projected = _preprocessing_from_args(args, cfg, store)
 
     if args.c is not None and args.gamma is not None:
         params = KernelParams(c=args.c, gamma=args.gamma)
@@ -233,14 +228,12 @@ def _cmd_train(args):
             cfg.gamma_grid,
             folds=cfg.folds,
             seed=harness.derive_seed(cfg.seed, "grid:train"),
-            tol=cfg.svm_tol,
         )
         print(f"grid search selected C={params.c} gamma={params.gamma}")
     model = train_multiclass(
         projected,
         store.labels,
         params,
-        tol=cfg.svm_tol,
         max_iter=cfg.svm_max_iter,
         preprocessing=pre,
     )
@@ -280,15 +273,14 @@ def _cmd_predict(args):
 def _cmd_grid_search(args):
     cfg = _build_config(args)
     store = _load_store(args, cfg)
-    raw, pre = _preprocessing_from_args(args, cfg, store)
+    _, projected = _preprocessing_from_args(args, cfg, store)
     params, table = grid_search(
-        pre.apply(raw),
+        projected,
         store.labels,
         cfg.c_grid,
         cfg.gamma_grid,
         folds=cfg.folds,
         seed=harness.derive_seed(cfg.seed, "grid:cli"),
-        tol=cfg.svm_tol,
     )
     if args.out:
         write_cv_table_csv(table, args.out)

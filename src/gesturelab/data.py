@@ -15,7 +15,6 @@ capsules, orthographic projection) so the image and tracking modalities
 describe the same hand.
 """
 
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -26,10 +25,12 @@ from . import jsonio
 from .errors import MissingFile, ParseError, SchemaVersionMismatch
 from .geometry import random_rotation
 from .image import read_pgm, write_pgm
-from .tracking import HandFrame, frame_from_dict, frame_to_dict
+from .tracking import HandFrame, load_frame, save_frame
 
 NUM_GESTURES = 10
 MANIFEST_NAME = "dataset.json"
+# Each synthetic subject's hand size is drawn uniformly from this range.
+SUBJECT_SCALE_RANGE = (0.9, 1.1)
 
 
 @dataclass
@@ -174,7 +175,6 @@ def generate_synthetic(
     seed=0,
     translation_mm=100.0,
     image_size=240,
-    subject_scale_range=(0.9, 1.1),
 ):
     """Deterministic synthetic dataset of subjects x gestures x reps samples.
 
@@ -189,7 +189,7 @@ def generate_synthetic(
     rng = np.random.default_rng(seed)
     samples = []
     for s in range(subjects):
-        hand_scale = rng.uniform(*subject_scale_range)
+        hand_scale = rng.uniform(*SUBJECT_SCALE_RANGE)
         for tpl in templates:
             middle_len = hand_scale * float(np.linalg.norm(tpl.offsets[2]))
             palm_radius = 0.40 * middle_len
@@ -231,7 +231,7 @@ def save_dataset(samples, out_dir):
     for sample in sorted(samples, key=Sample.sort_key):
         sid = sample.sample_id
         frame_rel = f"frames/{sid}.json"
-        jsonio.dump_path(frame_to_dict(sample.frame), os.path.join(out_dir, frame_rel))
+        save_frame(sample.frame, os.path.join(out_dir, frame_rel))
         image_rels = []
         for k, img in enumerate(sample.images):
             rel = f"images/{sid}_{k}.pgm"
@@ -259,13 +259,7 @@ def load_dataset(manifest_path):
     """
     if os.path.isdir(manifest_path):
         manifest_path = os.path.join(manifest_path, MANIFEST_NAME)
-    try:
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except FileNotFoundError as exc:
-        raise MissingFile(f"manifest not found: {manifest_path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{manifest_path}: {exc}") from exc
+    manifest = jsonio.load_path(manifest_path)
     if not isinstance(manifest, dict) or "samples" not in manifest:
         raise ParseError(f"{manifest_path}: not a dataset manifest")
     if manifest.get("version") != 1:
@@ -290,11 +284,7 @@ def load_dataset(manifest_path):
             rep = int(rec["rep"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"{manifest_path}: bad sample record: {exc}") from exc
-        with open(os.path.join(base, rec["frame"]), "r", encoding="utf-8") as fh:
-            try:
-                frame = frame_from_dict(json.load(fh))
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{rec['frame']}: {exc}") from exc
+        frame = load_frame(os.path.join(base, rec["frame"]))
         images = [read_pgm(os.path.join(base, rel)) for rel in rec["images"]]
         samples.append(Sample(subject=subject, gesture=gesture, rep=rep, frame=frame, images=images))
     samples.sort(key=Sample.sort_key)
@@ -310,82 +300,29 @@ def dataset_summary(samples):
     return counts
 
 
-def build_manifest(root_dir, out_path=None):
-    """Build a manifest from a conventional directory tree.
-
-    Expects ``frames/<id>.json`` and ``images/<id>_<k>.pgm`` with ids of
-    the form ``s<subject>_g<gesture>_r<rep>`` (the save_dataset layout).
-    Useful for converting externally captured data into a loadable
-    dataset; no external data ships with the package.
-    """
-    frames_dir = os.path.join(root_dir, "frames")
-    if not os.path.isdir(frames_dir):
-        raise MissingFile(f"no frames/ directory under {root_dir}")
-    records = []
-    for name in sorted(os.listdir(frames_dir)):
-        if not name.endswith(".json"):
-            continue
-        sid = name[: -len(".json")]
-        try:
-            parts = sid.split("_")
-            subject = int(parts[0][1:])
-            gesture = int(parts[1][1:])
-            rep = int(parts[2][1:])
-        except (IndexError, ValueError) as exc:
-            raise ParseError(f"cannot parse sample id from {name!r}") from exc
-        images = sorted(
-            f"images/{f}"
-            for f in os.listdir(os.path.join(root_dir, "images"))
-            if f.startswith(sid + "_") and f.endswith(".pgm")
-        )
-        records.append(
-            {
-                "subject": subject,
-                "gesture": gesture,
-                "rep": rep,
-                "frame": f"frames/{name}",
-                "images": images,
-            }
-        )
-    out_path = out_path or os.path.join(root_dir, MANIFEST_NAME)
-    jsonio.dump_path({"version": 1, "samples": records}, out_path)
-    return out_path
-
-
 # ---------------------------------------------------------------------------
 # Splitting
 
 
-def split_indices(labels, train_fraction, seed, stratified=True):
-    """Seeded train/test index split; per-stratum floor allocation.
+def split_indices(labels, train_fraction, seed):
+    """Seeded stratified train/test index split.
 
-    With stratification each gesture class is shuffled separately and
-    the first floor(fraction * n) samples go to train.  Returned index
-    arrays are sorted ascending.
+    Each gesture class is shuffled separately and the first
+    floor(train_fraction * n) of its n samples go to train, so every
+    class keeps the same share in both parts.  Returned index arrays are
+    sorted ascending.
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must be in (0, 1)")
     labels = np.asarray(labels)
     rng = np.random.default_rng(seed)
     train = []
-    if stratified:
-        for cls in np.unique(labels):
-            rows = np.flatnonzero(labels == cls)
-            rows = rows[rng.permutation(len(rows))]
-            n_train = int(math.floor(train_fraction * len(rows)))
-            train.extend(rows[:n_train].tolist())
-    else:
-        order = rng.permutation(len(labels))
-        n_train = int(math.floor(train_fraction * len(labels)))
-        train.extend(order[:n_train].tolist())
+    for cls in np.unique(labels):
+        rows = np.flatnonzero(labels == cls)
+        rows = rows[rng.permutation(len(rows))]
+        n_train = int(math.floor(train_fraction * len(rows)))
+        train.extend(rows[:n_train].tolist())
     train_idx = np.array(sorted(train), dtype=int)
     test_mask = np.ones(len(labels), dtype=bool)
     test_mask[train_idx] = False
     return train_idx, np.flatnonzero(test_mask)
-
-
-def split(samples, train_fraction, seed, stratified=True):
-    """Split a sample list into (train, test) lists."""
-    labels = [s.gesture for s in samples]
-    train_idx, test_idx = split_indices(labels, train_fraction, seed, stratified)
-    return [samples[i] for i in train_idx], [samples[i] for i in test_idx]

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import jsonio
 from .errors import (
     DegenerateData,
     DimensionMismatch,
@@ -155,13 +154,6 @@ class PcaModel:
             variances=np.asarray(data["variances"], dtype=float),
             retained_fraction=float(data["retained_fraction"]),
         )
-
-    def save(self, path):
-        jsonio.dump_path(self.to_dict(), path)
-
-    @classmethod
-    def load(cls, path):
-        return cls.from_dict(jsonio.load_path(path))
 
 
 def fit_pca(data, retained_fraction=None, n_components=None):

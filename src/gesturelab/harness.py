@@ -76,7 +76,6 @@ class ExperimentConfig:
     train_fraction: float = 0.8
     seed: int = 7
     grid_mode: str = "per_cell"  # or "per_repetition"
-    svm_tol: float = 1e-3
     svm_max_iter: int = 1_000_000
 
     def validate(self):
@@ -280,16 +279,18 @@ def fit_preprocessing(raw, fusion, retention):
 
     `retention` is None (no PCA), an int component count or a float
     retained-variance fraction; PCA is fitted on the weighted rows.
+    Returns (pre, rows): the preprocessing and `raw` passed through it,
+    the same values pre.apply(raw) gives, computed once.
     """
     pre = Preprocessing(fusion=fusion)
-    if retention is None:
-        return pre
     weighted = pre.apply(raw)
+    if retention is None:
+        return pre, weighted
     if isinstance(retention, int) and not isinstance(retention, bool):
         pre.pca = fit_pca(weighted, n_components=retention)
     else:
         pre.pca = fit_pca(weighted, retained_fraction=float(retention))
-    return pre
+    return pre, pre.pca.transform(weighted)
 
 
 def _run_cell(store, cell, cfg):
@@ -307,10 +308,9 @@ def _run_cell(store, cell, cfg):
     all_converged = True
     for r in range(cfg.repetitions):
         train_idx, test_idx = split_indices(
-            labels, cfg.train_fraction, derive_seed(cfg.seed, f"split:{r}"), stratified=True
+            labels, cfg.train_fraction, derive_seed(cfg.seed, f"split:{r}")
         )
-        pre = fit_preprocessing(raw[train_idx], fusion_cfg, cell.retention)
-        train_rows = pre.apply(raw[train_idx])
+        pre, train_rows = fit_preprocessing(raw[train_idx], fusion_cfg, cell.retention)
         if per_repetition or r == 0:
             tag = f"grid:{cell.tag()}:{r}" if per_repetition else f"grid:{cell.tag()}"
             params, cv_table = grid_search(
@@ -320,13 +320,11 @@ def _run_cell(store, cell, cfg):
                 cfg.gamma_grid,
                 folds=cfg.folds,
                 seed=derive_seed(cfg.seed, tag),
-                tol=cfg.svm_tol,
             )
         model = train_multiclass(
             train_rows,
             labels[train_idx],
             params,
-            tol=cfg.svm_tol,
             max_iter=cfg.svm_max_iter,
             preprocessing=pre,
         )
@@ -374,13 +372,17 @@ def _run_cells(store, cells, cfg):
     return results
 
 
+def _store_for(cfg, store, samples):
+    """The given feature store, else one built from `samples` or the config's dataset."""
+    if store is not None:
+        return store
+    return build_feature_store(samples if samples is not None else load_samples(cfg), cfg)
+
+
 def run_experiment(cfg, store=None, samples=None):
     """Run the configured cells over repeated stratified 80/20 splits."""
     cfg.validate()
-    if store is None:
-        if samples is None:
-            samples = load_samples(cfg)
-        store = build_feature_store(samples, cfg)
+    store = _store_for(cfg, store, samples)
     return Report(config=cfg, cells=_run_cells(store, experiment_cells(cfg), cfg))
 
 
@@ -389,10 +391,7 @@ def ablation_table(cfg, combos, store=None, samples=None):
     cfg.validate()
     if not combos:
         raise ConfigError("combos must be non-empty")
-    if store is None:
-        if samples is None:
-            samples = load_samples(cfg)
-        store = build_feature_store(samples, cfg)
+    store = _store_for(cfg, store, samples)
     cells = []
     for combo in combos:
         mask = combo if isinstance(combo, FeatureMask) else FeatureMask.parse(combo)

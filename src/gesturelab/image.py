@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GeometryError, MapSizeMismatch, ParseError
+from .errors import GeometryError, MapSizeMismatch, MissingFile, ParseError
 
 MAP_MAGIC = b"LMUM"
 
@@ -56,6 +56,8 @@ def read_pgm(path):
         raise ParseError(f"{path}: bad PGM header") from exc
     if maxval != 255:
         raise ParseError(f"{path}: only maxval 255 supported, got {maxval}")
+    if width < 1 or height < 1:
+        raise ParseError(f"{path}: PGM size {width}x{height} holds no pixels")
     pos += 1  # single whitespace after maxval
     pixels = data[pos : pos + width * height]
     if len(pixels) != width * height:
@@ -90,6 +92,7 @@ class UndistortionMap:
 
     ``samples`` is a (grid_height, grid_width, 2) float array of (u, v)
     pairs in [0, 1]^2; invalid grid points carry the sentinel (-1, -1).
+    Any other value, NaN included, is rejected.
     """
 
     samples: np.ndarray
@@ -98,10 +101,9 @@ class UndistortionMap:
         self.samples = np.asarray(self.samples, dtype=float)
         if self.samples.ndim != 3 or self.samples.shape[2] != 2:
             raise ValueError("samples must have shape (grid_h, grid_w, 2)")
-        valid = self.valid_mask()
-        vals = self.samples[valid]
-        if vals.size and (vals.min() < 0.0 or vals.max() > 1.0):
-            raise ValueError("valid map samples must lie in [0, 1]^2")
+        vals = self.samples[~np.all(self.samples == -1.0, axis=2)]
+        if not (np.all(vals >= 0.0) and np.all(vals <= 1.0)):
+            raise ValueError("map samples must lie in [0, 1]^2 or be exactly (-1, -1)")
 
     @property
     def grid_width(self):
@@ -110,9 +112,6 @@ class UndistortionMap:
     @property
     def grid_height(self):
         return self.samples.shape[0]
-
-    def valid_mask(self):
-        return np.all(self.samples >= 0.0, axis=2)
 
     @classmethod
     def identity(cls, grid_width=8, grid_height=8):
@@ -124,16 +123,24 @@ class UndistortionMap:
 
     @classmethod
     def load(cls, path):
-        with open(path, "rb") as fh:
-            data = fh.read()
+        try:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        except FileNotFoundError as exc:
+            raise MissingFile(f"undistortion map not found: {path}") from exc
         if data[:4] != MAP_MAGIC:
             raise ParseError(f"{path}: bad undistortion map magic")
+        if len(data) < 12:
+            raise ParseError(f"{path}: truncated undistortion map header")
         gw, gh = struct.unpack_from("<II", data, 4)
         expected = 12 + gw * gh * 8
         if len(data) < expected:
             raise ParseError(f"{path}: truncated undistortion map")
         flat = np.frombuffer(data, dtype="<f4", count=gw * gh * 2, offset=12)
-        return cls(flat.astype(float).reshape(gh, gw, 2))
+        try:
+            return cls(flat.astype(float).reshape(gh, gw, 2))
+        except ValueError as exc:
+            raise ParseError(f"{path}: {exc}") from exc
 
     def save(self, path):
         with open(path, "wb") as fh:

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from .errors import MissingFile, ParseError
+
 
 def dumps(obj):
     """Serialize `obj` to a compact JSON string with 17-significant-digit floats."""
@@ -25,8 +27,18 @@ def dump_path(obj, path):
 
 
 def load_path(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    """Parse a UTF-8 JSON file.
+
+    A missing file raises MissingFile; undecodable or malformed content
+    raises ParseError.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError as exc:
+        raise MissingFile(f"file not found: {path}") from exc
+    except ValueError as exc:  # json.JSONDecodeError or UnicodeDecodeError
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def _encode(obj, parts):

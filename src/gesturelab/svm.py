@@ -273,7 +273,6 @@ def train_multiclass(
     X,
     labels,
     params,
-    tol=DEFAULT_TOL,
     max_iter=DEFAULT_MAX_ITER,
     preprocessing=None,
 ):
@@ -291,7 +290,7 @@ def train_multiclass(
         rows = np.flatnonzero((labels == ci) | (labels == cj))
         y = np.where(labels[rows] == ci, 1.0, -1.0)
         try:
-            models[(ci, cj)] = train_binary(X[rows], y, params, tol=tol, max_iter=max_iter)
+            models[(ci, cj)] = train_binary(X[rows], y, params, max_iter=max_iter)
         except SingleClassData as exc:
             raise SingleClassData(f"class pair ({ci}, {cj}): {exc}") from exc
     return MulticlassSvm(classes=classes, models=models, preprocessing=preprocessing)
@@ -358,14 +357,16 @@ def stratified_folds(labels, folds, seed):
     return assignment
 
 
-def grid_search(X, labels, c_grid, gamma_grid, folds=10, seed=0, tol=DEFAULT_TOL):
+def grid_search(X, labels, c_grid, gamma_grid, folds=10, seed=0):
     """Pick (C, gamma) by stratified k-fold cross-validated accuracy.
 
     Ties go to the smaller C, then the smaller gamma.  Classes with
     fewer samples than `folds` degrade the fold count to the smallest
     class size (leave-one-out per class) with a warning; classes with
     fewer than 2 samples are an error.  Returns the winning params and
-    the full CV table.
+    the CV table: one {"c", "gamma", "accuracy"} dict per grid point, in
+    ascending C then gamma order, with the accuracy pooled over all
+    held-out folds.
     """
     X = np.asarray(X, dtype=float)
     labels = np.asarray(labels)
@@ -395,24 +396,14 @@ def grid_search(X, labels, c_grid, gamma_grid, folds=10, seed=0, tol=DEFAULT_TOL
         for gamma in sorted(gamma_grid):
             params = KernelParams(c=c, gamma=gamma)
             correct = 0
-            fold_accuracies = []
             for f in range(folds):
                 train = fold_of != f
                 held = ~train
-                model = train_multiclass(X[train], labels[train], params, tol=tol)
+                model = train_multiclass(X[train], labels[train], params)
                 pred = predict(model, X[held])
-                hits = int(np.sum(pred == labels[held]))
-                correct += hits
-                fold_accuracies.append(hits / int(held.sum()))
+                correct += int(np.sum(pred == labels[held]))
             accuracy = correct / len(labels)
-            table.append(
-                {
-                    "c": c,
-                    "gamma": gamma,
-                    "accuracy": accuracy,
-                    "fold_accuracies": fold_accuracies,
-                }
-            )
+            table.append({"c": c, "gamma": gamma, "accuracy": accuracy})
             if best is None or accuracy > best[0]:
                 best = (accuracy, params)
     return best[1], table

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import jsonio
 from .errors import DegenerateHand, MissingMiddleFinger, ParseError
 
 NUM_FINGERS = 5
@@ -333,17 +334,10 @@ def frame_from_dict(data):
 
 def load_frame(path):
     """Read a single hand frame from a JSON file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    return frame_from_dict(data)
+    return frame_from_dict(jsonio.load_path(path))
 
 
 def save_frame(frame, path):
-    from . import jsonio
-
     jsonio.dump_path(frame_to_dict(frame), path)
 
 

@@ -1,10 +1,12 @@
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from gesturelab.cli import main
 from gesturelab.data import load_dataset
+from gesturelab.image import UndistortionMap
 from gesturelab.svm import load_model
 
 
@@ -169,17 +171,43 @@ def test_show_config_merges_flags(capsys):
     assert merged["use_hog"] is False
 
 
-def test_exit_code_config_error():
+def test_exit_code_config_error(tmp_path):
     assert run_cli("report", "--bogus-flag") == 1
     assert run_cli("train", "--out", "x.json", "--features", "nope") == 1
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(b'{"seed": \xff}')
+    assert run_cli("show-config", "--config", cfg_path) == 1
 
 
 def test_exit_code_config_file_missing(tmp_path):
     assert run_cli("report", "--config", tmp_path / "absent.json") == 1
 
 
-def test_exit_code_data_error(tmp_path):
+def test_exit_code_data_error(tmp_path, dataset_dir):
     assert run_cli("extract", "--manifest", tmp_path / "nope", "--out", tmp_path / "f.npz") == 2
+    nan_map = UndistortionMap.identity(3, 3).samples.astype("<f4")
+    nan_map[1, 1] = np.nan
+    maps = {
+        "short_header": b"LMUM\x01\x00",
+        "nan_point": b"LMUM" + struct.pack("<II", 3, 3) + nan_map.tobytes(),
+        "missing": None,
+    }
+    for name, content in maps.items():
+        path = tmp_path / f"{name}.lmum"
+        if content is not None:
+            path.write_bytes(content)
+        code = run_cli(
+            "extract", "--manifest", dataset_dir, "--undistort-map", path,
+            "--out", tmp_path / "f.npz",
+        )
+        assert code == 2, name
+    (tmp_path / "garbage.json").write_text("{not json")
+    for model in ("garbage.json", "absent.json"):
+        code = run_cli(
+            "predict", "--model", tmp_path / model, "--manifest", dataset_dir,
+            "--out", tmp_path / "p.csv",
+        )
+        assert code == 2, model
 
 
 def _feature_arrays(**changes):

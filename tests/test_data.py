@@ -4,17 +4,15 @@ import pytest
 from gesturelab.data import (
     GestureTemplate,
     Sample,
-    build_manifest,
     dataset_summary,
     default_templates,
     generate_synthetic,
     load_dataset,
     save_dataset,
-    split,
     split_indices,
 )
 from gesturelab.errors import MissingFile, ParseError, SchemaVersionMismatch
-from gesturelab.jsonio import dump_path, load_path
+from gesturelab.jsonio import dump_path
 from gesturelab.tracking import FeatureMask, extract_tracking_features
 
 ADT = FeatureMask.parse("ang+dist+tip")
@@ -162,19 +160,20 @@ def test_version_mismatch(tmp_path):
 
 
 def test_parse_error_on_garbage(tmp_path):
-    path = tmp_path / "dataset.json"
-    path.write_text("{not json")
-    with pytest.raises(ParseError):
-        load_dataset(path)
-
-
-def test_build_manifest_matches_saved_layout(tmp_path):
-    samples = generate_synthetic(subjects=1, reps=2, seed=8)
-    save_dataset(samples, tmp_path / "ds")
-    rebuilt = build_manifest(tmp_path / "ds", tmp_path / "ds" / "rebuilt.json")
-    a = load_path(tmp_path / "ds" / "dataset.json")
-    b = load_path(rebuilt)
-    assert a == b
+    save_dataset(generate_synthetic(subjects=1, reps=1, seed=2, image_size=32), tmp_path / "ds")
+    frame = sorted((tmp_path / "ds" / "frames").iterdir())[0]
+    frame.write_bytes(b'{"palm_center": \xff}')
+    cases = {
+        "malformed json": (b"{not json", tmp_path / "dataset.json"),
+        "invalid utf-8 manifest": (b'{"version": 1, "samples": [\xff]}', tmp_path / "dataset.json"),
+        "invalid utf-8 frame": (None, tmp_path / "ds"),
+    }
+    for name, (content, path) in cases.items():
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(ParseError):
+            load_dataset(path)
+            pytest.fail(f"{name}: no ParseError")
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +182,7 @@ def test_build_manifest_matches_saved_layout(tmp_path):
 
 def test_split_paper_shape_arithmetic():
     labels = np.repeat(np.arange(10), 260)  # 2600 samples, 260 per gesture
-    train, test = split_indices(labels, 0.8, seed=0, stratified=True)
+    train, test = split_indices(labels, 0.8, seed=0)
     assert len(train) == 2080 and len(test) == 520
     for cls in range(10):
         assert (labels[train] == cls).sum() == 208
@@ -214,15 +213,7 @@ def test_split_determinism_and_seed_sensitivity():
 
 def test_split_stratified_proportions(rng):
     labels = np.concatenate([np.zeros(31), np.ones(17), np.full(9, 2)]).astype(int)
-    train, _ = split_indices(labels, 0.6, seed=2, stratified=True)
+    train, _ = split_indices(labels, 0.6, seed=2)
     for cls, n in ((0, 31), (1, 17), (2, 9)):
         expected = int(np.floor(0.6 * n))
         assert (labels[train] == cls).sum() == expected
-
-
-def test_split_sample_lists():
-    samples = generate_synthetic(subjects=1, reps=5, seed=3)
-    train, test = split(samples, 0.8, seed=1)
-    assert len(train) == 40 and len(test) == 10
-    ids = {s.sample_id for s in samples}
-    assert {s.sample_id for s in train} | {s.sample_id for s in test} == ids

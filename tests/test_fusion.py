@@ -3,6 +3,7 @@ import pytest
 
 from gesturelab.errors import DegenerateData, DimensionMismatch, LayoutMismatch
 from gesturelab.fusion import FusionConfig, PcaModel, fit_pca, fuse_matrix
+from gesturelab.jsonio import dump_path, load_path
 from gesturelab.svm import rbf_kernel
 from gesturelab.tracking import FeatureMask
 from oracles import jacobi_eigh
@@ -248,8 +249,8 @@ def test_pca_serialization_bit_faithful(tmp_path, rng):
     data = rng.normal(size=(25, 6))
     model = fit_pca(data, retained_fraction=0.95)
     path = tmp_path / "pca.json"
-    model.save(path)
-    loaded = PcaModel.load(path)
+    dump_path(model.to_dict(), path)
+    loaded = PcaModel.from_dict(load_path(path))
     assert np.array_equal(loaded.mean, model.mean)
     assert np.array_equal(loaded.components, model.components)
     assert np.array_equal(loaded.variances, model.variances)

@@ -167,20 +167,27 @@ def test_per_repetition_grid_mode(store):
 
 @pytest.mark.parametrize("grid_mode", ["per_cell", "per_repetition"])
 def test_pca_fitted_once_per_repetition(store, monkeypatch, grid_mode):
-    from gesturelab import harness
+    from gesturelab import harness, svm
 
-    calls = []
-    fit_pca = harness.fit_pca
+    calls = {"fit_pca": 0, "fuse_matrix": 0}
 
-    def counting_fit_pca(*args, **kwargs):
-        calls.append(1)
-        return fit_pca(*args, **kwargs)
+    def counting(module, name):
+        original = getattr(module, name)
 
-    monkeypatch.setattr(harness, "fit_pca", counting_fit_pca)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(harness, "fit_pca")
+    counting(svm, "fuse_matrix")
     cfg = small_config(retentions=(0.9,), repetitions=3, grid_mode=grid_mode)
     report = run_experiment(cfg, store=store)
     assert len(report.cells) == 1
-    assert len(calls) == cfg.repetitions
+    assert calls["fit_pca"] == cfg.repetitions
+    # one fusion of the training rows and one of the test rows per repetition
+    assert calls["fuse_matrix"] == 2 * cfg.repetitions
 
 
 def test_errors_carry_cell_context():

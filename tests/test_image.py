@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -39,10 +41,17 @@ def test_pgm_comment_header(tmp_path):
 
 
 def test_pgm_rejects_bad_magic(tmp_path):
+    cases = {
+        "ascii magic": b"P2\n2 2\n255\n....",
+        "negative size": b"P5\n-2 -3\n255\n" + bytes(6),
+        "zero width": b"P5\n0 5\n255\n",
+    }
     path = tmp_path / "img.pgm"
-    path.write_bytes(b"P2\n2 2\n255\n....")
-    with pytest.raises(ParseError):
-        read_pgm(path)
+    for name, content in cases.items():
+        path.write_bytes(content)
+        with pytest.raises(ParseError):
+            read_pgm(path)
+            pytest.fail(f"{name}: no ParseError")
 
 
 # ---------------------------------------------------------------------------
@@ -96,11 +105,33 @@ def test_map_file_roundtrip(tmp_path):
     assert np.array_equal(loaded.samples, umap.samples.astype("<f4").astype(float))
 
 
+def _map_bytes(samples):
+    """LMUM file content for a (grid_h, grid_w, 2) sample array."""
+    samples = np.asarray(samples, dtype="<f4")
+    gh, gw, _ = samples.shape
+    return b"LMUM" + struct.pack("<II", gw, gh) + samples.tobytes()
+
+
+def _identity_with(value):
+    samples = UndistortionMap.identity(3, 3).samples
+    samples[1, 1, 0] = value
+    return samples
+
+
 def test_map_file_magic(tmp_path):
+    cases = {
+        "bad magic": b"XXXX" + b"\0" * 16,
+        "short header": b"LMUM\x01\x00",
+        "value 2.0": _map_bytes(_identity_with(2.0)),
+        "value inf": _map_bytes(_identity_with(np.inf)),
+        "value nan": _map_bytes(_identity_with(np.nan)),
+    }
     path = tmp_path / "map.lmum"
-    path.write_bytes(b"XXXX" + b"\0" * 16)
-    with pytest.raises(ParseError):
-        UndistortionMap.load(path)
+    for name, content in cases.items():
+        path.write_bytes(content)
+        with pytest.raises(ParseError):
+            UndistortionMap.load(path)
+            pytest.fail(f"{name}: no ParseError")
 
 
 # ---------------------------------------------------------------------------
