@@ -126,8 +126,7 @@ def _load_store(args, cfg):
     features_file = getattr(args, "features_file", None)
     if features_file:
         return _read_feature_store(features_file)
-    samples = load_samples(cfg)
-    return build_feature_store(samples, cfg)
+    return build_feature_store(load_samples(cfg), cfg)
 
 
 def _read_feature_store(path):
@@ -193,9 +192,7 @@ def _cmd_synth(args):
 
 
 def _cmd_extract(args):
-    cfg = _build_config(args)
-    samples = load_samples(cfg)
-    store = build_feature_store(samples, cfg)
+    store = _load_store(args, _build_config(args))
     _write_feature_store(store, args.out)
     hog_dim = 0 if store.hog is None else store.hog.shape[1]
     print(

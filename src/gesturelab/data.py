@@ -1,4 +1,4 @@
-"""Dataset manifests, the synthetic gesture generator, and splitting.
+"""Dataset manifests, the synthetic gesture generator, splits and folds.
 
 A dataset is a flat list of samples, each carrying a tracking frame and
 one or two grayscale images, keyed by (subject, gesture, repetition).
@@ -304,6 +304,16 @@ def dataset_summary(samples):
 # Splitting
 
 
+def _shuffled_classes(labels, seed):
+    """Row indices of each class in np.unique order, each shuffled by one
+    seeded stream (one permutation draw per class)."""
+    labels = np.asarray(labels)
+    rng = np.random.default_rng(seed)
+    for cls in np.unique(labels):
+        rows = np.flatnonzero(labels == cls)
+        yield rows[rng.permutation(len(rows))]
+
+
 def split_indices(labels, train_fraction, seed):
     """Seeded stratified train/test index split.
 
@@ -314,15 +324,19 @@ def split_indices(labels, train_fraction, seed):
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must be in (0, 1)")
-    labels = np.asarray(labels)
-    rng = np.random.default_rng(seed)
     train = []
-    for cls in np.unique(labels):
-        rows = np.flatnonzero(labels == cls)
-        rows = rows[rng.permutation(len(rows))]
-        n_train = int(math.floor(train_fraction * len(rows)))
-        train.extend(rows[:n_train].tolist())
+    for rows in _shuffled_classes(labels, seed):
+        train.extend(rows[: int(math.floor(train_fraction * len(rows)))].tolist())
     train_idx = np.array(sorted(train), dtype=int)
     test_mask = np.ones(len(labels), dtype=bool)
     test_mask[train_idx] = False
     return train_idx, np.flatnonzero(test_mask)
+
+
+def stratified_folds(labels, folds, seed):
+    """Fold index per sample: seeded shuffle within each class, then
+    round-robin assignment so every fold sees every class."""
+    assignment = np.empty(len(labels), dtype=int)
+    for rows in _shuffled_classes(labels, seed):
+        assignment[rows] = np.arange(len(rows)) % folds
+    return assignment

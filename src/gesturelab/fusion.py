@@ -39,8 +39,8 @@ class FusionConfig:
     hog_dim: int = 0
 
     def __post_init__(self):
-        if self.hog_weight < 0:
-            raise ValueError("hog_weight must be >= 0")
+        if not 0.0 <= self.hog_weight < np.inf:
+            raise ValueError("hog_weight must be finite and >= 0")
         if self.hog_dim < 0:
             raise ValueError("hog_dim must be >= 0")
 
@@ -148,12 +148,18 @@ class PcaModel:
             raise SchemaVersionMismatch(
                 f"unsupported PCA model version {data.get('version')!r}"
             )
-        return cls(
+        model = cls(
             mean=np.asarray(data["mean"], dtype=float),
             components=np.asarray(data["components"], dtype=float),
             variances=np.asarray(data["variances"], dtype=float),
             retained_fraction=float(data["retained_fraction"]),
         )
+        if model.components.ndim != 2 or model.mean.shape != (model.input_dim,):
+            raise ValueError(f"PCA mean {model.mean.shape}, components {model.components.shape}")
+        numbers = (model.mean, model.components, model.variances, model.retained_fraction)
+        if not all(np.isfinite(x).all() for x in numbers):
+            raise ValueError("PCA model holds a non-finite number")
+        return model
 
 
 def fit_pca(data, retained_fraction=None, n_components=None):

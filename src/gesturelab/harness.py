@@ -372,26 +372,24 @@ def _run_cells(store, cells, cfg):
     return results
 
 
-def _store_for(cfg, store, samples):
-    """The given feature store, else one built from `samples` or the config's dataset."""
-    if store is not None:
-        return store
-    return build_feature_store(samples if samples is not None else load_samples(cfg), cfg)
+def _store_for(cfg, store):
+    """The given feature store, else one built from the config's dataset."""
+    return store if store is not None else build_feature_store(load_samples(cfg), cfg)
 
 
-def run_experiment(cfg, store=None, samples=None):
+def run_experiment(cfg, store=None):
     """Run the configured cells over repeated stratified 80/20 splits."""
     cfg.validate()
-    store = _store_for(cfg, store, samples)
+    store = _store_for(cfg, store)
     return Report(config=cfg, cells=_run_cells(store, experiment_cells(cfg), cfg))
 
 
-def ablation_table(cfg, combos, store=None, samples=None):
+def ablation_table(cfg, combos, store=None):
     """Tracking-only accuracy per feature combination (no HOG)."""
     cfg.validate()
     if not combos:
         raise ConfigError("combos must be non-empty")
-    store = _store_for(cfg, store, samples)
+    store = _store_for(cfg, store)
     cells = []
     for combo in combos:
         mask = combo if isinstance(combo, FeatureMask) else FeatureMask.parse(combo)
@@ -399,14 +397,14 @@ def ablation_table(cfg, combos, store=None, samples=None):
     return Report(config=cfg, cells=_run_cells(store, cells, cfg))
 
 
-def fusion_sweep(cfg, k_values=None, retentions=None, store=None, samples=None):
+def fusion_sweep(cfg, k_values=None, retentions=None, store=None):
     """Full fusion-weight x retention accuracy grid on fused features."""
     k_values = tuple(k_values if k_values is not None else cfg.k_values)
     retentions = tuple(retentions if retentions is not None else cfg.retentions)
     if not k_values or not retentions:
         raise ConfigError("sweep grids must be non-empty")
     sweep_cfg = replace(cfg, use_hog=True, k_values=k_values, retentions=retentions)
-    return run_experiment(sweep_cfg, store=store, samples=samples)
+    return run_experiment(sweep_cfg, store=store)
 
 
 DEFAULT_ABLATION_COMBOS = (

@@ -169,34 +169,18 @@ def undistort(raw, umap, out_size):
 
     nx = np.arange(out_w) / (out_w - 1) if out_w > 1 else np.zeros(1)
     ny = np.arange(out_h) / (out_h - 1) if out_h > 1 else np.zeros(1)
-    gx = nx * (gw - 1)
-    gy = ny * (gh - 1)
-    gx0 = np.minimum(gx.astype(int), gw - 2)
-    gy0 = np.minimum(gy.astype(int), gh - 2)
-    fx = (gx - gx0)[np.newaxis, :]
-    fy = (gy - gy0)[:, np.newaxis]
-    gx0 = gx0[np.newaxis, :]
-    gy0 = gy0[:, np.newaxis]
+    gx = (nx * (gw - 1))[np.newaxis, :]
+    gy = (ny * (gh - 1))[:, np.newaxis]
+    u = _sample_bilinear(umap.samples[..., 0], gx, gy)
+    v = _sample_bilinear(umap.samples[..., 1], gx, gy)
 
-    corners = [
-        umap.samples[gy0 + dy, gx0 + dx] for dy in (0, 1) for dx in (0, 1)
-    ]
-    w00 = (1 - fy) * (1 - fx)
-    w01 = (1 - fy) * fx
-    w10 = fy * (1 - fx)
-    w11 = fy * fx
-    uv = (
-        corners[0] * w00[..., None]
-        + corners[1] * w01[..., None]
-        + corners[2] * w10[..., None]
-        + corners[3] * w11[..., None]
-    )
-    invalid = ~np.all([np.all(c >= 0.0, axis=2) for c in corners], axis=0)
+    # A grid cell is bad when any of its corners is an invalid (-1, -1) point.
+    bad = np.any(umap.samples < 0.0, axis=2)
+    bad_cell = bad[:-1, :-1] | bad[:-1, 1:] | bad[1:, :-1] | bad[1:, 1:]
+    invalid = bad_cell[np.minimum(gy.astype(int), gh - 2), np.minimum(gx.astype(int), gw - 2)]
 
     src_h, src_w = raw.shape
-    sx = uv[..., 0] * (src_w - 1)
-    sy = uv[..., 1] * (src_h - 1)
-    out = _sample_bilinear(raw.astype(float), sx, sy)
+    out = _sample_bilinear(raw.astype(float), u * (src_w - 1), v * (src_h - 1))
     out[invalid] = 0.0
     return np.rint(out).astype(np.uint8)
 

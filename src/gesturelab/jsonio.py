@@ -2,7 +2,8 @@
 
 Floats are written with 17 significant digits so serialized models
 round-trip bit-exactly through text (``float(format(x, ".17g")) == x``
-for every finite double).
+for every finite double).  Negative zero is written as ``-0.0``: the
+shorter ``-0`` would read back as the integer 0 and lose its sign.
 """
 
 import json
@@ -54,7 +55,8 @@ def _encode(obj, parts):
         x = float(obj)
         if not math.isfinite(x):
             raise ValueError(f"cannot serialize non-finite float {x!r}")
-        parts.append(format(x, ".17g"))
+        text = format(x, ".17g")
+        parts.append("-0.0" if text == "-0" else text)
     elif isinstance(obj, (int, np.integer)):
         parts.append(str(int(obj)))
     elif isinstance(obj, np.ndarray):

@@ -19,10 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jsonio
+from .data import stratified_folds
 from .errors import (
     DimensionMismatch,
     InsufficientData,
     NumericalError,
+    ParseError,
     SchemaVersionMismatch,
     SingleClassData,
 )
@@ -344,19 +346,6 @@ def predict(model, X):
 # Grid search
 
 
-def stratified_folds(labels, folds, seed):
-    """Fold index per sample: seeded shuffle within each class, then
-    round-robin assignment so every fold sees every class."""
-    labels = np.asarray(labels)
-    rng = np.random.default_rng(seed)
-    assignment = np.empty(len(labels), dtype=int)
-    for cls in np.unique(labels):
-        rows = np.flatnonzero(labels == cls)
-        rows = rows[rng.permutation(len(rows))]
-        assignment[rows] = np.arange(len(rows)) % folds
-    return assignment
-
-
 def grid_search(X, labels, c_grid, gamma_grid, folds=10, seed=0):
     """Pick (C, gamma) by stratified k-fold cross-validated accuracy.
 
@@ -446,26 +435,47 @@ def model_to_dict(model):
 
 
 def model_from_dict(data):
-    if data.get("version") != 1:
-        raise SchemaVersionMismatch(f"unsupported model version {data.get('version')!r}")
-    models = {}
-    for rec in data["pairs"]:
-        pair = (rec["first"], rec["second"])
-        models[pair] = BinarySvmModel(
-            support_vectors=np.asarray(rec["support_vectors"], dtype=float),
-            dual_coefs=np.asarray(rec["dual_coefs"], dtype=float),
-            bias=float(rec["bias"]),
-            params=KernelParams(c=float(rec["c"]), gamma=float(rec["gamma"])),
-            converged=bool(rec["converged"]),
-        )
-    pre = None
-    if data.get("preprocessing") is not None:
-        raw = data["preprocessing"]
-        pre = Preprocessing(
-            fusion=FusionConfig.from_dict(raw["fusion"]),
-            pca=None if raw.get("pca") is None else PcaModel.from_dict(raw["pca"]),
-        )
-    return MulticlassSvm(classes=list(data["classes"]), models=models, preprocessing=pre)
+    """Multi-class model from its model.json record.
+
+    A missing or mistyped field, arrays whose shapes disagree, a pair
+    naming an unlisted class and any non-finite number raise ParseError;
+    a version other than 1 raises SchemaVersionMismatch.
+    """
+    try:
+        if data.get("version") != 1:
+            raise SchemaVersionMismatch(f"unsupported model version {data.get('version')!r}")
+        classes = list(data["classes"])
+        if not classes:
+            raise ValueError("model lists no classes")
+        models = {}
+        for rec in data["pairs"]:
+            pair = (rec["first"], rec["second"])
+            binary = BinarySvmModel(
+                support_vectors=np.asarray(rec["support_vectors"], dtype=float),
+                dual_coefs=np.asarray(rec["dual_coefs"], dtype=float),
+                bias=float(rec["bias"]),
+                params=KernelParams(c=float(rec["c"]), gamma=float(rec["gamma"])),
+                converged=bool(rec["converged"]),
+            )
+            sv, coefs = binary.support_vectors, binary.dual_coefs
+            if not set(pair) <= set(classes):
+                raise ValueError(f"pair {pair} names a class not in {classes}")
+            if sv.ndim != 2 or coefs.shape != (len(sv),):
+                raise ValueError(f"pair {pair}: {coefs.shape} coefficients, {sv.shape} vectors")
+            numbers = (sv, coefs, binary.bias, binary.params.c, binary.params.gamma)
+            if not all(np.isfinite(x).all() for x in numbers):
+                raise ValueError(f"pair {pair} holds a non-finite number")
+            models[pair] = binary
+        pre = None
+        if data.get("preprocessing") is not None:
+            raw = data["preprocessing"]
+            pre = Preprocessing(
+                fusion=FusionConfig.from_dict(raw["fusion"]),
+                pca=None if raw.get("pca") is None else PcaModel.from_dict(raw["pca"]),
+            )
+        return MulticlassSvm(classes=classes, models=models, preprocessing=pre)
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise ParseError(f"invalid model record: {exc}") from exc
 
 
 def save_model(model, path):

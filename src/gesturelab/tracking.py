@@ -22,7 +22,6 @@ ordered slots by ascending signed in-plane angle, which keeps slots
 stable under small hand motion.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -328,7 +327,7 @@ def frame_from_dict(data):
             fingertips=data["fingertips"],
             middle_index=data.get("middle_index"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"invalid hand frame record: {exc}") from exc
 
 
@@ -339,17 +338,3 @@ def load_frame(path):
 
 def save_frame(frame, path):
     jsonio.dump_path(frame_to_dict(frame), path)
-
-
-def iter_frames_jsonl(path):
-    """Yield hand frames from a JSON-lines file, one record per line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            yield frame_from_dict(data)

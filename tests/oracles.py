@@ -150,3 +150,49 @@ def otsu_bruteforce(img):
             best_var = var
             best_t = t
     return best_t
+
+
+# ---------------------------------------------------------------------------
+# Per-pixel undistortion
+
+
+def undistort_loops(raw, samples, out_size):
+    """Rectify `raw` through a (grid_h, grid_w, 2) calibration grid pixel by pixel.
+
+    For each output pixel: its grid coordinate, the grid cell holding it
+    (the last cell for the far edge), the cell's 4 corners, a validity
+    check (an invalid corner has a negative coordinate), the bilinear
+    (u, v) inside the cell, then a bilinear sample of the source image
+    clamped to its edges.  Returns the unrounded values (0 where invalid)
+    and the invalid mask.
+    """
+    raw = np.asarray(raw, dtype=float)
+    samples = np.asarray(samples, dtype=float)
+    out_w, out_h = out_size
+    src_h, src_w = raw.shape
+    grid_h, grid_w = samples.shape[:2]
+    values = np.zeros((out_h, out_w))
+    invalid = np.zeros((out_h, out_w), dtype=bool)
+    for y in range(out_h):
+        gy = y * (grid_h - 1) / (out_h - 1) if out_h > 1 else 0.0
+        cy = min(int(gy), grid_h - 2)
+        fy = gy - cy
+        for x in range(out_w):
+            gx = x * (grid_w - 1) / (out_w - 1) if out_w > 1 else 0.0
+            cx = min(int(gx), grid_w - 2)
+            fx = gx - cx
+            c00, c01 = samples[cy, cx], samples[cy, cx + 1]
+            c10, c11 = samples[cy + 1, cx], samples[cy + 1, cx + 1]
+            if min(c00.min(), c01.min(), c10.min(), c11.min()) < 0.0:
+                invalid[y, x] = True
+                continue
+            u, v = (1 - fy) * ((1 - fx) * c00 + fx * c01) + fy * ((1 - fx) * c10 + fx * c11)
+            sx = min(max(u * (src_w - 1), 0.0), src_w - 1.0)
+            sy = min(max(v * (src_h - 1), 0.0), src_h - 1.0)
+            x0, y0 = int(sx), int(sy)
+            x1, y1 = min(x0 + 1, src_w - 1), min(y0 + 1, src_h - 1)
+            ax, ay = sx - x0, sy - y0
+            top = (1 - ax) * raw[y0, x0] + ax * raw[y0, x1]
+            bottom = (1 - ax) * raw[y1, x0] + ax * raw[y1, x1]
+            values[y, x] = (1 - ay) * top + ay * bottom
+    return values, invalid

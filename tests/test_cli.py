@@ -202,7 +202,36 @@ def test_exit_code_data_error(tmp_path, dataset_dir):
         )
         assert code == 2, name
     (tmp_path / "garbage.json").write_text("{not json")
-    for model in ("garbage.json", "absent.json"):
+    model_path = tmp_path / "model.json"
+    code = run_cli(
+        "train", "--manifest", dataset_dir, "--no-hog", "--retention", 0.9,
+        "--c", 1.0, "--gamma", 0.1, "--out", model_path,
+    )
+    assert code == 0
+
+    def edited(edit):
+        record = json.loads(model_path.read_text())
+        edit(record, record["pairs"][0])
+        return record
+
+    def non_finite(record, pair):  # written as NaN and Infinity
+        pair["bias"] = float("nan")
+        pair["support_vectors"][0][0] = float("inf")
+
+    bad_models = {
+        "no_pairs.json": {"version": 1},
+        "list.json": [1],
+        "no_second.json": edited(lambda r, pair: pair.pop("second")),
+        "non_finite.json": edited(non_finite),
+        "no_classes.json": edited(lambda r, pair: r.update(classes=[], pairs=[])),
+        "unlisted_class.json": edited(lambda r, pair: r["classes"].pop()),
+        "short_coefs.json": edited(lambda r, pair: pair["dual_coefs"].pop()),
+        "flat_vectors.json": edited(lambda r, pair: pair.update(support_vectors=[0.5])),
+        "short_pca_mean.json": edited(lambda r, pair: r["preprocessing"]["pca"]["mean"].pop()),
+    }
+    for name, content in bad_models.items():
+        (tmp_path / name).write_text(json.dumps(content))
+    for model in ("garbage.json", "absent.json", *bad_models):
         code = run_cli(
             "predict", "--model", tmp_path / model, "--manifest", dataset_dir,
             "--out", tmp_path / "p.csv",

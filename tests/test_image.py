@@ -19,7 +19,7 @@ from gesturelab.image import (
     undistort,
     write_pgm,
 )
-from oracles import otsu_bruteforce
+from oracles import otsu_bruteforce, undistort_loops
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +86,33 @@ def test_invalid_map_region_yields_zero(rng):
     # pixels interpolating the invalid corner are zeroed, the rest populated
     assert out[0, 0] == 0
     assert out[-1, -1] == img[-1, -1]
+
+
+def _barrel_map(grid=16, strength=0.12):
+    """Barrel-style map with invalid points at the four corners and one inside."""
+    us = np.linspace(0.0, 1.0, grid)
+    uu, vv = np.meshgrid(us, us)
+    scale = 1.0 - strength * ((uu - 0.5) ** 2 + (vv - 0.5) ** 2)
+    samples = np.stack([0.5 + (uu - 0.5) * scale, 0.5 + (vv - 0.5) * scale], axis=2)
+    for y, x in ((0, 0), (0, grid - 1), (grid - 1, 0), (grid - 1, grid - 1), (5, 9)):
+        samples[y, x] = -1.0
+    return UndistortionMap(samples)
+
+
+@pytest.mark.parametrize("out_size", [(240, 240), (61, 37)])
+def test_undistort_matches_per_pixel_oracle(rng, out_size):
+    raw = rng.integers(1, 256, size=(200, 180)).astype(np.uint8)  # valid pixels stay >= 1
+    umap = _barrel_map()
+    out = undistort(raw, umap, out_size)
+    expected, invalid = undistort_loops(raw, umap.samples, out_size)
+    assert invalid.any() and not invalid.all()
+    assert np.array_equal(out == 0, invalid)
+    rounded = np.rint(expected)
+    # A value within 1e-9 of a half-integer may round either way.
+    near_half = np.abs(expected - np.floor(expected) - 0.5) < 1e-9
+    differs = out.astype(float) != rounded
+    assert not (differs & ~near_half).any()
+    assert np.abs(out - rounded)[differs].max(initial=0.0) <= 1.0
 
 
 def test_map_too_small():

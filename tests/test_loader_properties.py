@@ -1,19 +1,33 @@
-"""Property tests for the binary file parsers: PGM images and LMUM maps.
+"""Property tests for the input parsers.
 
-For arbitrary bytes after a valid or corrupted header, a loader either
-returns finite, well-formed data or raises ParseError; no other
-exception escapes.  Examples are derandomized so reruns test the same
-inputs.
+For arbitrary bytes after a valid or corrupted header, the binary
+loaders (PGM images, LMUM maps) either return finite, well-formed data
+or raise ParseError.  For a valid hand-frame or model record with one
+field deleted or replaced by arbitrary JSON, or for an arbitrary JSON
+document, the record loaders either return finite data or raise a
+DataError.  No other exception escapes.  Examples are derandomized so
+reruns test the same inputs.
 """
 
+import copy
 import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gesturelab.errors import ParseError
+from conftest import make_random_frame
+from gesturelab.errors import DataError, ParseError
+from gesturelab.fusion import FusionConfig, fit_pca
 from gesturelab.image import MAP_MAGIC, UndistortionMap, read_pgm
+from gesturelab.svm import (
+    KernelParams,
+    Preprocessing,
+    model_from_dict,
+    model_to_dict,
+    train_multiclass,
+)
+from gesturelab.tracking import FeatureMask, frame_from_dict, frame_to_dict
 
 FUZZ = settings(derandomize=True, deadline=None, database=None, max_examples=300)
 
@@ -81,3 +95,109 @@ def test_map_load_returns_finite_map_or_parse_error(fuzz_dir, header, body):
     assert np.isfinite(samples).all()
     invalid = np.all(samples == -1.0, axis=2)
     assert ((samples >= 0.0) & (samples <= 1.0)).all(axis=2)[~invalid].all()
+
+
+# ---------------------------------------------------------------------------
+# JSON records: hand frames and model.json
+
+json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([10**400, -(10**400)]),  # overflow a float
+    st.floats(),  # nan and inf included
+    st.text(max_size=4),
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=8,
+)
+_DELETE = object()
+
+
+def _paths(value, prefix=()):
+    """Key paths to every dict entry and to each list's first item."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list) and value:
+        items = [(0, value[0])]
+    else:
+        return []
+    out = []
+    for key, child in items:
+        out.append(prefix + (key,))
+        out.extend(_paths(child, prefix + (key,)))
+    return out
+
+
+def _edited(record, path, value=_DELETE):
+    record = copy.deepcopy(record)
+    parent = record
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return record
+
+
+def documents(record):
+    """`record` with one field deleted or replaced, or any JSON value."""
+    paths = st.sampled_from(_paths(record))
+    return st.one_of(
+        st.builds(_edited, st.just(record), paths),
+        st.builds(_edited, st.just(record), paths, json_leaves | json_values),
+        json_values,
+    )
+
+
+def _all_finite(*values):
+    return all(np.isfinite(np.asarray(v, dtype=float)).all() for v in values)
+
+
+def _valid_model_record():
+    rng = np.random.default_rng(11)
+    mask = FeatureMask.parse("ang")
+    raw = rng.normal(size=(9, mask.dims() + 2))
+    pre = Preprocessing(FusionConfig(mask=mask, hog_weight=2.0, hog_dim=2))
+    pre.pca = fit_pca(pre.apply(raw), n_components=3)
+    labels = np.repeat([0, 1, 2], 3)
+    model = train_multiclass(pre.apply(raw), labels, KernelParams(1.0, 0.5), preprocessing=pre)
+    return model_to_dict(model)
+
+
+VALID_FRAME = frame_to_dict(make_random_frame(np.random.default_rng(5)))
+VALID_MODEL = _valid_model_record()
+
+
+@FUZZ
+@given(record=documents(VALID_FRAME))
+def test_frame_from_dict_returns_finite_frame_or_data_error(record):
+    try:
+        frame = frame_from_dict(record)
+    except DataError:
+        return
+    assert _all_finite(frame.palm_center, frame.palm_normal, frame.hand_direction, frame.fingertips)
+
+
+@FUZZ
+@given(record=documents(VALID_MODEL))
+def test_model_from_dict_returns_finite_model_or_data_error(record):
+    try:
+        model = model_from_dict(record)
+    except DataError:
+        return
+    for binary in model.models.values():
+        assert _all_finite(
+            binary.support_vectors, binary.dual_coefs, binary.bias, binary.params.c,
+            binary.params.gamma,
+        )
+    pre = model.preprocessing
+    if pre is not None:
+        assert _all_finite(pre.fusion.hog_weight)
+        if pre.pca is not None:
+            pca = pre.pca
+            assert _all_finite(pca.mean, pca.components, pca.variances, pca.retained_fraction)

@@ -363,6 +363,23 @@ def test_model_roundtrip_with_preprocessing(tmp_path, rng):
         assert a.bias == b.bias
 
 
+def test_model_json_resave_is_byte_identical(tmp_path, rng):
+    mask = FeatureMask.parse("ang+dist")
+    raw = np.hstack([rng.normal(size=(40, mask.dims())), rng.normal(size=(40, 6))])
+    raw[:, [3, 12]] = 0.0  # constant columns: sign-fixed PCA components hold -0.0 there
+    fusion = FusionConfig(mask=mask, hog_weight=3.0, hog_dim=6)
+    pre = Preprocessing(fusion=fusion, pca=fit_pca(raw, retained_fraction=0.9))
+    components = pre.pca.components
+    assert np.any((components == 0.0) & np.signbit(components))
+    model = train_multiclass(pre.apply(raw), np.repeat([0, 1], 20), KernelParams(5.0, 0.2),
+                             preprocessing=pre)
+
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_model(model, first)
+    save_model(load_model(first), second)
+    assert first.read_bytes() == second.read_bytes()
+
+
 def test_preprocessing_applies_to_one_row_or_many(rng):
     mask = FeatureMask.parse("ang+tip")
     raw = rng.normal(size=(5, mask.dims() + 4))

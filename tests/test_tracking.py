@@ -343,19 +343,6 @@ def test_frame_json_roundtrip(tmp_path, rng):
     assert loaded.middle_index == frame.middle_index
 
 
-def test_frame_jsonl(tmp_path, rng):
-    from gesturelab.jsonio import dumps
-    from gesturelab.tracking import iter_frames_jsonl
-
-    frames = [make_random_frame(rng) for _ in range(3)]
-    path = tmp_path / "frames.jsonl"
-    path.write_text("\n".join(dumps(frame_to_dict(f)) for f in frames))
-    loaded = list(iter_frames_jsonl(path))
-    assert len(loaded) == 3
-    for a, b in zip(frames, loaded):
-        assert np.array_equal(a.fingertips, b.fingertips)
-
-
 def test_frame_dict_bad_record():
     from gesturelab.errors import ParseError
 
