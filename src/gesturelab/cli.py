@@ -212,12 +212,16 @@ def _preprocessing_from_args(args, cfg, store):
 
 def _cmd_train(args):
     cfg = _build_config(args)
+    params = None
+    if args.c is not None and args.gamma is not None:
+        try:
+            params = KernelParams(c=args.c, gamma=args.gamma)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     store = _load_store(args, cfg)
     pre, projected = _preprocessing_from_args(args, cfg, store)
 
-    if args.c is not None and args.gamma is not None:
-        params = KernelParams(c=args.c, gamma=args.gamma)
-    else:
+    if params is None:
         params, _ = grid_search(
             projected,
             store.labels,

@@ -267,28 +267,50 @@ def load_dataset(manifest_path):
             f"unsupported manifest version {manifest.get('version')!r}"
         )
 
+    records = _manifest_records(manifest["samples"], manifest_path)
     base = os.path.dirname(os.path.abspath(manifest_path))
-    missing = []
-    for rec in manifest["samples"]:
-        for rel in [rec.get("frame")] + list(rec.get("images", [])):
-            if rel is None or not os.path.isfile(os.path.join(base, rel)):
-                missing.append(str(rel))
+    missing = [
+        rel
+        for *_, frame, images in records
+        for rel in [frame] + images
+        if not os.path.isfile(os.path.join(base, rel))
+    ]
     if missing:
         raise MissingFile("missing dataset files: " + ", ".join(missing))
 
     samples = []
-    for rec in manifest["samples"]:
+    for subject, gesture, rep, frame_rel, image_rels in records:
+        frame = load_frame(os.path.join(base, frame_rel))
+        images = [read_pgm(os.path.join(base, rel)) for rel in image_rels]
         try:
-            subject = int(rec["subject"])
-            gesture = int(rec["gesture"])
-            rep = int(rec["rep"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"{manifest_path}: bad sample record: {exc}") from exc
-        frame = load_frame(os.path.join(base, rec["frame"]))
-        images = [read_pgm(os.path.join(base, rel)) for rel in rec["images"]]
-        samples.append(Sample(subject=subject, gesture=gesture, rep=rep, frame=frame, images=images))
+            samples.append(Sample(subject, gesture, rep, frame, images))
+        except ValueError as exc:  # gesture id or image count out of range
+            raise ParseError(f"{manifest_path}: {exc}") from exc
     samples.sort(key=Sample.sort_key)
     return samples
+
+
+def _manifest_records(records, manifest_path):
+    """(subject, gesture, rep, frame path, image paths) per manifest record.
+
+    Identifiers must be JSON integers and paths strings; anything else
+    raises ParseError.
+    """
+    if not isinstance(records, list):
+        raise ParseError(f"{manifest_path}: samples must be a list, got {records!r}")
+    out = []
+    for k, rec in enumerate(records):
+        try:
+            ids = [rec[key] for key in ("subject", "gesture", "rep")]
+            frame, images = rec["frame"], rec["images"]
+        except (KeyError, TypeError) as exc:
+            raise ParseError(f"{manifest_path}: sample {k} is not a full record: {exc!r}") from exc
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in ids):
+            raise ParseError(f"{manifest_path}: sample {k} ids must be integers, got {ids!r}")
+        if not isinstance(images, list) or not all(isinstance(p, str) for p in [frame] + images):
+            raise ParseError(f"{manifest_path}: sample {k} paths must be strings")
+        out.append((*ids, frame, images))
+    return out
 
 
 def dataset_summary(samples):

@@ -11,15 +11,18 @@ prediction logs); plotting is left to external tools.
 """
 
 import hashlib
+import math
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from types import UnionType
+from typing import get_args, get_origin
 
 import numpy as np
 
 from .data import default_templates, generate_synthetic, load_dataset, split_indices
 from .errors import ConfigError, GestureLabError
 from .fusion import FusionConfig, fit_pca
-from .image import ImagePipelineConfig, HogParams, UndistortionMap, extract_image_features
+from .image import ImagePipelineConfig, UndistortionMap, extract_image_features
 from .svm import (
     KernelParams,
     Preprocessing,
@@ -65,12 +68,12 @@ class ExperimentConfig:
     synthetic: SyntheticSpec = field(default_factory=SyntheticSpec)
     features: str = "ang+dist+tip"
     use_hog: bool = True
-    k_values: tuple = (1.0,)
-    retentions: tuple = (None,)
+    k_values: tuple[float, ...] = (1.0,)
+    retentions: tuple[int | float | None, ...] = (None,)
     image: ImagePipelineConfig = field(default_factory=ImagePipelineConfig)
     undistort_map: str | None = None
-    c_grid: tuple = (1.0, 10.0, 100.0, 1000.0)
-    gamma_grid: tuple = (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
+    c_grid: tuple[float, ...] = (1.0, 10.0, 100.0, 1000.0)
+    gamma_grid: tuple[float, ...] = (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
     folds: int = 10
     repetitions: int = 50
     train_fraction: float = 0.8
@@ -81,10 +84,14 @@ class ExperimentConfig:
     def validate(self):
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
+        if self.folds < 2:
+            raise ConfigError("folds must be >= 2")
         if not self.k_values or not self.retentions:
             raise ConfigError("k_values and retentions must be non-empty")
         if not self.c_grid or not self.gamma_grid:
             raise ConfigError("c_grid and gamma_grid must be non-empty")
+        if not all(v > 0 for v in (*self.c_grid, *self.gamma_grid)):
+            raise ConfigError("c_grid and gamma_grid values must be > 0")
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError("train_fraction must be in (0, 1)")
         if self.grid_mode not in ("per_cell", "per_repetition"):
@@ -106,36 +113,61 @@ class ExperimentConfig:
 
 
 def config_from_dict(data):
-    """Build an ExperimentConfig from a plain (JSON) dictionary."""
-    data = dict(data)
-    kwargs = {}
-    if "synthetic" in data:
-        kwargs["synthetic"] = _dataclass_from_dict(SyntheticSpec, data.pop("synthetic"))
-    if "image" in data:
-        image = dict(data.pop("image"))
-        if "hog" in image:
-            image["hog"] = _dataclass_from_dict(HogParams, image.pop("hog"))
-        for key in ("undistort_size", "hog_size"):
-            if key in image:
-                image[key] = tuple(image[key])
-        kwargs["image"] = _dataclass_from_dict(ImagePipelineConfig, image)
-    for key in ("k_values", "retentions", "c_grid", "gamma_grid"):
-        if key in data:
-            kwargs[key] = tuple(data.pop(key))
-    known = {f.name for f in fields(ExperimentConfig)}
-    for key, value in data.items():
-        if key not in known:
-            raise ConfigError(f"unknown config key {key!r}")
-        kwargs[key] = value
-    return ExperimentConfig(**kwargs).validate()
+    """Build an ExperimentConfig from a plain (JSON) dictionary.
+
+    Unknown keys and values that do not match their field's type raise
+    ConfigError.
+    """
+    return _dataclass_from_dict(ExperimentConfig, data, "config").validate()
 
 
-def _dataclass_from_dict(cls, data):
-    known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
+def _dataclass_from_dict(cls, data, where):
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must be an object, got {data!r}")
+    kinds = {f.name: f.type for f in fields(cls)}
+    unknown = set(data) - set(kinds)
     if unknown:
         raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
-    return cls(**data)
+    return cls(**{key: _typed(kinds[key], value, f"{where}.{key}") for key, value in data.items()})
+
+
+def _typed(kind, value, where):
+    """`value` checked against the field type `kind`, else ConfigError.
+
+    A dataclass field takes an object and a tuple field a list, with its
+    items checked when the annotation types them; both are converted.
+    Any other value is returned as is if it fits (see _fits).
+    """
+    if is_dataclass(kind):
+        return _dataclass_from_dict(kind, value, where)
+    for option in get_args(kind) if isinstance(kind, UnionType) else (kind,):
+        if (get_origin(option) or option) is tuple:
+            if isinstance(value, list):
+                items = get_args(option)
+                if items[-1:] == (Ellipsis,):
+                    items = items[:1] * len(value)
+                if not items:
+                    return tuple(value)
+                if len(items) == len(value):
+                    return tuple(_typed(t, v, f"{where}[{i}]") for i, (t, v) in enumerate(zip(items, value)))
+        elif _fits(option, value):
+            return value
+    name = kind.__name__ if isinstance(kind, type) else str(kind)
+    raise ConfigError(f"{where}: {value!r} is not a valid {name}")
+
+
+def _fits(option, value):
+    """A bool is only a bool; an int is also a float; floats are finite."""
+    if option is type(None):
+        return value is None
+    if isinstance(value, bool):
+        return option is bool
+    if option is float:
+        try:
+            return isinstance(value, (int, float)) and math.isfinite(value)
+        except OverflowError:  # an int too large for a float
+            return False
+    return isinstance(value, option)
 
 
 # ---------------------------------------------------------------------------

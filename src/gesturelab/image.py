@@ -413,10 +413,10 @@ class ImagePipelineConfig:
     uses the first image only.
     """
 
-    undistort_size: tuple = (240, 240)
+    undistort_size: tuple[int, int] = (240, 240)
     threshold: int | None = None
     crop_margin: int = 4
-    hog_size: tuple = (64, 64)
+    hog_size: tuple[int, int] = (64, 64)
     hog: HogParams = field(default_factory=HogParams)
     use_both_images: bool = False
 

@@ -11,6 +11,11 @@ unordered class pair and predicts by majority vote; ties are broken by
 the largest sum of absolute decision values over the pairs involving
 each tied class, then by class order.  Hyper-parameters are selected by
 grid search with stratified k-fold cross-validation.
+
+Training is kernel-first, as in LIBSVM's precomputed-kernel mode: a
+multi-class fit builds one Gram matrix over its rows and a grid search
+one squared-distance matrix over its rows; every pair, fold and C then
+indexes into that matrix instead of recomputing kernel entries.
 """
 
 import warnings
@@ -63,8 +68,8 @@ def rbf_kernel(x, y, gamma):
     return float(np.exp(-gamma * np.dot(diff, diff)))
 
 
-def rbf_kernel_matrix(X, Y, gamma):
-    """Kernel matrix between the rows of X and Y."""
+def _squared_distances(X, Y):
+    """|x|^2 + |y|^2 - 2 x.y between the rows of X and Y, clipped at 0."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if X.shape[1] != Y.shape[1]:
@@ -75,7 +80,19 @@ def rbf_kernel_matrix(X, Y, gamma):
         - 2.0 * (X @ Y.T)
     )
     np.clip(sq, 0.0, None, out=sq)
-    return np.exp(-gamma * sq)
+    return sq
+
+
+def rbf_kernel_matrix(X, Y, gamma):
+    """Kernel matrix between the rows of X and Y."""
+    return np.exp(-gamma * _squared_distances(X, Y))
+
+
+def _training_kernel(sq, gamma):
+    """exp(-gamma * sq) of square distances, with its diagonal set to exactly 1."""
+    kernel = np.exp(-gamma * sq)
+    np.fill_diagonal(kernel, 1.0)
+    return kernel
 
 
 @dataclass
@@ -104,44 +121,55 @@ def smo_solve(kernel, y, c, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     if kernel.shape != (n, n):
         raise DimensionMismatch(f"kernel is {kernel.shape}, labels need ({n}, {n})")
     alpha = np.zeros(n)
-    grad = -np.ones(n)  # gradient of the dual objective at alpha = 0
     pos = y > 0
+    # v = -y * gradient of the dual objective, which is -1 at alpha = 0.
+    v = y.copy()
+    # Index sets of rows whose alpha may move up / down along y.  Only
+    # alpha_i and alpha_j change per update, so only their entries move.
+    up = (pos & (alpha < c)) | (~pos & (alpha > 0.0))
+    low = (pos & (alpha > 0.0)) | (~pos & (alpha < c))
+    # Scalar work per update runs on Python floats, which is cheaper than
+    # numpy scalars and rounds the same (IEEE double).
+    is_pos = pos.tolist()
+    signs = y.tolist()
 
     converged = False
     iterations = 0
     while iterations < max_iter:
-        v = -y * grad
-        up = (pos & (alpha < c)) | (~pos & (alpha > 0.0))
-        low = (pos & (alpha > 0.0)) | (~pos & (alpha < c))
         if not up.any() or not low.any():
             converged = True
             break
         i = int(np.argmax(np.where(up, v, -np.inf)))
         j = int(np.argmin(np.where(low, v, np.inf)))
-        if v[i] - v[j] <= tol:
+        gap = v.item(i) - v.item(j)
+        if gap <= tol:
             converged = True
             break
 
         row_i = kernel[i]
         row_j = kernel[j]
-        curvature = max(row_i[i] + row_j[j] - 2.0 * row_i[j], 1e-12)
-        step = (v[i] - v[j]) / curvature
-        cap_i = (c - alpha[i]) if pos[i] else alpha[i]
-        cap_j = alpha[j] if pos[j] else (c - alpha[j])
+        curvature = max(row_i.item(i) + row_j.item(j) - 2.0 * row_i.item(j), 1e-12)
+        step = gap / curvature
+        a_i, a_j = alpha.item(i), alpha.item(j)
+        cap_i = (c - a_i) if is_pos[i] else a_i
+        cap_j = a_j if is_pos[j] else (c - a_j)
         step = min(step, cap_i, cap_j)
 
-        alpha[i] = min(max(alpha[i] + y[i] * step, 0.0), c)
-        alpha[j] = min(max(alpha[j] - y[j] * step, 0.0), c)
-        grad += step * y * (row_i - row_j)
+        a_i = min(max(a_i + signs[i] * step, 0.0), c)
+        a_j = min(max(a_j - signs[j] * step, 0.0), c)
+        alpha[i], alpha[j] = a_i, a_j
+        v -= step * (row_i - row_j)
+        for k, a in ((i, a_i), (j, a_j)):
+            if is_pos[k]:
+                up[k], low[k] = a < c, a > 0.0
+            else:
+                up[k], low[k] = a > 0.0, a < c
         iterations += 1
 
-    v = -y * grad
     free = (alpha > 0.0) & (alpha < c)
     if free.any():
         bias = float(np.mean(v[free]))
     else:
-        up = (pos & (alpha < c)) | (~pos & (alpha > 0.0))
-        low = (pos & (alpha > 0.0)) | (~pos & (alpha < c))
         hi = v[up].max() if up.any() else 0.0
         lo = v[low].min() if low.any() else 0.0
         bias = float(0.5 * (hi + lo))
@@ -167,6 +195,21 @@ class BinarySvmModel:
     converged: bool = True
 
 
+def _fit_pair(kernel, y, c, max_iter, tol=DEFAULT_TOL):
+    """SMO on one binary problem's training kernel.
+
+    Returns (support mask, dual coefficients alpha_i * y_i of the support
+    vectors, SmoResult).
+    """
+    result = smo_solve(kernel, y, c, tol=tol, max_iter=max_iter)
+    sv = result.alpha > SV_EPS
+    if not sv.any():
+        sv = result.alpha > 0.0
+    if not sv.any():
+        sv[int(np.argmax(result.alpha))] = True
+    return sv, (result.alpha * y)[sv], result
+
+
 def train_binary(X, y, params, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     """Train a binary RBF SVM on rows of X with labels y in {-1, +1}.
 
@@ -181,18 +224,11 @@ def train_binary(X, y, params, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
         raise SingleClassData("binary training needs both labels present")
     y = np.where(y > 0, 1.0, -1.0)
 
-    kernel = rbf_kernel_matrix(X, X, params.gamma)
-    np.fill_diagonal(kernel, 1.0)
-    result = smo_solve(kernel, y, params.c, tol=tol, max_iter=max_iter)
-
-    sv = result.alpha > SV_EPS
-    if not sv.any():
-        sv = result.alpha > 0.0
-    if not sv.any():
-        sv[int(np.argmax(result.alpha))] = True
+    kernel = _training_kernel(_squared_distances(X, X), params.gamma)
+    sv, coefs, result = _fit_pair(kernel, y, params.c, max_iter, tol=tol)
     return BinarySvmModel(
-        support_vectors=X[sv].copy(),
-        dual_coefs=(result.alpha * y)[sv].copy(),
+        support_vectors=X[sv],
+        dual_coefs=coefs,
         bias=result.bias,
         params=params,
         converged=result.converged,
@@ -271,6 +307,18 @@ def class_pairs(classes):
     ]
 
 
+def _classes(labels):
+    return [c.item() if hasattr(c, "item") else c for c in np.unique(labels)]
+
+
+def _pair_problems(labels, classes):
+    """(pair, rows, y) per class pair in class-pair order: the rows of
+    `labels` in the pair, and y = +1 for the pair's first class."""
+    for ci, cj in class_pairs(classes):
+        rows = np.flatnonzero((labels == ci) | (labels == cj))
+        yield (ci, cj), rows, np.where(labels[rows] == ci, 1.0, -1.0)
+
+
 def train_multiclass(
     X,
     labels,
@@ -280,22 +328,59 @@ def train_multiclass(
 ):
     """Train one binary model per unordered class pair, in class-pair order.
 
-    Pairs are trained one after another: the SMO loop holds the
-    interpreter lock, so a thread pool over pairs does not pay.
+    The kernel is built once per call: one n x n training Gram over the
+    rows of X, with its diagonal set to exactly 1.  Each pair's SMO takes
+    the pair's block of it, `kernel[np.ix_(rows, rows)]`.  Pairs are
+    trained one after another: the SMO loop holds the interpreter lock,
+    so a thread pool over pairs does not pay.
     """
     X = np.asarray(X, dtype=float)
     labels = np.asarray(labels)
-    classes = [c.item() if hasattr(c, "item") else c for c in np.unique(labels)]
-    pairs = class_pairs(classes)
+    kernel = _training_kernel(_squared_distances(X, X), params.gamma)
+    classes = _classes(labels)
     models = {}
-    for ci, cj in pairs:
-        rows = np.flatnonzero((labels == ci) | (labels == cj))
-        y = np.where(labels[rows] == ci, 1.0, -1.0)
-        try:
-            models[(ci, cj)] = train_binary(X[rows], y, params, max_iter=max_iter)
-        except SingleClassData as exc:
-            raise SingleClassData(f"class pair ({ci}, {cj}): {exc}") from exc
+    for pair, rows, y in _pair_problems(labels, classes):
+        sv, coefs, result = _fit_pair(kernel[np.ix_(rows, rows)], y, params.c, max_iter)
+        models[pair] = BinarySvmModel(
+            support_vectors=X[rows[sv]],
+            dual_coefs=coefs,
+            bias=result.bias,
+            params=params,
+            converged=result.converged,
+        )
     return MulticlassSvm(classes=classes, models=models, preprocessing=preprocessing)
+
+
+def _vote(classes, n, pair_values):
+    """One-vs-one vote over n rows from (pair, decision values) items.
+
+    Decision 0 goes to the pair's first class.  Returns (votes, margins,
+    winners): integer (n, m) vote counts, float (n, m) sums of
+    |decision value| over the pairs involving each class, and each row's
+    winning class index: the most votes, then among tied classes the
+    largest margin sum, then the first in class order.
+    """
+    index = {c: k for k, c in enumerate(classes)}
+    votes = np.zeros((n, len(classes)), dtype=int)
+    margins = np.zeros((n, len(classes)))
+    for (ci, cj), vals in pair_values:
+        first = vals >= 0.0
+        ki, kj = index[ci], index[cj]
+        votes[:, ki] += first
+        votes[:, kj] += ~first
+        margins[:, ki] += np.abs(vals)
+        margins[:, kj] += np.abs(vals)
+    tied = votes == votes.max(axis=1, keepdims=True)
+    winners = np.argmax(np.where(tied, margins, -np.inf), axis=1)
+    return votes, margins, winners
+
+
+def _model_vote(model, X):
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if model.preprocessing is not None:
+        X = model.preprocessing.apply(X)
+    values = ((pair, decision_values(binary, X)) for pair, binary in model.models.items())
+    return _vote(model.classes, len(X), values)
 
 
 def vote_table(model, X):
@@ -305,21 +390,7 @@ def vote_table(model, X):
     m(m-1)/2 per row, and float (n, m) sums of |decision value| over the
     pairs involving each class.
     """
-    X = np.asarray(X, dtype=float)
-    X = np.atleast_2d(X)
-    if model.preprocessing is not None:
-        X = model.preprocessing.apply(X)
-    index = {c: k for k, c in enumerate(model.classes)}
-    votes = np.zeros((len(X), len(model.classes)), dtype=int)
-    margins = np.zeros((len(X), len(model.classes)))
-    for (ci, cj), binary in model.models.items():
-        vals = decision_values(binary, X)
-        first = vals >= 0.0  # decision 0 goes to the pair's first class
-        ki, kj = index[ci], index[cj]
-        votes[:, ki] += first
-        votes[:, kj] += ~first
-        margins[:, ki] += np.abs(vals)
-        margins[:, kj] += np.abs(vals)
+    votes, margins, _ = _model_vote(model, X)
     return votes, margins
 
 
@@ -329,9 +400,7 @@ def classify(model, X):
     The winner has the most votes; among tied classes, the largest
     margin sum, then the first in class order.
     """
-    votes, margins = vote_table(model, X)
-    tied = votes == votes.max(axis=1, keepdims=True)
-    winners = np.argmax(np.where(tied, margins, -np.inf), axis=1)
+    votes, _, winners = _model_vote(model, X)
     labels = np.asarray(model.classes)[winners]
     return labels, votes[np.arange(len(votes)), winners]
 
@@ -356,6 +425,14 @@ def grid_search(X, labels, c_grid, gamma_grid, folds=10, seed=0):
     the CV table: one {"c", "gamma", "accuracy"} dict per grid point, in
     ascending C then gamma order, with the accuracy pooled over all
     held-out folds.
+
+    The kernel is built once per call: squared distances between all
+    rows of X, then one kernel exp(-gamma * D) per gamma with its
+    diagonal set to 1.  Every fold, pair and C indexes that matrix: a
+    pair's training kernel is K[np.ix_(rows, rows)] and its held-out
+    decision values are K[np.ix_(held, support rows)] @ coefs + bias.
+    The result equals training train_multiclass on each fold's rows and
+    classifying the held-out rows.
     """
     X = np.asarray(X, dtype=float)
     labels = np.asarray(labels)
@@ -378,21 +455,36 @@ def grid_search(X, labels, c_grid, gamma_grid, folds=10, seed=0):
         )
         folds = min_count
 
+    grid = [[KernelParams(c=c, gamma=g) for g in sorted(gamma_grid)] for c in sorted(c_grid)]
     fold_of = stratified_folds(labels, folds, seed)
+    sq = _squared_distances(X, X)
+    correct = np.zeros((len(grid), len(grid[0])), dtype=int)
+    for g, gamma in enumerate(sorted(gamma_grid)):
+        kernel = _training_kernel(sq, gamma)
+        for f in range(folds):
+            train = np.flatnonzero(fold_of != f)
+            held = np.flatnonzero(fold_of == f)
+            train_labels = labels[train]
+            classes = _classes(train_labels)
+            values = [[] for _ in grid]
+            for pair, rows, y in _pair_problems(train_labels, classes):
+                rows = train[rows]
+                pair_kernel = kernel[np.ix_(rows, rows)]
+                for k, row in enumerate(grid):
+                    sv, coefs, result = _fit_pair(pair_kernel, y, row[g].c, DEFAULT_MAX_ITER)
+                    held_kernel = kernel[np.ix_(held, rows[sv])]
+                    values[k].append((pair, held_kernel @ coefs + result.bias))
+            for k, pair_values in enumerate(values):
+                _, _, winners = _vote(classes, len(held), pair_values)
+                pred = np.asarray(classes)[winners]
+                correct[k, g] += int(np.sum(pred == labels[held]))
+
     best = None
     table = []
-    for c in sorted(c_grid):
-        for gamma in sorted(gamma_grid):
-            params = KernelParams(c=c, gamma=gamma)
-            correct = 0
-            for f in range(folds):
-                train = fold_of != f
-                held = ~train
-                model = train_multiclass(X[train], labels[train], params)
-                pred = predict(model, X[held])
-                correct += int(np.sum(pred == labels[held]))
-            accuracy = correct / len(labels)
-            table.append({"c": c, "gamma": gamma, "accuracy": accuracy})
+    for k, row in enumerate(grid):
+        for g, params in enumerate(row):
+            accuracy = int(correct[k, g]) / len(labels)
+            table.append({"c": params.c, "gamma": params.gamma, "accuracy": accuracy})
             if best is None or accuracy > best[0]:
                 best = (accuracy, params)
     return best[1], table

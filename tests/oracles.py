@@ -125,6 +125,58 @@ def dual_objective(K, y, alpha):
     return float(0.5 * alpha @ Q @ alpha - alpha.sum())
 
 
+def smo_reference(kernel, y, c, tol, max_iter):
+    """SMO kept in its plain form: gradient-based, index sets rebuilt over
+    all rows each iteration.  Returns (alpha, bias, converged, iterations).
+
+    Same maximal-violating-pair selection, step, stopping rule and bias
+    as the library's solver, so the two must agree exactly.
+    """
+    y = np.asarray(y, dtype=float)
+    kernel = np.asarray(kernel, dtype=float)
+    n = y.size
+    alpha = np.zeros(n)
+    grad = -np.ones(n)
+    pos = y > 0
+    converged = False
+    iterations = 0
+    while iterations < max_iter:
+        v = -y * grad
+        up = (pos & (alpha < c)) | (~pos & (alpha > 0.0))
+        low = (pos & (alpha > 0.0)) | (~pos & (alpha < c))
+        if not up.any() or not low.any():
+            converged = True
+            break
+        i = int(np.argmax(np.where(up, v, -np.inf)))
+        j = int(np.argmin(np.where(low, v, np.inf)))
+        if v[i] - v[j] <= tol:
+            converged = True
+            break
+        row_i = kernel[i]
+        row_j = kernel[j]
+        curvature = max(row_i[i] + row_j[j] - 2.0 * row_i[j], 1e-12)
+        step = (v[i] - v[j]) / curvature
+        cap_i = (c - alpha[i]) if pos[i] else alpha[i]
+        cap_j = alpha[j] if pos[j] else (c - alpha[j])
+        step = min(step, cap_i, cap_j)
+        alpha[i] = min(max(alpha[i] + y[i] * step, 0.0), c)
+        alpha[j] = min(max(alpha[j] - y[j] * step, 0.0), c)
+        grad += step * y * (row_i - row_j)
+        iterations += 1
+
+    v = -y * grad
+    free = (alpha > 0.0) & (alpha < c)
+    if free.any():
+        bias = float(np.mean(v[free]))
+    else:
+        up = (pos & (alpha < c)) | (~pos & (alpha > 0.0))
+        low = (pos & (alpha > 0.0)) | (~pos & (alpha < c))
+        hi = v[up].max() if up.any() else 0.0
+        lo = v[low].min() if low.any() else 0.0
+        bias = float(0.5 * (hi + lo))
+    return alpha, bias, converged, iterations
+
+
 # ---------------------------------------------------------------------------
 # Brute-force Otsu threshold
 

@@ -177,6 +177,11 @@ def test_exit_code_config_error(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_bytes(b'{"seed": \xff}')
     assert run_cli("show-config", "--config", cfg_path) == 1
+    for content in ('{"image": 5}', '{"repetitions": "x"}'):
+        cfg_path.write_text(content)
+        assert run_cli("show-config", "--config", cfg_path) == 1, content
+    assert run_cli("grid-search", "--folds", 1) == 1
+    assert run_cli("train", "--c", -1, "--gamma", 0.1, "--out", "x.json") == 1
 
 
 def test_exit_code_config_file_missing(tmp_path):
@@ -237,6 +242,17 @@ def test_exit_code_data_error(tmp_path, dataset_dir):
             "--out", tmp_path / "p.csv",
         )
         assert code == 2, model
+
+    manifest = json.loads((dataset_dir / "dataset.json").read_text())
+    bad_manifests = {
+        "int_frame": dict(manifest, samples=[dict(manifest["samples"][0], frame=5)]),
+        "int_samples": dict(manifest, samples=7),
+    }
+    for name, content in bad_manifests.items():
+        path = tmp_path / name / "dataset.json"
+        path.parent.mkdir()
+        path.write_text(json.dumps(content))
+        assert run_cli("extract", "--manifest", path, "--out", tmp_path / "f.npz") == 2, name
 
 
 def _feature_arrays(**changes):

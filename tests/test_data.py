@@ -167,6 +167,12 @@ def test_parse_error_on_garbage(tmp_path):
         "malformed json": (b"{not json", tmp_path / "dataset.json"),
         "invalid utf-8 manifest": (b'{"version": 1, "samples": [\xff]}', tmp_path / "dataset.json"),
         "invalid utf-8 frame": (None, tmp_path / "ds"),
+        "frame path not a string": (
+            b'{"version": 1, "samples": [{"subject": 0, "gesture": 0, "rep": 0, "frame": 5, '
+            b'"images": []}]}',
+            tmp_path / "dataset.json",
+        ),
+        "samples not a list": (b'{"version": 1, "samples": 7}', tmp_path / "dataset.json"),
     }
     for name, (content, path) in cases.items():
         if content is not None:

@@ -2,22 +2,29 @@
 
 For arbitrary bytes after a valid or corrupted header, the binary
 loaders (PGM images, LMUM maps) either return finite, well-formed data
-or raise ParseError.  For a valid hand-frame or model record with one
-field deleted or replaced by arbitrary JSON, or for an arbitrary JSON
-document, the record loaders either return finite data or raise a
-DataError.  No other exception escapes.  Examples are derandomized so
-reruns test the same inputs.
+or raise ParseError.  For a valid hand-frame, model, dataset-manifest or
+config record with one field deleted or replaced by arbitrary JSON, or
+for an arbitrary JSON document, the record loaders either return finite
+data or raise a GestureLabError (a DataError for data files, a
+ConfigError for configs).  No other exception escapes.  Examples are
+derandomized so reruns test the same inputs.
 """
 
 import copy
+import json
+import math
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_random_frame
-from gesturelab.errors import DataError, ParseError
+from gesturelab import jsonio
+from gesturelab.data import generate_synthetic, load_dataset, save_dataset
+from gesturelab.errors import ConfigError, DataError, ParseError
+from gesturelab.harness import ExperimentConfig, config_from_dict
 from gesturelab.fusion import FusionConfig, fit_pca
 from gesturelab.image import MAP_MAGIC, UndistortionMap, read_pgm
 from gesturelab.svm import (
@@ -201,3 +208,53 @@ def test_model_from_dict_returns_finite_model_or_data_error(record):
         if pre.pca is not None:
             pca = pre.pca
             assert _all_finite(pca.mean, pca.components, pca.variances, pca.retained_fraction)
+
+
+# ---------------------------------------------------------------------------
+# Dataset manifests and experiment configs
+
+
+@pytest.fixture(scope="module")
+def dataset_root(tmp_path_factory):
+    root = tmp_path_factory.mktemp("dataset")
+    save_dataset(generate_synthetic(subjects=1, reps=1, seed=3, image_size=32)[:2], root)
+    return root
+
+
+@FUZZ
+@given(data=st.data())
+def test_load_dataset_returns_finite_samples_or_data_error(dataset_root, data):
+    record = data.draw(documents(jsonio.load_path(dataset_root / "dataset.json")))
+    path = dataset_root / "fuzz.json"  # beside dataset.json, so its relative paths resolve
+    path.write_text(json.dumps(record))
+    try:
+        samples = load_dataset(path)
+    except DataError:
+        return
+    for sample in samples:
+        assert all(isinstance(v, int) for v in (sample.subject, sample.gesture, sample.rep))
+        frame = sample.frame
+        assert _all_finite(frame.palm_center, frame.palm_normal, frame.hand_direction, frame.fingertips)
+        assert all(img.dtype == np.uint8 and img.ndim == 2 for img in sample.images)
+
+
+def _numbers(value):
+    if isinstance(value, dict):
+        return [n for v in value.values() for n in _numbers(v)]
+    if isinstance(value, (list, tuple)):
+        return [n for v in value for n in _numbers(v)]
+    return [value] if isinstance(value, (int, float)) else []
+
+
+VALID_CONFIG = json.loads(jsonio.dumps(asdict(ExperimentConfig())))
+
+
+@FUZZ
+@given(record=documents(VALID_CONFIG))
+def test_config_from_dict_returns_finite_config_or_config_error(record):
+    try:
+        cfg = config_from_dict(record)
+    except ConfigError:
+        return
+    assert all(isinstance(n, int) or math.isfinite(n) for n in _numbers(asdict(cfg)))
+    assert all(isinstance(getattr(cfg, key), tuple) for key in ("k_values", "retentions", "c_grid"))

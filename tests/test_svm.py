@@ -29,7 +29,7 @@ from gesturelab.svm import (
     vote_table,
 )
 from gesturelab.tracking import FeatureMask
-from oracles import dual_objective, jacobi_eigh, svm_dual_solve_pg
+from oracles import dual_objective, jacobi_eigh, smo_reference, svm_dual_solve_pg
 
 
 def make_blobs(rng, centers, per_class=20, spread=0.4):
@@ -134,6 +134,30 @@ def test_smo_rejects_non_finite_kernel():
         smo_solve(np.full((4, 4), np.nan), y, 1.0, max_iter=5)
     with pytest.raises(DimensionMismatch):
         smo_solve(np.eye(3), y, 1.0)
+
+
+def test_smo_iterates_equal_reference_loop():
+    # 200 seeded problems, n 4..120, C 0.1..1000: overlapping classes put
+    # most solutions on the C bound, and every 10th solve stops at its
+    # iteration budget, so unconverged iterates are compared too.
+    rng = np.random.default_rng(2024)
+    at_bound = unconverged = 0
+    for k in range(200):
+        n = int(rng.integers(4, 121))
+        X = rng.normal(size=(n, int(rng.integers(1, 5))))
+        y = np.where(X[:, 0] + rng.uniform(0.0, 1.5) * rng.normal(size=n) > 0, 1.0, -1.0)
+        y[:2] = (1.0, -1.0)
+        c = (0.1, 1.0, 10.0, 1000.0)[k % 4]
+        K = rbf_kernel_matrix(X, X, rng.uniform(0.1, 2.0))
+        np.fill_diagonal(K, 1.0)
+        max_iter = n if k % 10 == 9 else 20 * n
+        result = smo_solve(K, y, c, max_iter=max_iter)
+        alpha, bias, converged, iterations = smo_reference(K, y, c, 1e-3, max_iter)
+        assert result.alpha.tobytes() == alpha.tobytes(), k
+        assert (result.bias, result.converged, result.iterations) == (bias, converged, iterations), k
+        at_bound += bool((alpha == c).any())
+        unconverged += not converged
+    assert at_bound >= 100 and unconverged >= 20
 
 
 def test_free_support_vectors_sit_on_margin(rng):
@@ -308,6 +332,53 @@ def test_grid_search_tie_prefers_smaller_c_then_gamma(rng):
     params, table = grid_search(X, y, [10.0, 1.0], [1.0, 0.1], folds=2, seed=3)
     assert all(row["accuracy"] == 1.0 for row in table)  # everything separates
     assert params == KernelParams(c=1.0, gamma=0.1)
+
+
+def exact_blobs(rng, centers, per_class, spread=0.4):
+    """Blobs on a 1/16 grid: every product and sum inside X @ X.T is exact,
+    so a kernel block equals the kernel of the block's own rows bit for bit
+    whatever the BLAS blocking (which otherwise moves entries by ulps)."""
+    X, y = make_blobs(rng, centers, per_class=per_class, spread=spread)
+    return np.round(X * 16.0) / 16.0, y
+
+
+def test_grid_search_equals_per_fold_training(rng):
+    # The shared-kernel search must give the table of the plain route:
+    # train_multiclass on each fold's rows, classify its held-out rows.
+    from gesturelab.data import stratified_folds
+
+    X, y = exact_blobs(rng, [(0.0, 0.0), (1.5, 0.0), (0.0, 1.5)], per_class=12, spread=0.7)
+    c_grid, gamma_grid, folds, seed = [1.0, 100.0], [0.1, 2.0], 3, 4
+    _, table = grid_search(X, y, c_grid, gamma_grid, folds=folds, seed=seed)
+    fold_of = stratified_folds(y, folds, seed)
+    expected = []
+    for c in c_grid:
+        for gamma in gamma_grid:
+            correct = 0
+            for f in range(folds):
+                train, held = fold_of != f, fold_of == f
+                model = train_multiclass(X[train], y[train], KernelParams(c, gamma))
+                correct += int(np.sum(classify(model, X[held])[0] == y[held]))
+            expected.append({"c": c, "gamma": gamma, "accuracy": correct / len(y)})
+    assert table == expected
+    assert len({row["accuracy"] for row in table}) > 1  # the grid points differ
+
+
+def test_multiclass_shared_gram_equals_per_pair_training(rng):
+    X, y = exact_blobs(rng, [(0.0, 0.0), (1.5, 0.0), (0.0, 1.5), (1.5, 1.5)], per_class=10)
+    params = KernelParams(c=10.0, gamma=0.8)
+    model = train_multiclass(X, y, params)
+    probes = rng.normal(size=(40, 2)) + 0.75
+    for (ci, cj), binary in model.models.items():
+        rows = (y == ci) | (y == cj)
+        alone = train_binary(X[rows], np.where(y[rows] == ci, 1, -1), params)
+        assert np.array_equal(binary.support_vectors, alone.support_vectors)
+        assert np.allclose(binary.dual_coefs, alone.dual_coefs, rtol=0.0, atol=1e-9)
+        assert abs(binary.bias - alone.bias) <= 1e-9
+        assert np.array_equal(
+            decision_values(binary, probes) >= 0, decision_values(alone, probes) >= 0
+        )
+    assert list(model.models) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
 
 def test_grid_search_insufficient_data(rng):
