@@ -10,22 +10,22 @@ import numpy as np
 from gesturelab import (
     KernelParams,
     classify,
-    decision_values,
+    decision_table,
     grid_search,
-    predict,
-    train_binary,
     train_multiclass,
 )
 
 # XOR: four points, opposite corners share a label.  The RBF kernel
 # bends the geometry enough for a soft-margin machine to separate them.
+# Two classes make one pair; a decision value >= 0 votes for class 0.
 X = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
-y = np.array([1, 1, -1, -1])
-model = train_binary(X, y, KernelParams(c=1000.0, gamma=1.0))
-print("XOR decision values:", np.round(decision_values(model, X), 3))
+y = np.array([0, 0, 1, 1])
+model = train_multiclass(X, y, KernelParams(c=1000.0, gamma=1.0))
+print("XOR decision values:", np.round(decision_table(model, X)[:, 0], 3))
 print("support vectors:", len(model.support_vectors), "of", len(X))
 
 # Ten Gaussian blobs, one per class; one-vs-one trains 45 pair models.
+# The model stores each support vector once, however many pairs use it.
 rng = np.random.default_rng(0)
 centers = rng.uniform(-8, 8, size=(10, 3))
 Xs = np.vstack([rng.normal(c, 0.6, size=(25, 3)) for c in centers])
@@ -33,6 +33,7 @@ labels = np.repeat(np.arange(10), 25)
 
 ensemble = train_multiclass(Xs, labels, KernelParams(c=10.0, gamma=0.3))
 print("\npair models:", ensemble.n_pairs)
+print("distinct support vectors:", len(ensemble.support_vectors), "of", len(Xs))
 predicted, votes_won = classify(ensemble, Xs)
 print("training accuracy:", float(np.mean(predicted == labels)))
 print("winner votes on the first five samples:", votes_won[:5].tolist())
@@ -60,5 +61,5 @@ print("selected:", params)
 final = train_multiclass(Xs, labels, params)
 holdout = np.vstack([rng.normal(c, 0.6, size=(5, 3)) for c in centers])
 holdout_labels = np.repeat(np.arange(10), 5)
-accuracy = float(np.mean(predict(final, holdout) == holdout_labels))
+accuracy = float(np.mean(classify(final, holdout)[0] == holdout_labels))
 print("held-out accuracy:", accuracy)

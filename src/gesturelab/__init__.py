@@ -63,20 +63,17 @@ from .image import (
     write_pgm,
 )
 from .svm import (
-    BinarySvmModel,
     KernelParams,
     MulticlassSvm,
     Preprocessing,
     classify,
-    decision_values,
+    decision_table,
     grid_search,
     load_model,
-    predict,
     rbf_kernel,
     rbf_kernel_matrix,
     save_model,
     smo_solve,
-    train_binary,
     train_multiclass,
 )
 from .tracking import (

@@ -13,7 +13,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import harness, jsonio
-from .data import dataset_summary, generate_synthetic, default_templates, save_dataset
+from .data import NUM_GESTURES, dataset_summary, default_templates, generate_synthetic, save_dataset
 from .errors import ConfigError, DataError, GestureLabError, NumericalError
 from .harness import (
     DEFAULT_ABLATION_COMBOS,
@@ -152,6 +152,8 @@ def _read_feature_store(path):
     for name, array in (("tracking", tracking), ("hog", hog)):
         if array is not None and not np.isfinite(array).all():
             raise DataError(f"feature file {path}: {name} holds non-finite values")
+    if labels.dtype.kind not in "iu" or not ((labels >= 0) & (labels < NUM_GESTURES)).all():
+        raise DataError(f"feature file {path}: labels must be integers in [0, {NUM_GESTURES})")
     return FeatureStore(
         tracking=tracking, hog=hog, labels=labels, sample_ids=[str(s) for s in sample_ids]
     )
@@ -239,10 +241,9 @@ def _cmd_train(args):
         preprocessing=pre,
     )
     save_model(model, args.out)
-    n_sv = sum(len(m.support_vectors) for m in model.models.values())
     print(
         f"trained {model.n_pairs} pair models on {len(store.labels)} samples "
-        f"({n_sv} support vectors) -> {args.out}"
+        f"({len(model.support_vectors)} support vectors) -> {args.out}"
     )
     if not model.all_converged():
         print("warning: some pair models hit the iteration budget", file=sys.stderr)

@@ -1,16 +1,18 @@
 """Soft-margin RBF support-vector machines trained with an SMO solver.
 
-Binary models solve the standard dual
+Each unordered class pair solves the standard binary dual
 
     minimize    0.5 a' Q a - sum(a)      with Q_ij = y_i y_j K(x_i, x_j)
     subject to  y' a = 0,  0 <= a_i <= C
 
 by sequential minimal optimization with maximal-violating-pair working
-set selection.  The multi-class wrapper trains one binary model per
-unordered class pair and predicts by majority vote; ties are broken by
-the largest sum of absolute decision values over the pairs involving
-each tied class, then by class order.  Hyper-parameters are selected by
-grid search with stratified k-fold cross-validation.
+set selection.  The pairs form one model table, as in LIBSVM: each
+support vector stored once and one coefficient column per pair, so the
+decision values of all pairs are `K @ coef + bias`.  Prediction is by
+majority vote; ties are broken by the largest sum of absolute decision
+values over the pairs involving each tied class, then by class order.
+Hyper-parameters are selected by grid search with stratified k-fold
+cross-validation.
 
 Training is kernel-first, as in LIBSVM's precomputed-kernel mode: a
 multi-class fit builds one Gram matrix over its rows and a grid search
@@ -18,6 +20,7 @@ one squared-distance matrix over its rows; every pair, fold and C then
 indexes into that matrix instead of recomputing kernel entries.
 """
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -184,73 +187,8 @@ def smo_solve(kernel, y, c, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     return SmoResult(alpha=alpha, bias=bias, converged=converged, iterations=iterations)
 
 
-@dataclass
-class BinarySvmModel:
-    """Trained binary classifier: decision(x) = sum_i coef_i k(sv_i, x) + bias."""
-
-    support_vectors: np.ndarray
-    dual_coefs: np.ndarray  # alpha_i * y_i for support vectors
-    bias: float
-    params: KernelParams
-    converged: bool = True
-
-
-def _fit_pair(kernel, y, c, max_iter, tol=DEFAULT_TOL):
-    """SMO on one binary problem's training kernel.
-
-    Returns (support mask, dual coefficients alpha_i * y_i of the support
-    vectors, SmoResult).
-    """
-    result = smo_solve(kernel, y, c, tol=tol, max_iter=max_iter)
-    sv = result.alpha > SV_EPS
-    if not sv.any():
-        sv = result.alpha > 0.0
-    if not sv.any():
-        sv[int(np.argmax(result.alpha))] = True
-    return sv, (result.alpha * y)[sv], result
-
-
-def train_binary(X, y, params, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
-    """Train a binary RBF SVM on rows of X with labels y in {-1, +1}.
-
-    The training kernel is one dense n x n matrix from rbf_kernel_matrix
-    (the function prediction uses) with its diagonal set to exactly 1.
-    """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y)
-    if X.ndim != 2 or len(X) != len(y):
-        raise ValueError("X must be (n, d) with one label per row")
-    if not (np.any(y > 0) and np.any(y < 0)):
-        raise SingleClassData("binary training needs both labels present")
-    y = np.where(y > 0, 1.0, -1.0)
-
-    kernel = _training_kernel(_squared_distances(X, X), params.gamma)
-    sv, coefs, result = _fit_pair(kernel, y, params.c, max_iter, tol=tol)
-    return BinarySvmModel(
-        support_vectors=X[sv],
-        dual_coefs=coefs,
-        bias=result.bias,
-        params=params,
-        converged=result.converged,
-    )
-
-
-def decision_values(model, X):
-    """Decision function of a binary model on one or many vectors."""
-    X = np.asarray(X, dtype=float)
-    single = X.ndim == 1
-    X = np.atleast_2d(X)
-    if X.shape[1] != model.support_vectors.shape[1]:
-        raise DimensionMismatch(
-            f"input has {X.shape[1]} dims, model expects {model.support_vectors.shape[1]}"
-        )
-    k = rbf_kernel_matrix(X, model.support_vectors, model.params.gamma)
-    vals = k @ model.dual_coefs + model.bias
-    return float(vals[0]) if single else vals
-
-
 # ---------------------------------------------------------------------------
-# One-vs-one multi-class wrapper
+# One-vs-one model table
 
 
 @dataclass
@@ -281,78 +219,106 @@ class Preprocessing:
 
 @dataclass
 class MulticlassSvm:
-    """One-vs-one ensemble over an ordered class list.
+    """One-vs-one model as one table, in LIBSVM's layout.
 
-    `models` maps each (class_i, class_j) pair with i < j in class order
-    to a binary model whose positive side is class_i.
+    Each support vector is stored once, as a row of `support_vectors`
+    (n_sv, d).  `coef` (n_sv, pairs) holds alpha_i * y_i of row i in
+    each pair's column, zero where row i is not a support vector of that
+    pair.  Pair p = (class_i, class_j) of `pairs` decides
+    `kernel(x, support_vectors) @ coef[:, p] + bias[p]`; a value >= 0
+    goes to class_i.  `params` holds the C and gamma every pair was
+    trained with, and `converged` one flag per pair.
     """
 
     classes: list
-    models: dict
+    pairs: list
+    support_vectors: np.ndarray
+    coef: np.ndarray
+    bias: np.ndarray
+    params: KernelParams
+    converged: np.ndarray
     preprocessing: Preprocessing | None = None
 
     @property
     def n_pairs(self):
-        return len(self.models)
+        return len(self.pairs)
 
     def all_converged(self):
-        return all(m.converged for m in self.models.values())
+        return bool(np.all(self.converged))
 
 
 def class_pairs(classes):
-    return [
-        (classes[i], classes[j])
-        for i in range(len(classes))
-        for j in range(i + 1, len(classes))
-    ]
+    return list(itertools.combinations(classes, 2))
 
 
 def _classes(labels):
     return [c.item() if hasattr(c, "item") else c for c in np.unique(labels)]
 
 
-def _pair_problems(labels, classes):
-    """(pair, rows, y) per class pair in class-pair order: the rows of
-    `labels` in the pair, and y = +1 for the pair's first class."""
-    for ci, cj in class_pairs(classes):
+def _fit_pairs(kernel, labels, classes, c, max_iter):
+    """SMO on every class pair of one training kernel, in class-pair order.
+
+    `kernel` is the (n, n) Gram matrix of the rows that `labels` labels.
+    A pair trains on its rows' block `kernel[np.ix_(rows, rows)]` with
+    y = +1 for its first class.  Its support vectors are the rows with
+    alpha > SV_EPS, or with alpha > 0 if none exceeds SV_EPS.  Returns
+    (coef, bias, converged): the (n, pairs) matrix of alpha_i * y_i of
+    each pair's support vectors, zero elsewhere, and (pairs,) biases and
+    convergence flags.  Pairs are trained one after another: the SMO
+    loop holds the interpreter lock, so a thread pool does not pay.
+    """
+    pairs = class_pairs(classes)
+    coef = np.zeros((len(labels), len(pairs)))
+    bias = np.zeros(len(pairs))
+    converged = np.zeros(len(pairs), dtype=bool)
+    for p, (ci, cj) in enumerate(pairs):
         rows = np.flatnonzero((labels == ci) | (labels == cj))
-        yield (ci, cj), rows, np.where(labels[rows] == ci, 1.0, -1.0)
+        y = np.where(labels[rows] == ci, 1.0, -1.0)
+        result = smo_solve(kernel[np.ix_(rows, rows)], y, c, max_iter=max_iter)
+        sv = result.alpha > SV_EPS
+        if not sv.any():
+            sv = result.alpha > 0.0
+        coef[rows[sv], p] = (result.alpha * y)[sv]
+        bias[p], converged[p] = result.bias, result.converged
+    return coef, bias, converged
 
 
-def train_multiclass(
-    X,
-    labels,
-    params,
-    max_iter=DEFAULT_MAX_ITER,
-    preprocessing=None,
-):
-    """Train one binary model per unordered class pair, in class-pair order.
+def _decisions(kernel, coef, bias):
+    """Decision values of every pair: kernel(rows, support rows) @ coef + bias."""
+    return kernel @ coef + bias
 
-    The kernel is built once per call: one n x n training Gram over the
-    rows of X, with its diagonal set to exactly 1.  Each pair's SMO takes
-    the pair's block of it, `kernel[np.ix_(rows, rows)]`.  Pairs are
-    trained one after another: the SMO loop holds the interpreter lock,
-    so a thread pool over pairs does not pay.
+
+def train_multiclass(X, labels, params, max_iter=DEFAULT_MAX_ITER, preprocessing=None):
+    """Train every class pair on one Gram matrix and keep each support vector once.
+
+    The Gram matrix is n x n over the rows of X, with its diagonal set
+    to exactly 1.  X must be (n, d) with n labels, or DimensionMismatch
+    is raised; fewer than 2 classes raise SingleClassData.
     """
     X = np.asarray(X, dtype=float)
     labels = np.asarray(labels)
-    kernel = _training_kernel(_squared_distances(X, X), params.gamma)
+    if X.ndim != 2 or labels.ndim != 1 or len(X) != len(labels):
+        raise DimensionMismatch(f"X is {X.shape} and labels {labels.shape}; need (n, d) and (n,)")
     classes = _classes(labels)
-    models = {}
-    for pair, rows, y in _pair_problems(labels, classes):
-        sv, coefs, result = _fit_pair(kernel[np.ix_(rows, rows)], y, params.c, max_iter)
-        models[pair] = BinarySvmModel(
-            support_vectors=X[rows[sv]],
-            dual_coefs=coefs,
-            bias=result.bias,
-            params=params,
-            converged=result.converged,
-        )
-    return MulticlassSvm(classes=classes, models=models, preprocessing=preprocessing)
+    if len(classes) < 2:
+        raise SingleClassData(f"training needs at least 2 classes, got {len(classes)}")
+    kernel = _training_kernel(_squared_distances(X, X), params.gamma)
+    coef, bias, converged = _fit_pairs(kernel, labels, classes, params.c, max_iter)
+    keep = coef.any(axis=1)
+    return MulticlassSvm(
+        classes=classes,
+        pairs=class_pairs(classes),
+        support_vectors=X[keep],
+        coef=coef[keep],
+        bias=bias,
+        params=params,
+        converged=converged,
+        preprocessing=preprocessing,
+    )
 
 
-def _vote(classes, n, pair_values):
-    """One-vs-one vote over n rows from (pair, decision values) items.
+def _vote(classes, pairs, values):
+    """One-vs-one vote over the rows of an (n, pairs) decision matrix.
 
     Decision 0 goes to the pair's first class.  Returns (votes, margins,
     winners): integer (n, m) vote counts, float (n, m) sums of
@@ -361,9 +327,9 @@ def _vote(classes, n, pair_values):
     largest margin sum, then the first in class order.
     """
     index = {c: k for k, c in enumerate(classes)}
-    votes = np.zeros((n, len(classes)), dtype=int)
-    margins = np.zeros((n, len(classes)))
-    for (ci, cj), vals in pair_values:
+    votes = np.zeros((len(values), len(classes)), dtype=int)
+    margins = np.zeros((len(values), len(classes)))
+    for (ci, cj), vals in zip(pairs, values.T):
         first = vals >= 0.0
         ki, kj = index[ci], index[cj]
         votes[:, ki] += first
@@ -375,22 +341,28 @@ def _vote(classes, n, pair_values):
     return votes, margins, winners
 
 
-def _model_vote(model, X):
+def decision_table(model, X):
+    """(n, pairs) decision values for one row or a stack of rows.
+
+    Rows pass through the model's preprocessing first.  An input width
+    other than the preprocessing's (without preprocessing, the support
+    vectors') raises DimensionMismatch.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if model.preprocessing is not None:
         X = model.preprocessing.apply(X)
-    values = ((pair, decision_values(binary, X)) for pair, binary in model.models.items())
-    return _vote(model.classes, len(X), values)
+    kernel = rbf_kernel_matrix(X, model.support_vectors, model.params.gamma)
+    return _decisions(kernel, model.coef, model.bias)
 
 
 def vote_table(model, X):
     """Votes and absolute-margin sums per class for rows of X.
 
-    Returns (votes, margins): integer (n, m) vote counts summing to
-    m(m-1)/2 per row, and float (n, m) sums of |decision value| over the
-    pairs involving each class.
+    Returns (votes, margins): integer (n, m) vote counts summing to the
+    pair count per row, and float (n, m) sums of |decision value| over
+    the pairs involving each class.
     """
-    votes, margins, _ = _model_vote(model, X)
+    votes, margins, _ = _vote(model.classes, model.pairs, decision_table(model, X))
     return votes, margins
 
 
@@ -400,15 +372,9 @@ def classify(model, X):
     The winner has the most votes; among tied classes, the largest
     margin sum, then the first in class order.
     """
-    votes, _, winners = _model_vote(model, X)
+    votes, _, winners = _vote(model.classes, model.pairs, decision_table(model, X))
     labels = np.asarray(model.classes)[winners]
     return labels, votes[np.arange(len(votes)), winners]
-
-
-def predict(model, X):
-    """Predicted class label(s) by majority vote over all pairs."""
-    labels, _ = classify(model, X)
-    return labels[0].item() if np.ndim(X) == 1 else labels
 
 
 # ---------------------------------------------------------------------------
@@ -427,12 +393,11 @@ def grid_search(X, labels, c_grid, gamma_grid, folds=10, seed=0):
     held-out folds.
 
     The kernel is built once per call: squared distances between all
-    rows of X, then one kernel exp(-gamma * D) per gamma with its
-    diagonal set to 1.  Every fold, pair and C indexes that matrix: a
-    pair's training kernel is K[np.ix_(rows, rows)] and its held-out
-    decision values are K[np.ix_(held, support rows)] @ coefs + bias.
-    The result equals training train_multiclass on each fold's rows and
-    classifying the held-out rows.
+    rows of X, then one kernel K = exp(-gamma * D) per gamma with its
+    diagonal set to 1.  Every fold and C trains all pairs on the fold's
+    block K[train][:, train] and scores the held-out rows with
+    K[held][:, train] @ coef + bias, as train_multiclass and classify
+    would on the fold's rows.
     """
     X = np.asarray(X, dtype=float)
     labels = np.asarray(labels)
@@ -464,20 +429,16 @@ def grid_search(X, labels, c_grid, gamma_grid, folds=10, seed=0):
         for f in range(folds):
             train = np.flatnonzero(fold_of != f)
             held = np.flatnonzero(fold_of == f)
-            train_labels = labels[train]
-            classes = _classes(train_labels)
-            values = [[] for _ in grid]
-            for pair, rows, y in _pair_problems(train_labels, classes):
-                rows = train[rows]
-                pair_kernel = kernel[np.ix_(rows, rows)]
-                for k, row in enumerate(grid):
-                    sv, coefs, result = _fit_pair(pair_kernel, y, row[g].c, DEFAULT_MAX_ITER)
-                    held_kernel = kernel[np.ix_(held, rows[sv])]
-                    values[k].append((pair, held_kernel @ coefs + result.bias))
-            for k, pair_values in enumerate(values):
-                _, _, winners = _vote(classes, len(held), pair_values)
-                pred = np.asarray(classes)[winners]
-                correct[k, g] += int(np.sum(pred == labels[held]))
+            classes = _classes(labels[train])
+            pairs = class_pairs(classes)
+            train_kernel = kernel[np.ix_(train, train)]
+            held_kernel = kernel[np.ix_(held, train)]
+            for k, row in enumerate(grid):
+                coef, bias, _ = _fit_pairs(
+                    train_kernel, labels[train], classes, row[g].c, DEFAULT_MAX_ITER
+                )
+                _, _, winners = _vote(classes, pairs, _decisions(held_kernel, coef, bias))
+                correct[k, g] += int(np.sum(np.asarray(classes)[winners] == labels[held]))
 
     best = None
     table = []
@@ -495,20 +456,6 @@ def grid_search(X, labels, c_grid, gamma_grid, folds=10, seed=0):
 
 
 def model_to_dict(model):
-    pairs = []
-    for (ci, cj), binary in model.models.items():
-        pairs.append(
-            {
-                "first": ci,
-                "second": cj,
-                "support_vectors": binary.support_vectors.tolist(),
-                "dual_coefs": binary.dual_coefs.tolist(),
-                "bias": float(binary.bias),
-                "c": float(binary.params.c),
-                "gamma": float(binary.params.gamma),
-                "converged": bool(binary.converged),
-            }
-        )
     pre = None
     if model.preprocessing is not None:
         pre = {
@@ -518,46 +465,87 @@ def model_to_dict(model):
             else model.preprocessing.pca.to_dict(),
         }
     return {
-        "version": 1,
+        "version": 2,
         "kind": "gesturelab-multiclass-svm",
         "classes": list(model.classes),
-        "pairs": pairs,
+        "c": float(model.params.c),
+        "gamma": float(model.params.gamma),
+        "pairs": [list(pair) for pair in model.pairs],
+        "bias": model.bias.tolist(),
+        "converged": model.converged.tolist(),
+        "support_vectors": model.support_vectors.tolist(),
+        "coef": model.coef.tolist(),
         "preprocessing": pre,
     }
 
 
+def _v1_table(records):
+    """(pairs, support_vectors, coef, bias, params, converged) from version-1
+    per-pair records, each distinct support vector stored once.
+
+    Every pair must carry the same C and gamma.
+    """
+    pairs, blocks, columns, params = [], [], [], set()
+    for rec in records:
+        vectors = np.asarray(rec["support_vectors"], dtype=float)
+        coefs = np.asarray(rec["dual_coefs"], dtype=float)
+        if vectors.ndim != 2 or coefs.shape != (len(vectors),):
+            raise ValueError(f"pair record: {coefs.shape} coefficients, {vectors.shape} vectors")
+        pairs.append((rec["first"], rec["second"]))
+        blocks.append(vectors)
+        columns.append(coefs)
+        params.add((float(rec["c"]), float(rec["gamma"])))
+    if len(params) != 1:
+        raise ValueError(f"pairs must share one C and gamma, got {sorted(params)}")
+    vectors, inverse = np.unique(np.vstack(blocks), axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    coef = np.zeros((len(vectors), len(pairs)))
+    pair_of = np.repeat(np.arange(len(pairs)), [len(b) for b in blocks])
+    np.add.at(coef, (inverse, pair_of), np.concatenate(columns))
+    c, gamma = params.pop()
+    bias = [float(rec["bias"]) for rec in records]
+    converged = [bool(rec["converged"]) for rec in records]
+    return pairs, vectors, coef, bias, KernelParams(c=c, gamma=gamma), converged
+
+
 def model_from_dict(data):
-    """Multi-class model from its model.json record.
+    """Multi-class model from its model.json record, version 2 or 1.
 
     A missing or mistyped field, arrays whose shapes disagree, a pair
-    naming an unlisted class and any non-finite number raise ParseError;
-    a version other than 1 raises SchemaVersionMismatch.
+    naming an unlisted class, no pairs at all and any non-finite number
+    raise ParseError, as do version-1 pairs that disagree on C or gamma;
+    any other version raises SchemaVersionMismatch.
     """
     try:
-        if data.get("version") != 1:
-            raise SchemaVersionMismatch(f"unsupported model version {data.get('version')!r}")
+        version = data.get("version")
+        if version not in (1, 2):
+            raise SchemaVersionMismatch(f"unsupported model version {version!r}")
         classes = list(data["classes"])
-        if not classes:
-            raise ValueError("model lists no classes")
-        models = {}
-        for rec in data["pairs"]:
-            pair = (rec["first"], rec["second"])
-            binary = BinarySvmModel(
-                support_vectors=np.asarray(rec["support_vectors"], dtype=float),
-                dual_coefs=np.asarray(rec["dual_coefs"], dtype=float),
-                bias=float(rec["bias"]),
-                params=KernelParams(c=float(rec["c"]), gamma=float(rec["gamma"])),
-                converged=bool(rec["converged"]),
-            )
-            sv, coefs = binary.support_vectors, binary.dual_coefs
-            if not set(pair) <= set(classes):
+        if version == 1:
+            pairs, vectors, coef, bias, params, converged = _v1_table(data["pairs"])
+        else:
+            pairs = [tuple(pair) for pair in data["pairs"]]
+            vectors = np.asarray(data["support_vectors"], dtype=float)
+            coef = np.asarray(data["coef"], dtype=float)
+            bias = data["bias"]
+            params = KernelParams(c=float(data["c"]), gamma=float(data["gamma"]))
+            converged = [bool(flag) for flag in data["converged"]]
+        bias = np.asarray(bias, dtype=float)
+        converged = np.array(converged, dtype=bool)
+        if not pairs:
+            raise ValueError("model lists no class pairs")
+        for pair in pairs:
+            ci, cj = pair
+            if not {ci, cj} <= set(classes):
                 raise ValueError(f"pair {pair} names a class not in {classes}")
-            if sv.ndim != 2 or coefs.shape != (len(sv),):
-                raise ValueError(f"pair {pair}: {coefs.shape} coefficients, {sv.shape} vectors")
-            numbers = (sv, coefs, binary.bias, binary.params.c, binary.params.gamma)
-            if not all(np.isfinite(x).all() for x in numbers):
-                raise ValueError(f"pair {pair} holds a non-finite number")
-            models[pair] = binary
+        n = len(pairs)
+        if vectors.ndim != 2 or coef.shape != (len(vectors), n):
+            raise ValueError(f"{coef.shape} coefficients for {vectors.shape} vectors and {n} pairs")
+        if bias.shape != (n,) or converged.shape != (n,):
+            raise ValueError(f"{bias.shape} biases and {converged.shape} flags for {n} pairs")
+        numbers = (vectors, coef, bias, params.c, params.gamma)
+        if not all(np.isfinite(x).all() for x in numbers):
+            raise ValueError("model holds a non-finite number")
         pre = None
         if data.get("preprocessing") is not None:
             raw = data["preprocessing"]
@@ -565,7 +553,16 @@ def model_from_dict(data):
                 fusion=FusionConfig.from_dict(raw["fusion"]),
                 pca=None if raw.get("pca") is None else PcaModel.from_dict(raw["pca"]),
             )
-        return MulticlassSvm(classes=classes, models=models, preprocessing=pre)
+        return MulticlassSvm(
+            classes=classes,
+            pairs=pairs,
+            support_vectors=vectors,
+            coef=coef,
+            bias=bias,
+            params=params,
+            converged=converged,
+            preprocessing=pre,
+        )
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ParseError(f"invalid model record: {exc}") from exc
 

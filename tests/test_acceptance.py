@@ -32,7 +32,7 @@ from gesturelab.image import (
 )
 from gesturelab.svm import (
     KernelParams,
-    predict,
+    classify,
     rbf_kernel,
     rbf_kernel_matrix,
     smo_solve,
@@ -65,7 +65,7 @@ def test_criterion_1_structure():
         KernelParams(c=10.0, gamma=0.5),
     )
     assert model.n_pairs == 45
-    assert len({pair for pair in model.models}) == 45
+    assert len(set(model.pairs)) == 45
 
     frame = samples[0].frame
     feats = extract_tracking_features(frame)
@@ -263,8 +263,8 @@ def test_criterion_6_isometries():
 
     model_raw = train_multiclass(fused[train], labels[train], params)
     model_pca = train_multiclass(projected[train], labels[train], params)
-    pred_raw = predict(model_raw, fused[test])
-    pred_pca = predict(model_pca, projected[test])
+    pred_raw = classify(model_raw, fused[test])[0]
+    pred_pca = classify(model_pca, projected[test])[0]
     assert np.array_equal(pred_raw, pred_pca)
 
     # zero fusion weight annihilates the HOG segment entirely
@@ -272,8 +272,8 @@ def test_criterion_6_isometries():
     params_t = KernelParams(c=10.0, gamma=0.5)
     model_zero = train_multiclass(zeroed[train], labels[train], params_t)
     model_track = train_multiclass(tracking[train], labels[train], params_t)
-    pred_zero = predict(model_zero, zeroed[test])
-    pred_track = predict(model_track, tracking[test])
+    pred_zero = classify(model_zero, zeroed[test])[0]
+    pred_track = classify(model_track, tracking[test])[0]
     assert np.array_equal(pred_zero, pred_track)
     elapsed = time.time() - start
     _report(6, elapsed, "PCA(1.0) kernels equal to 1e-10; K=0 equals tracking-only")

@@ -216,23 +216,23 @@ def test_exit_code_data_error(tmp_path, dataset_dir):
 
     def edited(edit):
         record = json.loads(model_path.read_text())
-        edit(record, record["pairs"][0])
+        edit(record)
         return record
 
-    def non_finite(record, pair):  # written as NaN and Infinity
-        pair["bias"] = float("nan")
-        pair["support_vectors"][0][0] = float("inf")
+    def non_finite(record):  # written as NaN and Infinity
+        record["bias"][0] = float("nan")
+        record["support_vectors"][0][0] = float("inf")
 
     bad_models = {
-        "no_pairs.json": {"version": 1},
+        "no_pairs.json": {"version": 2},
         "list.json": [1],
-        "no_second.json": edited(lambda r, pair: pair.pop("second")),
+        "no_second.json": edited(lambda r: r["pairs"][0].pop()),
         "non_finite.json": edited(non_finite),
-        "no_classes.json": edited(lambda r, pair: r.update(classes=[], pairs=[])),
-        "unlisted_class.json": edited(lambda r, pair: r["classes"].pop()),
-        "short_coefs.json": edited(lambda r, pair: pair["dual_coefs"].pop()),
-        "flat_vectors.json": edited(lambda r, pair: pair.update(support_vectors=[0.5])),
-        "short_pca_mean.json": edited(lambda r, pair: r["preprocessing"]["pca"]["mean"].pop()),
+        "no_classes.json": edited(lambda r: r.update(classes=[], pairs=[])),
+        "unlisted_class.json": edited(lambda r: r["classes"].pop()),
+        "short_coefs.json": edited(lambda r: r["coef"].pop()),
+        "flat_vectors.json": edited(lambda r: r.update(support_vectors=[0.5])),
+        "short_pca_mean.json": edited(lambda r: r["preprocessing"]["pca"]["mean"].pop()),
     }
     for name, content in bad_models.items():
         (tmp_path / name).write_text(json.dumps(content))
@@ -283,6 +283,9 @@ def test_exit_code_feature_file_missing_arrays(tmp_path):
         "narrow tracking": _feature_arrays(tracking=np.ones((6, 3))),
         "nan tracking": _with_value("tracking", 2, 7, np.nan),
         "inf hog": _with_value("hog", 4, 1, np.inf),
+        "string labels": _feature_arrays(labels=np.array(list("aaabbb"))),
+        "float labels": _feature_arrays(labels=np.array([0.5, 0.5, 0.5, 1.5, 1.5, 1.5])),
+        "label out of range": _feature_arrays(labels=np.array([0, 0, 0, 10, 10, 10])),
     }
     for name, arrays in cases.items():
         features = tmp_path / "f.npz"

@@ -2,8 +2,9 @@
 
 For arbitrary bytes after a valid or corrupted header, the binary
 loaders (PGM images, LMUM maps) either return finite, well-formed data
-or raise ParseError.  For a valid hand-frame, model, dataset-manifest or
-config record with one field deleted or replaced by arbitrary JSON, or
+or raise ParseError.  For arbitrary arrays in a feature archive, the `.npz` loader returns
+finite, consistent arrays or raises DataError.  For a valid hand-frame,
+model, dataset-manifest or config record with one field deleted or replaced by arbitrary JSON, or
 for an arbitrary JSON document, the record loaders either return finite
 data or raise a GestureLabError (a DataError for data files, a
 ConfigError for configs).  No other exception escapes.  Examples are
@@ -19,9 +20,11 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import make_random_frame
 from gesturelab import jsonio
+from gesturelab.cli import _read_feature_store
 from gesturelab.data import generate_synthetic, load_dataset, save_dataset
 from gesturelab.errors import ConfigError, DataError, ParseError
 from gesturelab.harness import ExperimentConfig, config_from_dict
@@ -197,11 +200,10 @@ def test_model_from_dict_returns_finite_model_or_data_error(record):
         model = model_from_dict(record)
     except DataError:
         return
-    for binary in model.models.values():
-        assert _all_finite(
-            binary.support_vectors, binary.dual_coefs, binary.bias, binary.params.c,
-            binary.params.gamma,
-        )
+    assert model.coef.shape == (len(model.support_vectors), model.n_pairs)
+    assert _all_finite(
+        model.support_vectors, model.coef, model.bias, model.params.c, model.params.gamma
+    )
     pre = model.preprocessing
     if pre is not None:
         assert _all_finite(pre.fusion.hog_weight)
@@ -258,3 +260,40 @@ def test_config_from_dict_returns_finite_config_or_config_error(record):
         return
     assert all(isinstance(n, int) or math.isfinite(n) for n in _numbers(asdict(cfg)))
     assert all(isinstance(getattr(cfg, key), tuple) for key in ("k_values", "retentions", "c_grid"))
+
+
+# ---------------------------------------------------------------------------
+# Feature archives (.npz)
+
+@st.composite
+def feature_archives(draw):
+    """Arrays of any dtype under the archive's names, each left out, of any
+    shape or of the shape that n rows need."""
+    n = draw(st.integers(0, 4))
+    any_shape = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)
+    dtypes = st.sampled_from(["<f8", "<i8", "<u1", "|b1", "<U2"])
+    archive = {}
+    for name, shape in (("tracking", (n, 25)), ("hog", (n, 3)), ("labels", (n,)),
+                        ("sample_ids", (n,))):
+        kind = draw(st.sampled_from(["rows", "any", "rows", "absent", "rows"]))
+        if kind != "absent":
+            archive[name] = draw(hnp.arrays(draw(dtypes), draw(any_shape) if kind == "any" else shape))
+    return archive
+
+
+@FUZZ
+@given(arrays=feature_archives())
+def test_read_feature_store_returns_consistent_store_or_data_error(fuzz_dir, arrays):
+    path = fuzz_dir / "fuzz.npz"
+    np.savez(path, **arrays)
+    try:
+        store = _read_feature_store(path)
+    except DataError:
+        return
+    n = len(store.tracking)
+    assert store.tracking.shape == (n, 25) and np.isfinite(store.tracking).all()
+    assert store.labels.shape == (n,) and store.labels.dtype.kind in "iu"
+    assert ((store.labels >= 0) & (store.labels < 10)).all()
+    assert len(store.sample_ids) == n
+    if store.hog is not None:
+        assert store.hog.ndim == 2 and len(store.hog) == n and np.isfinite(store.hog).all()

@@ -1,3 +1,7 @@
+import json
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,26 +9,25 @@ from gesturelab.errors import (
     DimensionMismatch,
     InsufficientData,
     NumericalError,
+    ParseError,
     SingleClassData,
 )
 from gesturelab.fusion import FusionConfig, fit_pca
 from gesturelab.svm import (
-    BinarySvmModel,
+    SV_EPS,
     KernelParams,
     MulticlassSvm,
     Preprocessing,
     classify,
-    decision_values,
+    decision_table,
     grid_search,
     load_model,
     model_from_dict,
     model_to_dict,
-    predict,
     rbf_kernel,
     rbf_kernel_matrix,
     save_model,
     smo_solve,
-    train_binary,
     train_multiclass,
     vote_table,
 )
@@ -36,6 +39,27 @@ def make_blobs(rng, centers, per_class=20, spread=0.4):
     X = np.vstack([rng.normal(c, spread, size=(per_class, len(c))) for c in centers])
     y = np.repeat(np.arange(len(centers)), per_class)
     return X, y
+
+
+def train_two_class(X, y, params):
+    """Two-class model whose one pair votes for its first class where y > 0."""
+    return train_multiclass(X, np.where(np.asarray(y) > 0, 0, 1), params)
+
+
+def pair_values(model, X):
+    return decision_table(model, X)[:, 0]
+
+
+def solve_binary(X, y, c, gamma, tol):
+    """smo_solve on the training kernel of X, as one pair of train_multiclass
+    solves it.  Returns (coef, bias): alpha_i * y_i of the support vectors
+    (alpha > SV_EPS), zero elsewhere; decisions are
+    rbf_kernel_matrix(rows, X, gamma) @ coef + bias."""
+    y = np.asarray(y, dtype=float)
+    K = rbf_kernel_matrix(X, X, gamma)
+    np.fill_diagonal(K, 1.0)
+    result = smo_solve(K, y, c, tol=tol)
+    return np.where(result.alpha > SV_EPS, result.alpha * y, 0.0), result.bias
 
 
 # ---------------------------------------------------------------------------
@@ -90,23 +114,30 @@ def test_kernel_matrix_is_psd(rng):
 def test_two_point_instance():
     X = np.array([[0.0, 0.0], [1.0, 0.0]])
     y = np.array([1, -1])
-    model = train_binary(X, y, KernelParams(c=10.0, gamma=1.0))
+    model = train_two_class(X, y, KernelParams(c=10.0, gamma=1.0))
     assert len(model.support_vectors) == 2
-    vals = decision_values(model, X)
+    vals = pair_values(model, X)
     assert np.all(np.sign(vals) == y)
 
 
 def test_xor_with_rbf():
     X = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
     y = np.array([1, 1, -1, -1])
-    model = train_binary(X, y, KernelParams(c=1000.0, gamma=1.0))
-    vals = decision_values(model, X)
+    model = train_two_class(X, y, KernelParams(c=1000.0, gamma=1.0))
+    vals = pair_values(model, X)
     assert np.all(np.sign(vals) == y)
 
 
 def test_single_class_rejected():
     with pytest.raises(SingleClassData):
-        train_binary(np.zeros((3, 2)), np.array([1, 1, 1]), KernelParams(1.0, 1.0))
+        train_multiclass(np.zeros((3, 2)), np.array([1, 1, 1]), KernelParams(1.0, 1.0))
+
+
+def test_train_multiclass_rejects_mismatched_labels():
+    X = np.zeros((10, 2))
+    for labels in (np.arange(8) % 2, np.arange(12) % 2, np.zeros((10, 1))):
+        with pytest.raises(DimensionMismatch):
+            train_multiclass(X, labels, KernelParams(1.0, 1.0))
 
 
 def test_smo_matches_projected_gradient_oracle(rng):
@@ -163,19 +194,19 @@ def test_smo_iterates_equal_reference_loop():
 def test_free_support_vectors_sit_on_margin(rng):
     X, y01 = make_blobs(rng, [(0.0, 0.0), (4.0, 0.0)], per_class=20, spread=0.8)
     y = np.where(y01 == 0, 1, -1)
-    model = train_binary(X, y, KernelParams(c=5.0, gamma=0.3), tol=1e-8)
-    coefs = np.abs(model.dual_coefs)
+    coef, bias = solve_binary(X, y, c=5.0, gamma=0.3, tol=1e-8)
+    coefs = np.abs(coef)
     free = (coefs > 1e-6) & (coefs < 5.0 - 1e-6)
     assert free.any()
-    vals = decision_values(model, model.support_vectors[free])
+    vals = rbf_kernel_matrix(X[free], X, 0.3) @ coef + bias
     assert np.abs(np.abs(vals) - 1.0).max() < 1e-6
 
 
 def test_zero_slack_implies_perfect_training_accuracy(rng):
     X, y01 = make_blobs(rng, [(0.0, 0.0), (6.0, 0.0)], per_class=15)
     y = np.where(y01 == 0, 1, -1)
-    model = train_binary(X, y, KernelParams(c=100.0, gamma=0.5), tol=1e-5)
-    vals = decision_values(model, X)
+    coef, bias = solve_binary(X, y, c=100.0, gamma=0.5, tol=1e-5)
+    vals = rbf_kernel_matrix(X, X, 0.5) @ coef + bias
     assert np.all(np.abs(vals) >= 1.0 - 1e-3)  # separated with zero slack
     assert np.all(np.sign(vals) == y)
 
@@ -185,46 +216,45 @@ def test_zero_slack_implies_perfect_training_accuracy(rng):
 
 
 def test_decision_matches_bruteforce_resummation(rng):
-    X, y01 = make_blobs(rng, [(0.0, 0.0), (3.0, 1.0)], per_class=10)
-    y = np.where(y01 == 0, 1, -1)
-    model = train_binary(X, y, KernelParams(c=2.0, gamma=0.4))
+    # The per-pair reference for decision_table: each pair's value is the
+    # sum of coef * k(sv, x) over that pair's own support vectors, plus
+    # the pair's bias.
+    X, y = make_blobs(rng, [(0.0, 0.0), (3.0, 1.0), (0.0, 3.0)], per_class=10)
+    model = train_multiclass(X, y, KernelParams(c=2.0, gamma=0.4))
     probes = rng.normal(size=(20, 2))
-    vals = decision_values(model, probes)
-    for row, expected in zip(probes, vals):
-        brute = sum(
-            coef * rbf_kernel(sv, row, model.params.gamma)
-            for coef, sv in zip(model.dual_coefs, model.support_vectors)
-        )
-        assert abs(brute + model.bias - expected) < 1e-12
+    table = decision_table(model, probes)
+    for row, values in zip(probes, table):
+        for p, expected in enumerate(values):
+            brute = sum(
+                coef * rbf_kernel(sv, row, model.params.gamma)
+                for coef, sv in zip(model.coef[:, p], model.support_vectors)
+                if coef != 0.0
+            )
+            assert abs(brute + model.bias[p] - expected) < 1e-12
 
 
 def test_decision_invariant_to_sv_permutation(rng):
     X, y01 = make_blobs(rng, [(0.0, 0.0), (3.0, 1.0)], per_class=10)
     y = np.where(y01 == 0, 1, -1)
-    model = train_binary(X, y, KernelParams(c=2.0, gamma=0.4))
+    model = train_two_class(X, y, KernelParams(c=2.0, gamma=0.4))
     perm = rng.permutation(len(model.support_vectors))
-    shuffled = BinarySvmModel(
-        support_vectors=model.support_vectors[perm],
-        dual_coefs=model.dual_coefs[perm],
-        bias=model.bias,
-        params=model.params,
-    )
+    shuffled = replace(model, support_vectors=model.support_vectors[perm], coef=model.coef[perm])
     probes = rng.normal(size=(10, 2))
-    assert np.abs(decision_values(model, probes) - decision_values(shuffled, probes)).max() < 1e-12
+    assert np.abs(pair_values(model, probes) - pair_values(shuffled, probes)).max() < 1e-12
 
 
 def test_decision_dimension_mismatch(rng):
     X, y01 = make_blobs(rng, [(0.0, 0.0), (3.0, 1.0)], per_class=5)
-    model = train_binary(X, np.where(y01 == 0, 1, -1), KernelParams(1.0, 1.0))
+    model = train_two_class(X, np.where(y01 == 0, 1, -1), KernelParams(1.0, 1.0))
     with pytest.raises(DimensionMismatch):
-        decision_values(model, np.zeros(3))
+        decision_table(model, np.zeros(3))
 
 
 def test_dual_coefs_bounded_by_c(rng):
     X, y01 = make_blobs(rng, [(0.0, 0.0), (1.0, 0.5)], per_class=12, spread=0.8)
     params = KernelParams(c=3.0, gamma=0.5)
-    model = train_binary(X, np.where(y01 == 0, 1, -1), params)
-    assert np.abs(model.dual_coefs).max() <= params.c + 1e-8
+    model = train_two_class(X, np.where(y01 == 0, 1, -1), params)
+    assert np.abs(model.coef).max() <= params.c + 1e-8
     assert len(model.support_vectors) >= 1
 
 
@@ -242,10 +272,10 @@ def test_two_class_multiclass_equals_binary(rng):
     X, y = make_blobs(rng, [(0.0, 0.0), (4.0, 0.0)], per_class=10)
     model = train_multiclass(X, y, KernelParams(c=10.0, gamma=0.5))
     assert model.n_pairs == 1
-    binary = model.models[(0, 1)]
+    coef, bias = solve_binary(X, np.where(y == 0, 1, -1), c=10.0, gamma=0.5, tol=1e-3)
     probes = rng.normal(size=(20, 2)) * 2
-    multi_pred = predict(model, probes)
-    binary_pred = np.where(decision_values(binary, probes) >= 0, 0, 1)
+    multi_pred = classify(model, probes)[0]
+    binary_pred = np.where(rbf_kernel_matrix(probes, X, 0.5) @ coef + bias >= 0, 0, 1)
     assert np.array_equal(multi_pred, binary_pred)
 
 
@@ -253,7 +283,7 @@ def test_three_blobs_perfect_training(rng):
     X, y = make_blobs(rng, [(0.0, 0.0), (5.0, 0.0), (0.0, 5.0)], per_class=20)
     model = train_multiclass(X, y, KernelParams(c=10.0, gamma=0.5))
     assert model.n_pairs == 3
-    assert np.mean(predict(model, X) == y) == 1.0
+    assert np.mean(classify(model, X)[0] == y) == 1.0
 
 
 def test_deep_blob_point_gets_two_votes(rng):
@@ -271,40 +301,32 @@ def test_vote_totals_sum_to_pair_count(rng):
     assert np.all(votes.sum(axis=1) == 10)  # 5*4/2
 
 
-def _stub_binary(bias):
+def test_cyclic_tie_broken_by_margin_sum():
     # decision ~= bias everywhere near the origin: the one support vector
     # is far away, so its kernel contribution vanishes
-    return BinarySvmModel(
-        support_vectors=np.array([[1000.0]]),
-        dual_coefs=np.array([1e-12]),
-        bias=bias,
-        params=KernelParams(c=1.0, gamma=1.0),
-    )
-
-
-def test_cyclic_tie_broken_by_margin_sum():
     model = MulticlassSvm(
         classes=[0, 1, 2],
-        models={
-            (0, 1): _stub_binary(0.5),  # votes 0
-            (1, 2): _stub_binary(0.9),  # votes 1
-            (0, 2): _stub_binary(-0.7),  # votes 2
-        },
+        pairs=[(0, 1), (1, 2), (0, 2)],
+        support_vectors=np.array([[1000.0]]),
+        coef=np.full((1, 3), 1e-12),
+        bias=np.array([0.5, 0.9, -0.7]),  # votes 0, 1, 2
+        params=KernelParams(c=1.0, gamma=1.0),
+        converged=np.ones(3, dtype=bool),
     )
     x = np.array([0.0])
     votes, margins = vote_table(model, x)
     assert np.array_equal(votes[0], [1, 1, 1])
     # margin sums: class0 = 1.2, class1 = 1.4, class2 = 1.6
-    assert predict(model, x) == 2
-    assert predict(model, x) == 2  # deterministic on repeat
+    assert classify(model, x)[0][0] == 2
+    assert classify(model, x)[0][0] == 2  # deterministic on repeat
 
 
 def test_multiclass_single_class_pair_reports_identity():
     X = np.zeros((4, 2))
     y = np.array([0, 0, 1, 1])
-    # make one pair degenerate by duplicating labels
+    # training rows of one class only: no pair to train
     with pytest.raises(SingleClassData):
-        train_binary(X[:2], np.array([1, 1]), KernelParams(1.0, 1.0))
+        train_multiclass(X[:2], y[:2], KernelParams(1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -369,16 +391,16 @@ def test_multiclass_shared_gram_equals_per_pair_training(rng):
     params = KernelParams(c=10.0, gamma=0.8)
     model = train_multiclass(X, y, params)
     probes = rng.normal(size=(40, 2)) + 0.75
-    for (ci, cj), binary in model.models.items():
+    table = decision_table(model, probes)
+    for p, (ci, cj) in enumerate(model.pairs):
         rows = (y == ci) | (y == cj)
-        alone = train_binary(X[rows], np.where(y[rows] == ci, 1, -1), params)
-        assert np.array_equal(binary.support_vectors, alone.support_vectors)
-        assert np.allclose(binary.dual_coefs, alone.dual_coefs, rtol=0.0, atol=1e-9)
-        assert abs(binary.bias - alone.bias) <= 1e-9
-        assert np.array_equal(
-            decision_values(binary, probes) >= 0, decision_values(alone, probes) >= 0
-        )
-    assert list(model.models) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+        alone = train_multiclass(X[rows], y[rows], params)
+        sv = model.coef[:, p] != 0.0
+        assert np.array_equal(model.support_vectors[sv], alone.support_vectors)
+        assert np.allclose(model.coef[sv, p], alone.coef[:, 0], rtol=0.0, atol=1e-9)
+        assert abs(model.bias[p] - alone.bias[0]) <= 1e-9
+        assert np.array_equal(table[:, p] >= 0, pair_values(alone, probes) >= 0)
+    assert model.pairs == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
 
 def test_grid_search_insufficient_data(rng):
@@ -426,12 +448,10 @@ def test_model_roundtrip_with_preprocessing(tmp_path, rng):
     probes = np.hstack(
         [rng.normal(size=(15, mask.dims())), rng.normal(size=(15, hog_dim))]
     )
-    assert np.array_equal(predict(model, probes), predict(loaded, probes))
-    for pair in model.models:
-        a, b = model.models[pair], loaded.models[pair]
-        assert np.array_equal(a.support_vectors, b.support_vectors)
-        assert np.array_equal(a.dual_coefs, b.dual_coefs)
-        assert a.bias == b.bias
+    assert np.array_equal(classify(model, probes)[0], classify(loaded, probes)[0])
+    assert loaded.pairs == model.pairs and loaded.params == model.params
+    for name in ("support_vectors", "coef", "bias", "converged"):
+        assert np.array_equal(getattr(model, name), getattr(loaded, name)), name
 
 
 def test_model_json_resave_is_byte_identical(tmp_path, rng):
@@ -449,6 +469,40 @@ def test_model_json_resave_is_byte_identical(tmp_path, rng):
     save_model(model, first)
     save_model(load_model(first), second)
     assert first.read_bytes() == second.read_bytes()
+
+    # Version 1 loads into the version-2 table, and re-saves byte for byte.
+    save_model(load_model(MODEL_V1), first)
+    save_model(load_model(first), second)
+    assert first.read_bytes() == second.read_bytes()
+    record = json.loads(first.read_text())
+    assert record["version"] == 2
+    vectors = np.array(record["support_vectors"])
+    assert len(np.unique(vectors, axis=0)) == len(vectors)  # each vector stored once
+
+
+MODEL_V1 = Path(__file__).parent / "data" / "model_v1.json"
+
+
+def test_version_1_model_file_classifies_as_written():
+    # Written by the per-pair model code: 3 classes, fusion weight 2.0 on
+    # 2 HOG columns, no PCA, C 10, gamma 0.5; 28 per-pair support vectors
+    # over 14 distinct rows.  The labels and votes are those that code gave.
+    model = load_model(MODEL_V1)
+    assert model.pairs == [(0, 1), (0, 2), (1, 2)]
+    assert model.params == KernelParams(c=10.0, gamma=0.5)
+    assert model.support_vectors.shape == (14, 7) and model.coef.shape == (14, 3)
+    assert np.count_nonzero(model.coef) == 28
+    probes = np.random.default_rng(0).normal(0.5, 0.6, size=(12, 7))
+    labels, votes = classify(model, probes)
+    assert labels.tolist() == [1, 0, 2, 2, 2, 0, 1, 0, 0, 2, 0, 2]
+    assert votes.tolist() == [2] * 12
+
+
+def test_version_1_pairs_must_share_c_and_gamma():
+    record = json.loads(MODEL_V1.read_text())
+    record["pairs"][1]["gamma"] = 0.25
+    with pytest.raises(ParseError):
+        model_from_dict(record)
 
 
 def test_preprocessing_applies_to_one_row_or_many(rng):
