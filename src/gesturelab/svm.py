@@ -5,14 +5,14 @@ Each unordered class pair solves the standard binary dual
     minimize    0.5 a' Q a - sum(a)      with Q_ij = y_i y_j K(x_i, x_j)
     subject to  y' a = 0,  0 <= a_i <= C
 
-by sequential minimal optimization with maximal-violating-pair working
-set selection.  The pairs form one model table, as in LIBSVM: each
-support vector stored once and one coefficient column per pair, so the
-decision values of all pairs are `K @ coef + bias`.  Prediction is by
-majority vote; ties are broken by the largest sum of absolute decision
-values over the pairs involving each tied class, then by class order.
-Hyper-parameters are selected by grid search with stratified k-fold
-cross-validation.
+by sequential minimal optimization with second-order working set
+selection (Fan, Chen & Lin, 2005), LIBSVM's default.  The pairs form one
+model table, as in LIBSVM: each support vector stored once and one
+coefficient column per pair, so the decision values of all pairs are
+`K @ coef + bias`.  Prediction is by majority vote; ties are broken by
+the largest sum of absolute decision values over the pairs involving
+each tied class, then by class order.  Hyper-parameters are selected by
+grid search with stratified k-fold cross-validation.
 
 Training is kernel-first, as in LIBSVM's precomputed-kernel mode: a
 multi-class fit builds one Gram matrix over its rows and a grid search
@@ -104,33 +104,47 @@ class SmoResult:
     bias: float
     converged: bool
     iterations: int
+    # Final KKT violation max(v | up) - min(v | low), 0 if either set is empty.
+    gap: float
 
 
 def smo_solve(kernel, y, c, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     """Solve the SVM dual for labels y in {-1, +1}.
 
     `kernel` is the dense (n, n) training kernel matrix, as LIBSVM's
-    precomputed-kernel mode takes it.  Iterates two-variable updates on
-    the maximal-violating pair until the KKT violation gap drops below
-    `tol` or the iteration budget is spent.  Returns multipliers, the
-    bias (averaged over free support vectors, or the midpoint of the
-    feasible interval if none are free), a convergence flag, and the
-    update count.  A non-finite or infeasible result (for example from
-    a kernel holding NaN) raises NumericalError.
+    precomputed-kernel mode takes it.  With v = -y * gradient, each
+    update picks its pair by second-order working set selection (Fan,
+    Chen & Lin, JMLR 6, 2005; LIBSVM's default): i maximises v over the
+    rows whose alpha may move up along y, and j is the row t that may
+    move down with b_t = v_i - v_t > 0 maximising b_t^2 / a_t, where
+    a_t = max(K_ii + K_tt - 2 K_it, 1e-12); ties go to the first row.
+    The step b_j / a_j is capped at the box.  Updates stop when the KKT
+    violation gap max(v | up) - min(v | low) drops to `tol` or the
+    iteration budget is spent.  Returns multipliers, the bias (averaged
+    over free support vectors, or the midpoint of the feasible interval
+    if none are free), a convergence flag, the update count and the
+    final gap.  A non-finite or infeasible result (for example from a
+    kernel holding NaN) raises NumericalError.
     """
     y = np.asarray(y, dtype=float)
     n = y.size
     kernel = np.asarray(kernel, dtype=float)
     if kernel.shape != (n, n):
         raise DimensionMismatch(f"kernel is {kernel.shape}, labels need ({n}, {n})")
+    diag = kernel.diagonal()
+    # a_it of every pair of rows, computed once per solve.
+    curvature = np.add.outer(diag, diag) - 2.0 * kernel
+    np.maximum(curvature, 1e-12, out=curvature)
     alpha = np.zeros(n)
     pos = y > 0
     # v = -y * gradient of the dual objective, which is -1 at alpha = 0.
     v = y.copy()
-    # Index sets of rows whose alpha may move up / down along y.  Only
-    # alpha_i and alpha_j change per update, so only their entries move.
-    up = (pos & (alpha < c)) | (~pos & (alpha > 0.0))
-    low = (pos & (alpha > 0.0)) | (~pos & (alpha < c))
+    # Penalties marking the rows whose alpha may move up / down along y:
+    # 0 in the set, -inf outside.  At alpha = 0 the positives may move up
+    # and the negatives down.  Only rows i and j change per update.
+    blocked = -np.inf
+    up = np.where(pos, 0.0, blocked)
+    low = np.where(pos, blocked, 0.0)
     # Scalar work per update runs on Python floats, which is cheaper than
     # numpy scalars and rounds the same (IEEE double).
     is_pos = pos.tolist()
@@ -138,44 +152,47 @@ def smo_solve(kernel, y, c, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
 
     converged = False
     iterations = 0
+    b = np.empty(n)
     while iterations < max_iter:
-        if not up.any() or not low.any():
+        np.add(v, up, out=b)
+        i = int(b.argmax())
+        v_i = v.item(i)
+        # b = v_i - v on the low set and -inf off it, so its maximum is the
+        # gap, and -inf when either set is empty.
+        np.subtract(v_i, v, out=b)
+        b += low
+        if b.max() <= tol:
             converged = True
             break
-        i = int(np.argmax(np.where(up, v, -np.inf)))
-        j = int(np.argmin(np.where(low, v, np.inf)))
-        gap = v.item(i) - v.item(j)
-        if gap <= tol:
-            converged = True
-            break
+        # Clipped at 0, rows off the low set or with b <= 0 score 0, below
+        # every candidate.
+        curv = curvature[i]
+        np.maximum(b, 0.0, out=b)
+        b *= b
+        b /= curv
+        j = int(b.argmax())
 
-        row_i = kernel[i]
-        row_j = kernel[j]
-        curvature = max(row_i.item(i) + row_j.item(j) - 2.0 * row_i.item(j), 1e-12)
-        step = gap / curvature
         a_i, a_j = alpha.item(i), alpha.item(j)
         cap_i = (c - a_i) if is_pos[i] else a_i
         cap_j = a_j if is_pos[j] else (c - a_j)
-        step = min(step, cap_i, cap_j)
+        step = min((v_i - v.item(j)) / curv.item(j), cap_i, cap_j)
 
         a_i = min(max(a_i + signs[i] * step, 0.0), c)
         a_j = min(max(a_j - signs[j] * step, 0.0), c)
         alpha[i], alpha[j] = a_i, a_j
-        v -= step * (row_i - row_j)
-        for k, a in ((i, a_i), (j, a_j)):
-            if is_pos[k]:
-                up[k], low[k] = a < c, a > 0.0
-            else:
-                up[k], low[k] = a > 0.0, a < c
+        v -= step * (kernel[i] - kernel[j])
+        for k, a_k in ((i, a_i), (j, a_j)):
+            grows, shrinks = (a_k < c, a_k > 0.0) if is_pos[k] else (a_k > 0.0, a_k < c)
+            up[k] = 0.0 if grows else blocked
+            low[k] = 0.0 if shrinks else blocked
         iterations += 1
 
+    up_rows, low_rows = up == 0.0, low == 0.0
+    hi = v[up_rows].max() if up_rows.any() else 0.0
+    lo = v[low_rows].min() if low_rows.any() else 0.0
+    gap = float(hi - lo) if up_rows.any() and low_rows.any() else 0.0
     free = (alpha > 0.0) & (alpha < c)
-    if free.any():
-        bias = float(np.mean(v[free]))
-    else:
-        hi = v[up].max() if up.any() else 0.0
-        lo = v[low].min() if low.any() else 0.0
-        bias = float(0.5 * (hi + lo))
+    bias = float(np.mean(v[free])) if free.any() else float(0.5 * (hi + lo))
 
     # Dual feasibility must hold regardless of convergence.  Each update
     # keeps y'a = 0 up to rounding of terms no larger than c, so the
@@ -184,7 +201,7 @@ def smo_solve(kernel, y, c, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
         raise NumericalError(f"SMO produced a non-finite solution after {iterations} updates")
     if alpha.min() < 0.0 or alpha.max() > c or abs(np.dot(alpha, y)) > EQUALITY_RTOL * c * n:
         raise NumericalError(f"SMO produced an infeasible dual solution after {iterations} updates")
-    return SmoResult(alpha=alpha, bias=bias, converged=converged, iterations=iterations)
+    return SmoResult(alpha=alpha, bias=bias, converged=converged, iterations=iterations, gap=gap)
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,10 @@ def svm_dual_solve_pg(K, y, c, max_iter=30000, tol=1e-13):
 
     Minimizes 0.5 a'Qa - sum(a) over the box-equality feasible set with
     a fixed 1/L step, Nesterov momentum, and a projected-residual stop.
+    Two equal iterates stop it only when a plain step from the new one
+    moves no further either; otherwise momentum restarts there.  (An
+    extrapolated point far outside the box can project back onto the
+    previous iterate, a box vertex, away from the optimum.)
     """
     K = np.asarray(K, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -107,8 +111,12 @@ def svm_dual_solve_pg(K, y, c, max_iter=30000, tol=1e-13):
         grad = Q @ momentum - 1.0
         new = project_box_equality(momentum - step * grad, y, c)
         if np.abs(new - alpha).max() < tol:
-            alpha = new
-            break
+            plain = project_box_equality(new - step * (Q @ new - 1.0), y, c)
+            if np.abs(plain - new).max() < tol:
+                alpha = new
+                break
+            momentum, alpha, t_prev = new, new, 1.0
+            continue
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_prev * t_prev))
         momentum = new + (t_prev - 1.0) / t_next * (new - alpha)
         alpha = new
@@ -129,8 +137,11 @@ def smo_reference(kernel, y, c, tol, max_iter):
     """SMO kept in its plain form: gradient-based, index sets rebuilt over
     all rows each iteration.  Returns (alpha, bias, converged, iterations).
 
-    Same maximal-violating-pair selection, step, stopping rule and bias
-    as the library's solver, so the two must agree exactly.
+    Same second-order working set selection, step, stopping rule and bias
+    as the library's solver, so the two must agree exactly: i maximises
+    v = -y * grad over the up set; j is chosen by an explicit loop over
+    the low set, the first row with b = v_i - v_t > 0 and the strictly
+    largest b * b / a, with a = max(K_ii + K_tt - 2 K_it, 1e-12).
     """
     y = np.asarray(y, dtype=float)
     kernel = np.asarray(kernel, dtype=float)
@@ -148,20 +159,25 @@ def smo_reference(kernel, y, c, tol, max_iter):
             converged = True
             break
         i = int(np.argmax(np.where(up, v, -np.inf)))
-        j = int(np.argmin(np.where(low, v, np.inf)))
-        if v[i] - v[j] <= tol:
+        if v[i] - v[low].min() <= tol:
             converged = True
             break
-        row_i = kernel[i]
-        row_j = kernel[j]
-        curvature = max(row_i[i] + row_j[j] - 2.0 * row_i[j], 1e-12)
+        j, best, curvature = None, -np.inf, None
+        for t in range(n):
+            b = v[i] - v[t]
+            if not (low[t] and b > 0.0):
+                continue
+            a = max(kernel[i, i] + kernel[t, t] - 2.0 * kernel[i, t], 1e-12)
+            score = b * b / a
+            if score > best:
+                j, best, curvature = t, score, a
         step = (v[i] - v[j]) / curvature
         cap_i = (c - alpha[i]) if pos[i] else alpha[i]
         cap_j = alpha[j] if pos[j] else (c - alpha[j])
         step = min(step, cap_i, cap_j)
         alpha[i] = min(max(alpha[i] + y[i] * step, 0.0), c)
         alpha[j] = min(max(alpha[j] - y[j] * step, 0.0), c)
-        grad += step * y * (row_i - row_j)
+        grad += step * y * (kernel[i] - kernel[j])
         iterations += 1
 
     v = -y * grad

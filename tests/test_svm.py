@@ -167,12 +167,11 @@ def test_smo_rejects_non_finite_kernel():
         smo_solve(np.eye(3), y, 1.0)
 
 
-def test_smo_iterates_equal_reference_loop():
-    # 200 seeded problems, n 4..120, C 0.1..1000: overlapping classes put
-    # most solutions on the C bound, and every 10th solve stops at its
-    # iteration budget, so unconverged iterates are compared too.
+def seeded_smo_problems():
+    """200 seeded problems (k, K, y, c, max_iter), n 4..120, C 0.1..1000:
+    overlapping classes put most solutions on the C bound, and every 10th
+    solve stops at its iteration budget."""
     rng = np.random.default_rng(2024)
-    at_bound = unconverged = 0
     for k in range(200):
         n = int(rng.integers(4, 121))
         X = rng.normal(size=(n, int(rng.integers(1, 5))))
@@ -181,7 +180,13 @@ def test_smo_iterates_equal_reference_loop():
         c = (0.1, 1.0, 10.0, 1000.0)[k % 4]
         K = rbf_kernel_matrix(X, X, rng.uniform(0.1, 2.0))
         np.fill_diagonal(K, 1.0)
-        max_iter = n if k % 10 == 9 else 20 * n
+        yield k, K, y, c, n if k % 10 == 9 else 20 * n
+
+
+def test_smo_iterates_equal_reference_loop():
+    # Unconverged iterates are compared too.
+    at_bound = unconverged = 0
+    for k, K, y, c, max_iter in seeded_smo_problems():
         result = smo_solve(K, y, c, max_iter=max_iter)
         alpha, bias, converged, iterations = smo_reference(K, y, c, 1e-3, max_iter)
         assert result.alpha.tobytes() == alpha.tobytes(), k
@@ -189,6 +194,45 @@ def test_smo_iterates_equal_reference_loop():
         at_bound += bool((alpha == c).any())
         unconverged += not converged
     assert at_bound >= 100 and unconverged >= 20
+
+
+def test_smo_gap_is_final_kkt_violation():
+    # The gap recomputed from alpha alone, with v = y - K @ (alpha * y).
+    # The solver updates v once per iteration instead; both routes round
+    # terms no larger than C over n rows and at most 20 n updates, so they
+    # may differ by a few thousand ulps of C * n: allowed 1e-12 * C * n.
+    for k, K, y, c, max_iter in seeded_smo_problems():
+        result = smo_solve(K, y, c, max_iter=max_iter)
+        alpha, pos = result.alpha, y > 0
+        v = y - K @ (alpha * y)
+        up = (pos & (alpha < c)) | (~pos & (alpha > 0.0))
+        low = (pos & (alpha > 0.0)) | (~pos & (alpha < c))
+        gap = v[up].max() - v[low].min() if up.any() and low.any() else 0.0
+        assert abs(result.gap - gap) <= 1e-12 * c * len(y), k
+        if result.converged:
+            assert result.gap <= 1e-3, k
+
+
+def test_smo_curvature_edge_cases_match_projected_gradient_oracle(rng):
+    # Rows duplicated with opposite labels have a = K_ii + K_tt - 2 K_it = 0,
+    # clamped to 1e-12; a linear kernel plus a constant has a diagonal other
+    # than 1.  15 problems of each.
+    for trial in range(30):
+        n = int(rng.integers(4, 13))
+        X = rng.normal(size=(n, int(rng.integers(1, 5))))
+        y = np.concatenate([[1.0, -1.0], rng.choice([1.0, -1.0], size=n - 2)])
+        if trial % 2 == 0:
+            X[1] = X[0]
+            K = rbf_kernel_matrix(X, X, float(rng.uniform(0.1, 2.0)))
+            np.fill_diagonal(K, 1.0)
+        else:
+            K = X @ X.T + 0.5
+        c = float(rng.uniform(0.5, 10.0))
+        result = smo_solve(K, y, c, tol=1e-6)
+        assert result.converged, trial
+        alpha_pg = svm_dual_solve_pg(K, y, c)
+        gap = abs(dual_objective(K, y, result.alpha) - dual_objective(K, y, alpha_pg))
+        assert gap < 1e-4, trial
 
 
 def test_free_support_vectors_sit_on_margin(rng):
