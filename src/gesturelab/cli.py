@@ -8,12 +8,12 @@ with individual flags taking precedence.  Exit codes: 0 success,
 
 import argparse
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from . import harness, jsonio
-from .data import NUM_GESTURES, dataset_summary, default_templates, generate_synthetic, save_dataset
+from .data import NUM_GESTURES, dataset_summary, save_dataset
 from .errors import ConfigError, DataError, GestureLabError, NumericalError
 from .harness import (
     DEFAULT_ABLATION_COMBOS,
@@ -47,7 +47,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_values(text):
-    """Comma-separated floats/ints with 'none' allowed (for retentions)."""
+    """Comma-separated floats/ints or 'none'; any other token is a ValueError."""
     out = []
     for token in text.split(","):
         token = token.strip()
@@ -64,6 +64,11 @@ def _parse_values(text):
     return out
 
 
+def _one_value(text):
+    (value,) = _parse_values(text)  # several values: a ValueError, which argparse reports
+    return [value]
+
+
 def _add_override_args(p):
     p.add_argument("--config", help="JSON experiment config file")
     p.add_argument("--manifest", help="dataset manifest path (overrides config)")
@@ -71,10 +76,12 @@ def _add_override_args(p):
     hog = p.add_mutually_exclusive_group()
     hog.add_argument("--use-hog", dest="use_hog", action="store_true", default=None)
     hog.add_argument("--no-hog", dest="use_hog", action="store_false", default=None)
-    p.add_argument("--k-values", help="comma-separated fusion weights")
-    p.add_argument("--retentions", help="comma-separated retentions (floats, ints, or none)")
-    p.add_argument("--c-grid", help="comma-separated C grid")
-    p.add_argument("--gamma-grid", help="comma-separated gamma grid")
+    p.add_argument("--k-values", type=_parse_values, help="comma-separated fusion weights")
+    p.add_argument(
+        "--retentions", type=_parse_values, help="comma-separated retentions (floats, ints, or none)"
+    )
+    p.add_argument("--c-grid", type=_parse_values, help="comma-separated C grid")
+    p.add_argument("--gamma-grid", type=_parse_values, help="comma-separated gamma grid")
     p.add_argument("--folds", type=int)
     p.add_argument("--repetitions", type=int)
     p.add_argument("--train-fraction", type=float)
@@ -86,40 +93,40 @@ def _add_override_args(p):
     p.add_argument("--undistort-map", help="calibration map file for raw images")
 
 
-def _build_config(args, return_raw=False):
-    raw = {}
-    if getattr(args, "config", None):
+def _add_one_value_args(p):
+    """--k and --retention: one-value spellings of --k-values and --retentions."""
+    p.add_argument("--k", dest="k_values", type=_one_value, help="HOG segment fusion weight")
+    p.add_argument(
+        "--retention",
+        dest="retentions",
+        type=_one_value,
+        help="PCA retention (float fraction, int count, or none)",
+    )
+
+
+def _build_config(args, **defaults):
+    """The config from `defaults`, then the --config file, then every flag
+    given, each layer over the ones before, checked by config_from_dict.
+
+    A flag whose dest names a config field sets that field; --subjects,
+    --reps, --data-seed and synth's flags fill the `synthetic` section.
+    """
+    given = {name: value for name, value in vars(args).items() if value is not None}
+    file = {}
+    if "config" in given:
         try:
-            raw = jsonio.load_path(args.config)
+            file = jsonio.load_path(given["config"])
         except DataError as exc:
             raise ConfigError(f"config {exc}") from exc
-    cfg = config_from_dict(raw)
-
-    synth = cfg.synthetic
-    for attr, name in (("subjects", "subjects"), ("reps", "reps"), ("data_seed", "seed")):
-        value = getattr(args, attr, None)
-        if value is not None:
-            setattr(synth, name, value)
-    for name in (
-        "manifest",
-        "features",
-        "use_hog",
-        "folds",
-        "repetitions",
-        "train_fraction",
-        "seed",
-        "grid_mode",
-        "undistort_map",
-    ):
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(cfg, name, value)
-    for name in ("k_values", "retentions", "c_grid", "gamma_grid"):
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(cfg, name, tuple(_parse_values(value)))
-    cfg.validate()
-    return (cfg, raw) if return_raw else cfg
+        if not isinstance(file, dict) or not isinstance(file.get("synthetic", {}), dict):
+            return config_from_dict(file)  # raises: no flag can be merged over it
+    synthetic = {f.name: given[f.name] for f in fields(harness.SyntheticSpec) if f.name in given}
+    synthetic.pop("seed", None)  # --seed is the experiment seed, --data-seed this one
+    if "data_seed" in given:
+        synthetic["seed"] = given["data_seed"]
+    flags = {f.name: given[f.name] for f in fields(harness.ExperimentConfig) if f.name in given}
+    flags["synthetic"] = file.get("synthetic", {}) | synthetic
+    return config_from_dict(defaults | file | flags)
 
 
 def _load_store(args, cfg):
@@ -175,17 +182,7 @@ def _write_feature_store(store, path):
 
 
 def _cmd_synth(args):
-    templates = default_templates(
-        pos_noise_mm=args.pos_noise, rot_noise_deg=args.rot_noise
-    )
-    samples = generate_synthetic(
-        templates=templates,
-        subjects=args.subjects,
-        reps=args.reps,
-        seed=args.seed,
-        translation_mm=args.translation,
-        image_size=args.image_size,
-    )
+    samples = load_samples(_build_config(args))
     manifest = save_dataset(samples, args.out)
     counts = dataset_summary(samples)
     print(f"wrote {len(samples)} samples over {len(counts)} (subject, gesture) groups")
@@ -204,12 +201,11 @@ def _cmd_extract(args):
     return 0
 
 
-def _preprocessing_from_args(args, cfg, store):
-    """The preprocessing fitted on all rows of `store` and those rows through it."""
-    k = args.k if args.k is not None else cfg.k_values[0]
-    retention = _parse_values(args.retention)[0] if args.retention else cfg.retentions[0]
-    raw, fusion = raw_features(store, FeatureMask.parse(cfg.features), cfg.use_hog, k)
-    return fit_preprocessing(raw, fusion, retention)
+def _preprocessing_from_args(cfg, store):
+    """The preprocessing of the first K and retention, fitted on all rows
+    of `store`, and those rows through it."""
+    raw, fusion = raw_features(store, FeatureMask.parse(cfg.features), cfg.use_hog, cfg.k_values[0])
+    return fit_preprocessing(raw, fusion, cfg.retentions[0])
 
 
 def _cmd_train(args):
@@ -221,7 +217,7 @@ def _cmd_train(args):
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     store = _load_store(args, cfg)
-    pre, projected = _preprocessing_from_args(args, cfg, store)
+    pre, projected = _preprocessing_from_args(cfg, store)
 
     if params is None:
         params, _ = grid_search(
@@ -275,7 +271,7 @@ def _cmd_predict(args):
 def _cmd_grid_search(args):
     cfg = _build_config(args)
     store = _load_store(args, cfg)
-    _, projected = _preprocessing_from_args(args, cfg, store)
+    _, projected = _preprocessing_from_args(cfg, store)
     params, table = grid_search(
         projected,
         store.labels,
@@ -314,9 +310,7 @@ def _cmd_ablation(args):
 
 
 def _cmd_sweep(args):
-    cfg, raw = _build_config(args, return_raw=True)
-    if args.repetitions is None and "repetitions" not in raw:
-        cfg.repetitions = 10  # sweeps default to fewer repetitions per cell
+    cfg = _build_config(args, repetitions=10)  # sweeps default to fewer repetitions per cell
     report = fusion_sweep(cfg)
     return _finish_report(report, args.out_dir)
 
@@ -338,13 +332,15 @@ def build_parser():
 
     p = sub.add_parser("synth", help="generate a synthetic dataset on disk")
     p.add_argument("--out", required=True, help="output dataset directory")
-    p.add_argument("--subjects", type=int, default=13)
-    p.add_argument("--reps", type=int, default=20)
-    p.add_argument("--seed", type=int, default=2024)
-    p.add_argument("--pos-noise", type=float, default=3.0, help="fingertip noise sigma, mm")
-    p.add_argument("--rot-noise", type=float, default=10.0, help="rotation noise sigma, deg")
-    p.add_argument("--translation", type=float, default=100.0, help="translation half-range, mm")
-    p.add_argument("--image-size", type=int, default=240)
+    p.add_argument("--subjects", type=int)
+    p.add_argument("--reps", type=int)
+    p.add_argument("--seed", dest="data_seed", type=int)
+    p.add_argument("--pos-noise", dest="pos_noise_mm", type=float, help="fingertip noise sigma, mm")
+    p.add_argument("--rot-noise", dest="rot_noise_deg", type=float, help="rotation noise sigma, deg")
+    p.add_argument(
+        "--translation", dest="translation_mm", type=float, help="translation half-range, mm"
+    )
+    p.add_argument("--image-size", type=int)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("extract", help="extract features into an .npz file")
@@ -355,8 +351,7 @@ def build_parser():
     p = sub.add_parser("train", help="fit preprocessing and a multi-class model")
     _add_override_args(p)
     p.add_argument("--features-file", help="reuse features from an extract .npz")
-    p.add_argument("--k", type=float, help="fusion weight for the HOG segment")
-    p.add_argument("--retention", help="PCA retention (float fraction, int count, or none)")
+    _add_one_value_args(p)
     p.add_argument("--c", type=float, help="fixed C (skips grid search with --gamma)")
     p.add_argument("--gamma", type=float, help="fixed gamma (skips grid search with --c)")
     p.add_argument("--out", required=True, help="output model.json path")
@@ -372,8 +367,7 @@ def build_parser():
     p = sub.add_parser("grid-search", help="cross-validated hyper-parameter search")
     _add_override_args(p)
     p.add_argument("--features-file", help="reuse features from an extract .npz")
-    p.add_argument("--k", type=float)
-    p.add_argument("--retention")
+    _add_one_value_args(p)
     p.add_argument("--out", help="output CV-table CSV")
     p.set_defaults(func=_cmd_grid_search)
 

@@ -52,6 +52,12 @@ class SyntheticSpec:
     translation_mm: float = 100.0
     image_size: int = 240
 
+    def __post_init__(self):
+        if min(self.subjects, self.reps, self.image_size) < 1:
+            raise ValueError("subjects, reps and image_size must be >= 1")
+        if min(self.pos_noise_mm, self.rot_noise_deg, self.translation_mm) < 0:
+            raise ValueError("pos_noise_mm, rot_noise_deg and translation_mm must be >= 0")
+
 
 @dataclass
 class ExperimentConfig:
@@ -88,6 +94,8 @@ class ExperimentConfig:
             raise ConfigError("folds must be >= 2")
         if not self.k_values or not self.retentions:
             raise ConfigError("k_values and retentions must be non-empty")
+        if not all(0.0 <= k < math.inf for k in self.k_values):
+            raise ConfigError("k_values must be finite and >= 0")
         if not self.c_grid or not self.gamma_grid:
             raise ConfigError("c_grid and gamma_grid must be non-empty")
         if not all(v > 0 for v in (*self.c_grid, *self.gamma_grid)):
@@ -128,7 +136,11 @@ def _dataclass_from_dict(cls, data, where):
     unknown = set(data) - set(kinds)
     if unknown:
         raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
-    return cls(**{key: _typed(kinds[key], value, f"{where}.{key}") for key, value in data.items()})
+    values = {key: _typed(kinds[key], value, f"{where}.{key}") for key, value in data.items()}
+    try:
+        return cls(**values)
+    except ValueError as exc:  # a range rule of the dataclass's __post_init__
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _typed(kind, value, where):
@@ -433,8 +445,6 @@ def fusion_sweep(cfg, k_values=None, retentions=None, store=None):
     """Full fusion-weight x retention accuracy grid on fused features."""
     k_values = tuple(k_values if k_values is not None else cfg.k_values)
     retentions = tuple(retentions if retentions is not None else cfg.retentions)
-    if not k_values or not retentions:
-        raise ConfigError("sweep grids must be non-empty")
     sweep_cfg = replace(cfg, use_hog=True, k_values=k_values, retentions=retentions)
     return run_experiment(sweep_cfg, store=store)
 

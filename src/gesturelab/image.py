@@ -293,6 +293,12 @@ class HogParams:
     bins: int = 9
     clip: float = 0.2
 
+    def __post_init__(self):
+        if min(self.cell_size, self.block_cells, self.block_stride, self.bins) < 1:
+            raise ValueError("cell_size, block_cells, block_stride and bins must be >= 1")
+        if not self.clip > 0:
+            raise ValueError("clip must be > 0")
+
 
 @dataclass
 class HogDescriptor:
@@ -419,6 +425,12 @@ class ImagePipelineConfig:
     hog_size: tuple[int, int] = (64, 64)
     hog: HogParams = field(default_factory=HogParams)
     use_both_images: bool = False
+
+    def __post_init__(self):
+        if min(*self.undistort_size, *self.hog_size) < 1:
+            raise ValueError("undistort_size and hog_size must be at least 1x1")
+        if self.crop_margin < 0:
+            raise ValueError("crop_margin must be >= 0")
 
     def descriptor_length(self):
         per_image = hog_length(self.hog_size[0], self.hog_size[1], self.hog)

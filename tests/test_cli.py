@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gesturelab.cli import main
-from gesturelab.data import load_dataset
+from gesturelab.data import default_templates, generate_synthetic, load_dataset, save_dataset
 from gesturelab.image import UndistortionMap
 from gesturelab.svm import load_model
 
@@ -164,6 +164,56 @@ def test_sweep_command(tmp_path, dataset_dir):
     assert len(lines) == 1 + 2 * 2  # two cells x (1 rep + mean)
 
 
+def test_sweep_defaults_to_ten_repetitions_unless_configured(tmp_path, dataset_dir):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"repetitions": 3}))
+    flags = (
+        "--manifest", dataset_dir, "--k-values", 1.0, "--retentions", "none",
+        "--c-grid", 10, "--gamma-grid", 0.02, "--folds", 2,
+    )
+    for config, repetitions in (((), 10), (("--config", cfg_path), 3)):
+        out_dir = tmp_path / f"out{repetitions}"
+        assert run_cli("sweep", *config, *flags, "--out-dir", out_dir) == 0
+        lines = (out_dir / "report.csv").read_text().strip().split("\n")
+        assert len(lines) == 1 + repetitions + 1  # header, one row per repetition, mean
+
+
+def test_synth_flags_fill_synthetic_spec(tmp_path):
+    out = tmp_path / "cli"
+    code = run_cli(
+        "synth", "--out", out, "--subjects", 1, "--reps", 3, "--seed", 5, "--pos-noise", 0,
+        "--rot-noise", 0, "--translation", 0, "--image-size", 64,
+    )
+    assert code == 0
+    samples = generate_synthetic(
+        templates=default_templates(pos_noise_mm=0.0, rot_noise_deg=0.0),
+        subjects=1,
+        reps=3,
+        seed=5,
+        translation_mm=0.0,
+        image_size=64,
+    )
+    save_dataset(samples, tmp_path / "direct")
+    written = sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+    assert len(written) == 1 + 2 * 30  # manifest, one frame and one image per sample
+    for rel in written:
+        assert (out / rel).read_bytes() == (tmp_path / "direct" / rel).read_bytes(), rel
+
+
+def test_one_value_flags_are_k_values_and_retentions(tmp_path, dataset_dir):
+    fixed = ("train", "--manifest", dataset_dir, "--c", 10.0, "--gamma", 0.02, "--out")
+    spellings = {
+        "one_value": ("--k", 2, "--retention", 0.9),
+        "lists": ("--k-values", 2, "--retentions", 0.9),
+        "last_wins": ("--k-values", 5, "--k", 2, "--retention", 0.5, "--retentions", 0.9),
+    }
+    models = {}
+    for name, flags in spellings.items():
+        assert run_cli(*fixed, tmp_path / f"{name}.json", *flags) == 0, name
+        models[name] = (tmp_path / f"{name}.json").read_bytes()
+    assert models["one_value"] == models["lists"] == models["last_wins"]
+
+
 def test_show_config_merges_flags(capsys):
     assert run_cli("show-config", "--seed", 123, "--no-hog") == 0
     merged = json.loads(capsys.readouterr().out)
@@ -182,6 +232,55 @@ def test_exit_code_config_error(tmp_path):
         assert run_cli("show-config", "--config", cfg_path) == 1, content
     assert run_cli("grid-search", "--folds", 1) == 1
     assert run_cli("train", "--c", -1, "--gamma", 0.1, "--out", "x.json") == 1
+
+
+BAD_VALUES = [
+    ("show-config", "--k-values", "none"),
+    ("show-config", "--k-values", -1),
+    ("show-config", "--c-grid", "none"),
+    ("show-config", "--gamma-grid", "0.1,none"),
+    ("show-config", "--c-grid", "abc"),
+    ("show-config", "--k-values", "inf"),
+    ("show-config", "--retentions", "nan"),
+    ("show-config", "--reps", 0),
+    ("train", "--k", -1),
+    ("train", "--retention", 0),
+    ("train", "--retention", 1.5),
+    ("train", "--retention", "x"),
+    ("synth", "--subjects", 0),
+    ("synth", "--pos-noise", -1),
+    ("synth", "--image-size", 0),
+    ("report", "--subjects", 0),
+    ({"image": {"hog": {"cell_size": 0}}},),
+    ({"image": {"hog": {"bins": 0}}},),
+    ({"image": {"hog": {"block_stride": 0}}},),
+    ({"image": {"hog_size": [0, 0]}},),
+    ({"image": {"crop_margin": -3}},),
+    ({"k_values": [-1.0]},),
+    ([1], "--subjects", 2),
+    ({"synthetic": 5}, "--subjects", 2),
+]
+
+
+@pytest.mark.parametrize(
+    "case", BAD_VALUES, ids=lambda case: " ".join(json.dumps(v) for v in case)
+)
+def test_bad_value_exits_with_config_error(case, tmp_path, dataset_dir, capsys):
+    """Out-of-range flags and config values exit 1 with a message, never a traceback.
+
+    A case that starts with a JSON value runs show-config on it as a config file.
+    """
+    command, *flags = case
+    if command == "train":
+        fixed = ["--manifest", dataset_dir, "--c", 10, "--gamma", 0.1, "--out", tmp_path / "m.json"]
+        flags = fixed + flags
+    elif command == "synth":
+        flags = ["--out", tmp_path / "ds", *flags]
+    elif not isinstance(command, str):
+        (tmp_path / "cfg.json").write_text(json.dumps(command))
+        command, flags = "show-config", ["--config", tmp_path / "cfg.json", *flags]
+    assert run_cli(command, *flags) == 1
+    assert capsys.readouterr().err.startswith("config error:")
 
 
 def test_exit_code_config_file_missing(tmp_path):
