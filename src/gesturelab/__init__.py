@@ -62,6 +62,7 @@ from .image import (
     undistort,
     write_pgm,
 )
+from .smo import smo_solve
 from .svm import (
     KernelParams,
     MulticlassSvm,
@@ -73,7 +74,6 @@ from .svm import (
     rbf_kernel,
     rbf_kernel_matrix,
     save_model,
-    smo_solve,
     train_multiclass,
 )
 from .tracking import (

@@ -69,9 +69,19 @@ def _one_value(text):
     return [value]
 
 
-def _add_override_args(p):
+def _add_source_args(p):
+    """Flags over the config file that choose the samples and how they are read."""
     p.add_argument("--config", help="JSON experiment config file")
     p.add_argument("--manifest", help="dataset manifest path (overrides config)")
+    p.add_argument("--subjects", type=int, help="synthetic subjects (overrides config)")
+    p.add_argument("--reps", type=int, help="synthetic repetitions per gesture")
+    p.add_argument("--data-seed", type=int, help="synthetic dataset seed")
+    p.add_argument("--undistort-map", help="calibration map file for raw images")
+
+
+def _add_override_args(p):
+    """The sample flags plus every experiment flag over the config file."""
+    _add_source_args(p)
     p.add_argument("--features", help="tracking feature mask, e.g. ang+dist+tip")
     hog = p.add_mutually_exclusive_group()
     hog.add_argument("--use-hog", dest="use_hog", action="store_true", default=None)
@@ -87,10 +97,6 @@ def _add_override_args(p):
     p.add_argument("--train-fraction", type=float)
     p.add_argument("--seed", type=int, help="master experiment seed")
     p.add_argument("--grid-mode", choices=["per_cell", "per_repetition"])
-    p.add_argument("--subjects", type=int, help="synthetic subjects (overrides config)")
-    p.add_argument("--reps", type=int, help="synthetic repetitions per gesture")
-    p.add_argument("--data-seed", type=int, help="synthetic dataset seed")
-    p.add_argument("--undistort-map", help="calibration map file for raw images")
 
 
 def _add_one_value_args(p):
@@ -357,8 +363,13 @@ def build_parser():
     p.add_argument("--out", required=True, help="output model.json path")
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("predict", help="classify a dataset with a trained model")
-    _add_override_args(p)
+    # The model fixes the features and the classifier, so predict takes
+    # only the flags that choose the samples.  Without abbreviations,
+    # --features is not read as --features-file.
+    p = sub.add_parser(
+        "predict", help="classify a dataset with a trained model", allow_abbrev=False
+    )
+    _add_source_args(p)
     p.add_argument("--model", required=True)
     p.add_argument("--features-file", help="reuse features from an extract .npz")
     p.add_argument("--out", required=True, help="output predictions CSV")

@@ -185,27 +185,15 @@ def fit_pca(data, retained_fraction=None, n_components=None):
 
     mean = data.mean(axis=0)
     centered = data - mean
-    if d <= n:
-        cov = centered.T @ centered / (n - 1)
-        eigvals, eigvecs = np.linalg.eigh(cov)
-        components = eigvecs.T
-    else:
+    gram_route = d > n
+    if gram_route:
         # Work on the smaller Gram matrix; it shares the nonzero spectrum.
-        gram = centered @ centered.T / (n - 1)
-        eigvals, eigvecs = np.linalg.eigh(gram)
-        components = np.zeros((len(eigvals), d))
-        for i, val in enumerate(eigvals):
-            if val > 0:
-                vec = centered.T @ eigvecs[:, i]
-                norm = np.linalg.norm(vec)
-                if norm > 0:
-                    components[i] = vec / norm
+        eigvals, eigvecs = np.linalg.eigh(centered @ centered.T / (n - 1))
+    else:
+        eigvals, eigvecs = np.linalg.eigh(centered.T @ centered / (n - 1))
 
     order = np.argsort(-eigvals, kind="stable")
-    eigvals = eigvals[order]
-    components = components[order]
-
-    eigvals = np.clip(eigvals, 0.0, None)
+    eigvals = np.clip(eigvals[order], 0.0, None)
     if eigvals[0] <= 0.0:
         raise DegenerateData("data has zero total variance (all rows identical)")
     eigvals[eigvals < eigvals[0] * RANK_TOL] = 0.0
@@ -222,7 +210,17 @@ def fit_pca(data, retained_fraction=None, n_components=None):
         k = int(np.searchsorted(cumulative, target, side="left")) + 1
         k = min(k, rank)
 
-    components = components[:k].copy()
+    if gram_route:
+        # Only the kept components are mapped back to the d input dims;
+        # their eigenvalues are positive, as k <= rank.
+        components = np.zeros((k, d))
+        for row, i in zip(components, order[:k]):
+            vec = centered.T @ eigvecs[:, i]
+            norm = np.linalg.norm(vec)
+            if norm > 0:
+                row[:] = vec / norm
+    else:
+        components = eigvecs.T[order[:k]]
     for row in components:
         if row[np.argmax(np.abs(row))] < 0:
             row *= -1.0

@@ -414,7 +414,8 @@ def _l2_hys(v, clip):
 class ImagePipelineConfig:
     """End-to-end settings for the image branch of the pipeline.
 
-    `threshold` None selects Otsu binarization.  With `use_both_images`
+    `threshold` None selects Otsu binarization; an integer in 1..255
+    makes the pixels at or above it foreground.  With `use_both_images`
     the descriptors of both sensor images are concatenated; the default
     uses the first image only.
     """
@@ -431,6 +432,8 @@ class ImagePipelineConfig:
             raise ValueError("undistort_size and hog_size must be at least 1x1")
         if self.crop_margin < 0:
             raise ValueError("crop_margin must be >= 0")
+        if self.threshold is not None and not 1 <= self.threshold <= 255:
+            raise ValueError("threshold must be None or an integer in 1..255")
 
     def descriptor_length(self):
         per_image = hog_length(self.hog_size[0], self.hog_size[1], self.hog)

@@ -1,14 +1,9 @@
-"""Soft-margin RBF support-vector machines trained with an SMO solver.
+"""Soft-margin one-vs-one RBF support-vector machines.
 
-Each unordered class pair solves the standard binary dual
-
-    minimize    0.5 a' Q a - sum(a)      with Q_ij = y_i y_j K(x_i, x_j)
-    subject to  y' a = 0,  0 <= a_i <= C
-
-by sequential minimal optimization with second-order working set
-selection (Fan, Chen & Lin, 2005), LIBSVM's default.  The pairs form one
-model table, as in LIBSVM: each support vector stored once and one
-coefficient column per pair, so the decision values of all pairs are
+Each unordered class pair solves the binary SVM dual by SMO (`smo.py`);
+the pairs of one fit are solved there together, in lockstep.  The pairs
+form one model table, as in LIBSVM: each support vector stored once and
+one coefficient column per pair, so the decision values of all pairs are
 `K @ coef + bias`.  Prediction is by majority vote; ties are broken by
 the largest sum of absolute decision values over the pairs involving
 each tied class, then by class order.  Hyper-parameters are selected by
@@ -31,18 +26,15 @@ from .data import stratified_folds
 from .errors import (
     DimensionMismatch,
     InsufficientData,
-    NumericalError,
     ParseError,
     SchemaVersionMismatch,
     SingleClassData,
 )
 from .fusion import FusionConfig, PcaModel, fuse_matrix
+from .smo import DEFAULT_MAX_ITER, DEFAULT_TOL, _smo_lockstep
+from .smo import smo_solve  # noqa: F401  (part of this module's API)
 
-DEFAULT_TOL = 1e-3
-DEFAULT_MAX_ITER = 1_000_000
 SV_EPS = 1e-8
-# Relative tolerance of the dual equality y'a = 0, in units of c * n.
-EQUALITY_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -96,112 +88,6 @@ def _training_kernel(sq, gamma):
     kernel = np.exp(-gamma * sq)
     np.fill_diagonal(kernel, 1.0)
     return kernel
-
-
-@dataclass
-class SmoResult:
-    alpha: np.ndarray
-    bias: float
-    converged: bool
-    iterations: int
-    # Final KKT violation max(v | up) - min(v | low), 0 if either set is empty.
-    gap: float
-
-
-def smo_solve(kernel, y, c, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
-    """Solve the SVM dual for labels y in {-1, +1}.
-
-    `kernel` is the dense (n, n) training kernel matrix, as LIBSVM's
-    precomputed-kernel mode takes it.  With v = -y * gradient, each
-    update picks its pair by second-order working set selection (Fan,
-    Chen & Lin, JMLR 6, 2005; LIBSVM's default): i maximises v over the
-    rows whose alpha may move up along y, and j is the row t that may
-    move down with b_t = v_i - v_t > 0 maximising b_t^2 / a_t, where
-    a_t = max(K_ii + K_tt - 2 K_it, 1e-12); ties go to the first row.
-    The step b_j / a_j is capped at the box.  Updates stop when the KKT
-    violation gap max(v | up) - min(v | low) drops to `tol` or the
-    iteration budget is spent.  Returns multipliers, the bias (averaged
-    over free support vectors, or the midpoint of the feasible interval
-    if none are free), a convergence flag, the update count and the
-    final gap.  A non-finite or infeasible result (for example from a
-    kernel holding NaN) raises NumericalError.
-    """
-    y = np.asarray(y, dtype=float)
-    n = y.size
-    kernel = np.asarray(kernel, dtype=float)
-    if kernel.shape != (n, n):
-        raise DimensionMismatch(f"kernel is {kernel.shape}, labels need ({n}, {n})")
-    diag = kernel.diagonal()
-    # a_it of every pair of rows, computed once per solve.
-    curvature = np.add.outer(diag, diag) - 2.0 * kernel
-    np.maximum(curvature, 1e-12, out=curvature)
-    alpha = np.zeros(n)
-    pos = y > 0
-    # v = -y * gradient of the dual objective, which is -1 at alpha = 0.
-    v = y.copy()
-    # Penalties marking the rows whose alpha may move up / down along y:
-    # 0 in the set, -inf outside.  At alpha = 0 the positives may move up
-    # and the negatives down.  Only rows i and j change per update.
-    blocked = -np.inf
-    up = np.where(pos, 0.0, blocked)
-    low = np.where(pos, blocked, 0.0)
-    # Scalar work per update runs on Python floats, which is cheaper than
-    # numpy scalars and rounds the same (IEEE double).
-    is_pos = pos.tolist()
-    signs = y.tolist()
-
-    converged = False
-    iterations = 0
-    b = np.empty(n)
-    while iterations < max_iter:
-        np.add(v, up, out=b)
-        i = int(b.argmax())
-        v_i = v.item(i)
-        # b = v_i - v on the low set and -inf off it, so its maximum is the
-        # gap, and -inf when either set is empty.
-        np.subtract(v_i, v, out=b)
-        b += low
-        if b.max() <= tol:
-            converged = True
-            break
-        # Clipped at 0, rows off the low set or with b <= 0 score 0, below
-        # every candidate.
-        curv = curvature[i]
-        np.maximum(b, 0.0, out=b)
-        b *= b
-        b /= curv
-        j = int(b.argmax())
-
-        a_i, a_j = alpha.item(i), alpha.item(j)
-        cap_i = (c - a_i) if is_pos[i] else a_i
-        cap_j = a_j if is_pos[j] else (c - a_j)
-        step = min((v_i - v.item(j)) / curv.item(j), cap_i, cap_j)
-
-        a_i = min(max(a_i + signs[i] * step, 0.0), c)
-        a_j = min(max(a_j - signs[j] * step, 0.0), c)
-        alpha[i], alpha[j] = a_i, a_j
-        v -= step * (kernel[i] - kernel[j])
-        for k, a_k in ((i, a_i), (j, a_j)):
-            grows, shrinks = (a_k < c, a_k > 0.0) if is_pos[k] else (a_k > 0.0, a_k < c)
-            up[k] = 0.0 if grows else blocked
-            low[k] = 0.0 if shrinks else blocked
-        iterations += 1
-
-    up_rows, low_rows = up == 0.0, low == 0.0
-    hi = v[up_rows].max() if up_rows.any() else 0.0
-    lo = v[low_rows].min() if low_rows.any() else 0.0
-    gap = float(hi - lo) if up_rows.any() and low_rows.any() else 0.0
-    free = (alpha > 0.0) & (alpha < c)
-    bias = float(np.mean(v[free])) if free.any() else float(0.5 * (hi + lo))
-
-    # Dual feasibility must hold regardless of convergence.  Each update
-    # keeps y'a = 0 up to rounding of terms no larger than c, so the
-    # tolerance scales with c and n.
-    if not (np.isfinite(alpha).all() and np.isfinite(bias)):
-        raise NumericalError(f"SMO produced a non-finite solution after {iterations} updates")
-    if alpha.min() < 0.0 or alpha.max() > c or abs(np.dot(alpha, y)) > EQUALITY_RTOL * c * n:
-        raise NumericalError(f"SMO produced an infeasible dual solution after {iterations} updates")
-    return SmoResult(alpha=alpha, bias=bias, converged=converged, iterations=iterations, gap=gap)
 
 
 # ---------------------------------------------------------------------------
@@ -276,26 +162,25 @@ def _fit_pairs(kernel, labels, classes, c, max_iter):
     """SMO on every class pair of one training kernel, in class-pair order.
 
     `kernel` is the (n, n) Gram matrix of the rows that `labels` labels.
-    A pair trains on its rows' block `kernel[np.ix_(rows, rows)]` with
-    y = +1 for its first class.  Its support vectors are the rows with
-    alpha > SV_EPS, or with alpha > 0 if none exceeds SV_EPS.  Returns
-    (coef, bias, converged): the (n, pairs) matrix of alpha_i * y_i of
-    each pair's support vectors, zero elsewhere, and (pairs,) biases and
-    convergence flags.  Pairs are trained one after another: the SMO
-    loop holds the interpreter lock, so a thread pool does not pay.
+    A pair trains on its rows of `kernel` with y = +1 for its first
+    class; all pairs are solved together by `_smo_lockstep`.  A pair's
+    support vectors are the rows with alpha > SV_EPS, or with alpha > 0
+    if none exceeds SV_EPS.  Returns (coef, bias, converged): the
+    (n, pairs) matrix of alpha_i * y_i of each pair's support vectors,
+    zero elsewhere, and (pairs,) biases and convergence flags.
     """
     pairs = class_pairs(classes)
+    rows = [np.flatnonzero((labels == ci) | (labels == cj)) for ci, cj in pairs]
+    signs = [np.where(labels[r] == ci, 1.0, -1.0) for r, (ci, _) in zip(rows, pairs)]
+    results = _smo_lockstep(kernel, rows, signs, c, DEFAULT_TOL, max_iter)
     coef = np.zeros((len(labels), len(pairs)))
     bias = np.zeros(len(pairs))
     converged = np.zeros(len(pairs), dtype=bool)
-    for p, (ci, cj) in enumerate(pairs):
-        rows = np.flatnonzero((labels == ci) | (labels == cj))
-        y = np.where(labels[rows] == ci, 1.0, -1.0)
-        result = smo_solve(kernel[np.ix_(rows, rows)], y, c, max_iter=max_iter)
+    for p, (r, y, result) in enumerate(zip(rows, signs, results)):
         sv = result.alpha > SV_EPS
         if not sv.any():
             sv = result.alpha > 0.0
-        coef[rows[sv], p] = (result.alpha * y)[sv]
+        coef[r[sv], p] = (result.alpha * y)[sv]
         bias[p], converged[p] = result.bias, result.converged
     return coef, bias, converged
 

@@ -134,8 +134,15 @@ def dual_objective(K, y, alpha):
 
 
 def smo_reference(kernel, y, c, tol, max_iter):
+    """(alpha, bias, converged, iterations) of smo_reference_run."""
+    return smo_reference_run(kernel, y, c, tol, max_iter)[:4]
+
+
+def smo_reference_run(kernel, y, c, tol, max_iter):
     """SMO kept in its plain form: gradient-based, index sets rebuilt over
-    all rows each iteration.  Returns (alpha, bias, converged, iterations).
+    all rows each iteration.  Returns (alpha, bias, converged, iterations,
+    gap), the gap being the final max(v | up) - min(v | low), or 0 if
+    either set is empty.
 
     Same second-order working set selection, step, stopping rule and bias
     as the library's solver, so the two must agree exactly: i maximises
@@ -181,16 +188,17 @@ def smo_reference(kernel, y, c, tol, max_iter):
         iterations += 1
 
     v = -y * grad
+    up = (pos & (alpha < c)) | (~pos & (alpha > 0.0))
+    low = (pos & (alpha > 0.0)) | (~pos & (alpha < c))
+    hi = v[up].max() if up.any() else 0.0
+    lo = v[low].min() if low.any() else 0.0
+    gap = float(hi - lo) if up.any() and low.any() else 0.0
     free = (alpha > 0.0) & (alpha < c)
     if free.any():
         bias = float(np.mean(v[free]))
     else:
-        up = (pos & (alpha < c)) | (~pos & (alpha > 0.0))
-        low = (pos & (alpha > 0.0)) | (~pos & (alpha < c))
-        hi = v[up].max() if up.any() else 0.0
-        lo = v[low].min() if low.any() else 0.0
         bias = float(0.5 * (hi + lo))
-    return alpha, bias, converged, iterations
+    return alpha, bias, converged, iterations, gap
 
 
 # ---------------------------------------------------------------------------

@@ -256,6 +256,9 @@ BAD_VALUES = [
     ({"image": {"hog": {"block_stride": 0}}},),
     ({"image": {"hog_size": [0, 0]}},),
     ({"image": {"crop_margin": -3}},),
+    ({"image": {"threshold": 1000}},),
+    ({"image": {"threshold": 0}},),
+    ({"image": {"threshold": -5}},),
     ({"k_values": [-1.0]},),
     ([1], "--subjects", 2),
     ({"synthetic": 5}, "--subjects", 2),
@@ -280,6 +283,26 @@ def test_bad_value_exits_with_config_error(case, tmp_path, dataset_dir, capsys):
         (tmp_path / "cfg.json").write_text(json.dumps(command))
         command, flags = "show-config", ["--config", tmp_path / "cfg.json", *flags]
     assert run_cli(command, *flags) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--features", "ang"), ("--use-hog",), ("--no-hog",), ("--k-values", 7),
+        ("--retentions", 1), ("--c-grid", 5), ("--gamma-grid", 9), ("--folds", 3),
+        ("--repetitions", 7), ("--train-fraction", 0.5), ("--seed", 4),
+        ("--grid-mode", "per_repetition"),
+    ],
+)
+def test_predict_refuses_feature_flags(flags, tmp_path, capsys):
+    """The model fixes the features and the classifier, so predict takes
+    no flag that sets them."""
+    code = run_cli(
+        "predict", "--model", tmp_path / "m.json", "--features-file", tmp_path / "f.npz",
+        "--out", tmp_path / "p.csv", *flags,
+    )
+    assert code == 1
     assert capsys.readouterr().err.startswith("config error:")
 
 
@@ -396,16 +419,31 @@ def test_exit_code_feature_file_missing_arrays(tmp_path):
         assert code == 2, name
 
 
-def test_exit_code_nonconvergence(tmp_path, dataset_dir):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"svm_max_iter": 1, "use_hog": False}))
+def test_train_grid_on_single_class_is_a_data_error(tmp_path, capsys):
+    features = tmp_path / "f.npz"
+    np.savez(features, **_feature_arrays(labels=np.zeros(6, dtype=int)))
     code = run_cli(
-        "train",
-        "--config", cfg_path,
-        "--manifest", dataset_dir,
-        "--c", 10.0,
-        "--gamma", 0.5,
-        "--out", tmp_path / "model.json",
+        "train", "--features-file", features, "--c-grid", 1, "--gamma-grid", 0.1,
+        "--folds", 2, "--out", tmp_path / "model.json",
     )
-    assert code == 3
-    assert (tmp_path / "model.json").exists()  # model still written, flagged
+    assert code == 2
+    assert capsys.readouterr().err.startswith("data error:")
+
+
+def test_exit_code_nonconvergence(tmp_path, dataset_dir):
+    # A budget below 0 runs no update, as a budget of 0 does.
+    for budget in (1, -1):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"svm_max_iter": budget, "use_hog": False}))
+        model_path = tmp_path / f"model{budget}.json"
+        code = run_cli(
+            "train",
+            "--config", cfg_path,
+            "--manifest", dataset_dir,
+            "--c", 10.0,
+            "--gamma", 0.5,
+            "--out", model_path,
+        )
+        assert code == 3, budget
+        flags = json.loads(model_path.read_text())["converged"]  # still written, flagged
+        assert not all(flags), budget

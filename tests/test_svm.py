@@ -14,10 +14,15 @@ from gesturelab.errors import (
 )
 from gesturelab.fusion import FusionConfig, fit_pca
 from gesturelab.svm import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
     SV_EPS,
     KernelParams,
     MulticlassSvm,
     Preprocessing,
+    _fit_pairs,
+    _smo_lockstep,
+    class_pairs,
     classify,
     decision_table,
     grid_search,
@@ -32,7 +37,13 @@ from gesturelab.svm import (
     vote_table,
 )
 from gesturelab.tracking import FeatureMask
-from oracles import dual_objective, jacobi_eigh, smo_reference, svm_dual_solve_pg
+from oracles import (
+    dual_objective,
+    jacobi_eigh,
+    smo_reference,
+    smo_reference_run,
+    svm_dual_solve_pg,
+)
 
 
 def make_blobs(rng, centers, per_class=20, spread=0.4):
@@ -213,6 +224,59 @@ def test_smo_gap_is_final_kkt_violation():
             assert result.gap <= 1e-3, k
 
 
+def lockstep_fits():
+    """Seeded multi-class fits (k, K, labels, c): classes of 3 to 24 rows, so
+    the pair problems differ in size, and at C = 1000 their iteration counts
+    differ by up to 80x."""
+    rng = np.random.default_rng(11)
+    for k in range(6):
+        m = int(rng.integers(3, 6))
+        sizes = rng.integers(3, 25, size=m)
+        centers = rng.normal(0.0, 1.0, size=(m, 2))
+        X = np.vstack([rng.normal(ctr, 0.8, size=(s, 2)) for ctr, s in zip(centers, sizes)])
+        labels = rng.permutation(np.repeat(np.arange(m), sizes))
+        K = rbf_kernel_matrix(X, X, rng.uniform(0.2, 2.0))
+        np.fill_diagonal(K, 1.0)
+        yield k, K, labels, (1.0, 1000.0)[k % 2]
+
+
+def test_lockstep_pairs_equal_reference_per_pair():
+    # _fit_pairs solves every pair of a fit in one lockstep loop; each pair
+    # must still get the reference loop's result on its own block, bit for
+    # bit, while the other pairs stop around it.  The second budget is the
+    # median iteration count, so it stops about half the pairs.
+    budget_hits = 0
+    for k, K, labels, c in lockstep_fits():
+        classes = list(np.unique(labels))
+        pairs = class_pairs(classes)
+        rows = [np.flatnonzero((labels == ci) | (labels == cj)) for ci, cj in pairs]
+        signs = [np.where(labels[r] == ci, 1.0, -1.0) for r, (ci, _) in zip(rows, pairs)]
+        blocks = [K[np.ix_(r, r)] for r in rows]
+
+        def reference(max_iter):
+            return [
+                smo_reference_run(B, y, c, DEFAULT_TOL, max_iter) for B, y in zip(blocks, signs)
+            ]
+
+        counts = sorted(run[3] for run in reference(DEFAULT_MAX_ITER))
+        assert len({len(r) for r in rows}) > 1 and counts[-1] - counts[0] >= 9, k
+        # A budget of 0 or below runs no update and stops every pair.
+        for max_iter in (DEFAULT_MAX_ITER, counts[len(counts) // 2], 0, -1):
+            results = _smo_lockstep(K, rows, signs, c, DEFAULT_TOL, max_iter)
+            coef, bias, converged = _fit_pairs(K, labels, classes, c, max_iter)
+            for p, (result, run) in enumerate(zip(results, reference(max_iter))):
+                alpha, b, conv, iterations, gap = run
+                assert result.alpha.tobytes() == alpha.tobytes(), (k, p)
+                got = (result.bias, result.converged, result.iterations, result.gap)
+                assert got == (b, conv, iterations, gap), (k, p)
+                assert (bias[p], converged[p]) == (b, conv), (k, p)
+                pair_coef = np.zeros(len(labels))
+                pair_coef[rows[p]] = np.where(alpha > SV_EPS, alpha * signs[p], 0.0)
+                assert coef[:, p].tobytes() == pair_coef.tobytes(), (k, p)
+                budget_hits += not conv
+    assert budget_hits >= 10
+
+
 def test_smo_curvature_edge_cases_match_projected_gradient_oracle(rng):
     # Rows duplicated with opposite labels have a = K_ii + K_tt - 2 K_it = 0,
     # clamped to 1e-12; a linear kernel plus a constant has a diagonal other
@@ -391,6 +455,18 @@ def test_grid_search_single_cell(rng):
     params, table = grid_search(X, y, [7.0], [0.3], folds=2, seed=3)
     assert params == KernelParams(c=7.0, gamma=0.3)
     assert len(table) == 1
+
+
+def test_grid_search_single_class_leaves_the_error_to_training(rng):
+    # One class has no pair to solve: every held-out row gets the only
+    # class, and the fit that follows raises the typed error.
+    X, _ = make_blobs(rng, [(0.0, 0.0)], per_class=6)
+    y = np.zeros(6, dtype=int)
+    params, table = grid_search(X, y, [1.0, 10.0], [0.5], folds=2, seed=3)
+    assert [row["accuracy"] for row in table] == [1.0, 1.0]
+    with pytest.raises(SingleClassData):
+        train_multiclass(X, y, params)
+    assert _smo_lockstep(np.eye(2), [], [], 1.0, DEFAULT_TOL, DEFAULT_MAX_ITER) == []
 
 
 def test_grid_search_tie_prefers_smaller_c_then_gamma(rng):
