@@ -92,6 +92,8 @@ class ExperimentConfig:
             raise ConfigError("repetitions must be >= 1")
         if self.folds < 2:
             raise ConfigError("folds must be >= 2")
+        if self.svm_max_iter < 1:
+            raise ConfigError("svm_max_iter must be >= 1")
         if not self.k_values or not self.retentions:
             raise ConfigError("k_values and retentions must be non-empty")
         if not all(0.0 <= k < math.inf for k in self.k_values):

@@ -1,24 +1,20 @@
-"""JSON serialization with explicit float formatting.
+"""Compact JSON files with typed load errors.
 
-Floats are written with 17 significant digits so serialized models
-round-trip bit-exactly through text (``float(format(x, ".17g")) == x``
-for every finite double).  Negative zero is written as ``-0.0``: the
-shorter ``-0`` would read back as the integer 0 and lose its sign.
+Writers hand in plain Python values (lists from ``.tolist()``, ``float``,
+``int``).  Floats are written as ``repr`` writes them: the shortest text
+that reads back to the same double, so save/load round-trips are
+bit-exact, whole-number floats stay floats (``1.0``, not ``1``) and
+negative zero stays ``-0.0``.  NaN and infinity raise ValueError.
 """
 
 import json
-import math
-
-import numpy as np
 
 from .errors import MissingFile, ParseError
 
 
 def dumps(obj):
-    """Serialize `obj` to a compact JSON string with 17-significant-digit floats."""
-    parts = []
-    _encode(obj, parts)
-    return "".join(parts)
+    """`obj` as compact JSON; a NaN or infinite float raises ValueError."""
+    return json.dumps(obj, separators=(",", ":"), allow_nan=False)
 
 
 def dump_path(obj, path):
@@ -40,44 +36,3 @@ def load_path(path):
         raise MissingFile(f"file not found: {path}") from exc
     except ValueError as exc:  # json.JSONDecodeError or UnicodeDecodeError
         raise ParseError(f"{path}: {exc}") from exc
-
-
-def _encode(obj, parts):
-    if obj is None:
-        parts.append("null")
-    elif obj is True:
-        parts.append("true")
-    elif obj is False:
-        parts.append("false")
-    elif isinstance(obj, str):
-        parts.append(json.dumps(obj))
-    elif isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if not math.isfinite(x):
-            raise ValueError(f"cannot serialize non-finite float {x!r}")
-        text = format(x, ".17g")
-        parts.append("-0.0" if text == "-0" else text)
-    elif isinstance(obj, (int, np.integer)):
-        parts.append(str(int(obj)))
-    elif isinstance(obj, np.ndarray):
-        _encode(obj.tolist(), parts)
-    elif isinstance(obj, dict):
-        parts.append("{")
-        for i, (key, value) in enumerate(obj.items()):
-            if i:
-                parts.append(",")
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            parts.append(json.dumps(key))
-            parts.append(":")
-            _encode(value, parts)
-        parts.append("}")
-    elif isinstance(obj, (list, tuple)):
-        parts.append("[")
-        for i, value in enumerate(obj):
-            if i:
-                parts.append(",")
-            _encode(value, parts)
-        parts.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")

@@ -248,12 +248,14 @@ def decision_table(model, X):
 
     Rows pass through the model's preprocessing first.  An input width
     other than the preprocessing's (without preprocessing, the support
-    vectors') raises DimensionMismatch.
+    vectors', if there are any) raises DimensionMismatch.  A model with
+    no support vectors decides by its biases alone.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if model.preprocessing is not None:
         X = model.preprocessing.apply(X)
-    kernel = rbf_kernel_matrix(X, model.support_vectors, model.params.gamma)
+    sv = model.support_vectors
+    kernel = rbf_kernel_matrix(X, sv, model.params.gamma) if len(sv) else np.empty((len(X), 0))
     return _decisions(kernel, model.coef, model.bias)
 
 
@@ -396,7 +398,7 @@ def _v1_table(records):
         pairs.append((rec["first"], rec["second"]))
         blocks.append(vectors)
         columns.append(coefs)
-        params.add((float(rec["c"]), float(rec["gamma"])))
+        params.add((_number(rec["c"]), _number(rec["gamma"])))
     if len(params) != 1:
         raise ValueError(f"pairs must share one C and gamma, got {sorted(params)}")
     vectors, inverse = np.unique(np.vstack(blocks), axis=0, return_inverse=True)
@@ -406,8 +408,22 @@ def _v1_table(records):
     np.add.at(coef, (inverse, pair_of), np.concatenate(columns))
     c, gamma = params.pop()
     bias = [float(rec["bias"]) for rec in records]
-    converged = [bool(rec["converged"]) for rec in records]
+    converged = [_flag(rec["converged"]) for rec in records]
     return pairs, vectors, coef, bias, KernelParams(c=c, gamma=gamma), converged
+
+
+def _number(value):
+    """A JSON number as a float; a bool, string or any other value raises TypeError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _flag(value):
+    """A JSON boolean; any other value raises TypeError."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
 
 
 def model_from_dict(data):
@@ -430,8 +446,8 @@ def model_from_dict(data):
             vectors = np.asarray(data["support_vectors"], dtype=float)
             coef = np.asarray(data["coef"], dtype=float)
             bias = data["bias"]
-            params = KernelParams(c=float(data["c"]), gamma=float(data["gamma"]))
-            converged = [bool(flag) for flag in data["converged"]]
+            params = KernelParams(c=_number(data["c"]), gamma=_number(data["gamma"]))
+            converged = [_flag(flag) for flag in data["converged"]]
         bias = np.asarray(bias, dtype=float)
         converged = np.array(converged, dtype=bool)
         if not pairs:
@@ -440,14 +456,6 @@ def model_from_dict(data):
             ci, cj = pair
             if not {ci, cj} <= set(classes):
                 raise ValueError(f"pair {pair} names a class not in {classes}")
-        n = len(pairs)
-        if vectors.ndim != 2 or coef.shape != (len(vectors), n):
-            raise ValueError(f"{coef.shape} coefficients for {vectors.shape} vectors and {n} pairs")
-        if bias.shape != (n,) or converged.shape != (n,):
-            raise ValueError(f"{bias.shape} biases and {converged.shape} flags for {n} pairs")
-        numbers = (vectors, coef, bias, params.c, params.gamma)
-        if not all(np.isfinite(x).all() for x in numbers):
-            raise ValueError("model holds a non-finite number")
         pre = None
         if data.get("preprocessing") is not None:
             raw = data["preprocessing"]
@@ -455,6 +463,19 @@ def model_from_dict(data):
                 fusion=FusionConfig.from_dict(raw["fusion"]),
                 pca=None if raw.get("pca") is None else PcaModel.from_dict(raw["pca"]),
             )
+        n = len(pairs)
+        if not len(vectors) and not len(coef):
+            # No support vectors: JSON "[]" keeps neither the (0, d) nor the
+            # (0, pairs) shape.  d is the preprocessing's output width, or 0.
+            width = 0 if pre is None else pre.pca.n_components if pre.pca else pre.fusion.total_dim
+            vectors, coef = np.empty((0, width)), np.empty((0, n))
+        if vectors.ndim != 2 or coef.shape != (len(vectors), n):
+            raise ValueError(f"{coef.shape} coefficients for {vectors.shape} vectors and {n} pairs")
+        if bias.shape != (n,) or converged.shape != (n,):
+            raise ValueError(f"{bias.shape} biases and {converged.shape} flags for {n} pairs")
+        numbers = (vectors, coef, bias, params.c, params.gamma)
+        if not all(np.isfinite(x).all() for x in numbers):
+            raise ValueError("model holds a non-finite number")
         return MulticlassSvm(
             classes=classes,
             pairs=pairs,

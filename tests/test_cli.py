@@ -6,6 +6,7 @@ import pytest
 
 from gesturelab.cli import main
 from gesturelab.data import default_templates, generate_synthetic, load_dataset, save_dataset
+from gesturelab.harness import config_from_dict, experiment_cells
 from gesturelab.image import UndistortionMap
 from gesturelab.svm import load_model
 
@@ -221,6 +222,18 @@ def test_show_config_merges_flags(capsys):
     assert merged["use_hog"] is False
 
 
+def test_show_config_round_trips_whole_number_floats(tmp_path, capsys):
+    # A retention of 1.0 keeps all the variance and 1 keeps one component,
+    # and (1,) == (1.0,): compare the types and the cell tags they give.
+    cfg_path = tmp_path / "cfg.json"
+    assert run_cli("show-config", "--retentions", 1.0, "--k-values", 1.0) == 0
+    cfg_path.write_text(capsys.readouterr().out)
+    assert run_cli("show-config", "--config", cfg_path) == 0
+    cfg = config_from_dict(json.loads(capsys.readouterr().out))
+    assert [type(v) for v in (*cfg.retentions, *cfg.k_values)] == [float, float]
+    assert [cell.tag() for cell in experiment_cells(cfg)] == ["ang+dist+tip+hog_K1.0_ret1.0"]
+
+
 def test_exit_code_config_error(tmp_path):
     assert run_cli("report", "--bogus-flag") == 1
     assert run_cli("train", "--out", "x.json", "--features", "nope") == 1
@@ -260,6 +273,8 @@ BAD_VALUES = [
     ({"image": {"threshold": 0}},),
     ({"image": {"threshold": -5}},),
     ({"k_values": [-1.0]},),
+    ({"svm_max_iter": 0},),
+    ({"svm_max_iter": -1},),
     ([1], "--subjects", 2),
     ({"synthetic": 5}, "--subjects", 2),
 ]
@@ -355,6 +370,10 @@ def test_exit_code_data_error(tmp_path, dataset_dir):
         "short_coefs.json": edited(lambda r: r["coef"].pop()),
         "flat_vectors.json": edited(lambda r: r.update(support_vectors=[0.5])),
         "short_pca_mean.json": edited(lambda r: r["preprocessing"]["pca"]["mean"].pop()),
+        "string_flag.json": edited(lambda r: r["converged"].__setitem__(0, "false")),
+        "number_flag.json": edited(lambda r: r["converged"].__setitem__(0, 0.5)),
+        "string_c.json": edited(lambda r: r.update(c="10")),
+        "bool_gamma.json": edited(lambda r: r.update(gamma=True)),
     }
     for name, content in bad_models.items():
         (tmp_path / name).write_text(json.dumps(content))
@@ -431,19 +450,19 @@ def test_train_grid_on_single_class_is_a_data_error(tmp_path, capsys):
 
 
 def test_exit_code_nonconvergence(tmp_path, dataset_dir):
-    # A budget below 0 runs no update, as a budget of 0 does.
-    for budget in (1, -1):
+    # One iteration leaves pairs unconverged; a budget below 1 is a config error.
+    for budget, expected in ((1, 3), (-1, 1)):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"svm_max_iter": budget, "use_hog": False}))
-        model_path = tmp_path / f"model{budget}.json"
         code = run_cli(
             "train",
             "--config", cfg_path,
             "--manifest", dataset_dir,
             "--c", 10.0,
             "--gamma", 0.5,
-            "--out", model_path,
+            "--out", tmp_path / f"model{budget}.json",
         )
-        assert code == 3, budget
-        flags = json.loads(model_path.read_text())["converged"]  # still written, flagged
-        assert not all(flags), budget
+        assert code == expected, budget
+    flags = json.loads((tmp_path / "model1.json").read_text())["converged"]  # still written, flagged
+    assert not all(flags)
+    assert not (tmp_path / "model-1.json").exists()

@@ -262,6 +262,21 @@ def test_config_from_dict_returns_finite_config_or_config_error(record):
     assert all(isinstance(getattr(cfg, key), tuple) for key in ("k_values", "retentions", "c_grid"))
 
 
+@FUZZ
+@given(
+    k_values=st.lists(st.integers(0, 50).map(float) | st.floats(0, 1e6), min_size=1),
+    retentions=st.lists(st.just(1.0) | st.floats(0, 1, exclude_min=True), min_size=1),
+    c_grid=st.lists(st.integers(1, 1000).map(float) | st.floats(1e-6, 1e6), min_size=1),
+)
+def test_config_floats_stay_floats_through_json(k_values, retentions, c_grid):
+    cfg = config_from_dict(
+        dict(VALID_CONFIG, k_values=k_values, retentions=retentions, c_grid=c_grid)
+    )
+    again = config_from_dict(json.loads(jsonio.dumps(asdict(cfg))))
+    typed = [(type(n), n) for n in _numbers(asdict(cfg))]
+    assert [(type(n), n) for n in _numbers(asdict(again))] == typed
+
+
 # ---------------------------------------------------------------------------
 # Feature archives (.npz)
 

@@ -600,6 +600,32 @@ def test_model_json_resave_is_byte_identical(tmp_path, rng):
     assert len(np.unique(vectors, axis=0)) == len(vectors)  # each vector stored once
 
 
+def test_model_without_support_vectors_loads_back(tmp_path, rng):
+    # A zero budget keeps no support vector, and model.json stores "[]" for
+    # both tables: loading restores the (0, d) and (0, pairs) shapes.
+    mask = FeatureMask.parse("ang")
+    raw = rng.normal(size=(30, mask.dims() + 3))
+    labels = np.repeat([0, 1, 2], 10)
+    fusion = FusionConfig(mask=mask, hog_weight=2.0, hog_dim=3)
+    pres = [None, Preprocessing(fusion=fusion)]
+    pres.append(Preprocessing(fusion=fusion, pca=fit_pca(pres[1].apply(raw), n_components=4)))
+    for pre in pres:
+        rows = raw if pre is None else pre.apply(raw)
+        model = train_multiclass(rows, labels, KernelParams(1.0, 0.5), max_iter=0,
+                                 preprocessing=pre)
+        assert model.coef.shape == (0, 3)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert loaded.coef.shape == (0, 3)
+        if pre is not None:
+            assert loaded.support_vectors.shape == model.support_vectors.shape
+        assert np.array_equal(decision_table(loaded, raw), decision_table(model, raw))
+        assert classify(loaded, raw)[0].tolist() == classify(model, raw)[0].tolist()
+        save_model(loaded, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
 MODEL_V1 = Path(__file__).parent / "data" / "model_v1.json"
 
 
@@ -623,6 +649,15 @@ def test_version_1_pairs_must_share_c_and_gamma():
     record["pairs"][1]["gamma"] = 0.25
     with pytest.raises(ParseError):
         model_from_dict(record)
+
+
+def test_version_1_scalars_must_be_typed():
+    # Version-2 records get the same checks (tests/test_cli.py, test_exit_code_data_error).
+    v1 = json.loads(MODEL_V1.read_text())
+    for field, value in (("c", "10"), ("gamma", False), ("converged", "true"), ("converged", 1)):
+        record = dict(v1, pairs=[dict(v1["pairs"][0], **{field: value}), *v1["pairs"][1:]])
+        with pytest.raises(ParseError):
+            model_from_dict(record)
 
 
 def test_preprocessing_applies_to_one_row_or_many(rng):
