@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import jsonio
 from .errors import (
     DegenerateData,
     DimensionMismatch,
@@ -73,8 +74,8 @@ class FusionConfig:
     def from_dict(cls, data):
         return cls(
             mask=FeatureMask.parse(data["mask"]),
-            hog_weight=float(data["hog_weight"]),
-            hog_dim=int(data["hog_dim"]),
+            hog_weight=jsonio.number(data["hog_weight"]),
+            hog_dim=jsonio.integer(data["hog_dim"]),
         )
 
 
@@ -149,10 +150,10 @@ class PcaModel:
                 f"unsupported PCA model version {data.get('version')!r}"
             )
         model = cls(
-            mean=np.asarray(data["mean"], dtype=float),
-            components=np.asarray(data["components"], dtype=float),
-            variances=np.asarray(data["variances"], dtype=float),
-            retained_fraction=float(data["retained_fraction"]),
+            mean=jsonio.numbers(data["mean"], 1),
+            components=jsonio.numbers(data["components"], 2),
+            variances=jsonio.numbers(data["variances"], 1),
+            retained_fraction=jsonio.number(data["retained_fraction"]),
         )
         if model.components.ndim != 2 or model.mean.shape != (model.input_dim,):
             raise ValueError(f"PCA mean {model.mean.shape}, components {model.components.shape}")

@@ -5,9 +5,14 @@ Writers hand in plain Python values (lists from ``.tolist()``, ``float``,
 that reads back to the same double, so save/load round-trips are
 bit-exact, whole-number floats stay floats (``1.0``, not ``1``) and
 negative zero stays ``-0.0``.  NaN and infinity raise ValueError.
+Readers take numbers through `number`, `integer` and `numbers`, which
+refuse strings and booleans where JSON numbers belong.
 """
 
+import itertools
 import json
+
+import numpy as np
 
 from .errors import MissingFile, ParseError
 
@@ -36,3 +41,33 @@ def load_path(path):
         raise MissingFile(f"file not found: {path}") from exc
     except ValueError as exc:  # json.JSONDecodeError or UnicodeDecodeError
         raise ParseError(f"{path}: {exc}") from exc
+
+
+def number(value):
+    """A JSON number as a float; a bool, string or any other value raises TypeError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def integer(value):
+    """A JSON integer; a bool, float, string or any other value raises TypeError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def numbers(value, ndim):
+    """JSON arrays of numbers nested `ndim` deep as a float array.
+
+    An element that is a bool, a string or any other non-number raises
+    TypeError, as does a number where an array belongs; ragged rows
+    raise ValueError.
+    """
+    leaves = value
+    for _ in range(ndim - 1):
+        leaves = itertools.chain.from_iterable(leaves)
+    for kind in set(map(type, leaves)):
+        if issubclass(kind, bool) or not issubclass(kind, (int, float)):
+            raise TypeError(f"expected numbers, got a {kind.__name__}")
+    return np.asarray(value, dtype=float)

@@ -391,14 +391,14 @@ def _v1_table(records):
     """
     pairs, blocks, columns, params = [], [], [], set()
     for rec in records:
-        vectors = np.asarray(rec["support_vectors"], dtype=float)
-        coefs = np.asarray(rec["dual_coefs"], dtype=float)
+        vectors = jsonio.numbers(rec["support_vectors"], 2)
+        coefs = jsonio.numbers(rec["dual_coefs"], 1)
         if vectors.ndim != 2 or coefs.shape != (len(vectors),):
             raise ValueError(f"pair record: {coefs.shape} coefficients, {vectors.shape} vectors")
         pairs.append((rec["first"], rec["second"]))
         blocks.append(vectors)
         columns.append(coefs)
-        params.add((_number(rec["c"]), _number(rec["gamma"])))
+        params.add((jsonio.number(rec["c"]), jsonio.number(rec["gamma"])))
     if len(params) != 1:
         raise ValueError(f"pairs must share one C and gamma, got {sorted(params)}")
     vectors, inverse = np.unique(np.vstack(blocks), axis=0, return_inverse=True)
@@ -407,16 +407,9 @@ def _v1_table(records):
     pair_of = np.repeat(np.arange(len(pairs)), [len(b) for b in blocks])
     np.add.at(coef, (inverse, pair_of), np.concatenate(columns))
     c, gamma = params.pop()
-    bias = [float(rec["bias"]) for rec in records]
+    bias = [jsonio.number(rec["bias"]) for rec in records]
     converged = [_flag(rec["converged"]) for rec in records]
     return pairs, vectors, coef, bias, KernelParams(c=c, gamma=gamma), converged
-
-
-def _number(value):
-    """A JSON number as a float; a bool, string or any other value raises TypeError."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
 
 
 def _flag(value):
@@ -443,10 +436,10 @@ def model_from_dict(data):
             pairs, vectors, coef, bias, params, converged = _v1_table(data["pairs"])
         else:
             pairs = [tuple(pair) for pair in data["pairs"]]
-            vectors = np.asarray(data["support_vectors"], dtype=float)
-            coef = np.asarray(data["coef"], dtype=float)
-            bias = data["bias"]
-            params = KernelParams(c=_number(data["c"]), gamma=_number(data["gamma"]))
+            vectors = jsonio.numbers(data["support_vectors"], 2)
+            coef = jsonio.numbers(data["coef"], 2)
+            bias = jsonio.numbers(data["bias"], 1)
+            params = KernelParams(c=jsonio.number(data["c"]), gamma=jsonio.number(data["gamma"]))
             converged = [_flag(flag) for flag in data["converged"]]
         bias = np.asarray(bias, dtype=float)
         converged = np.array(converged, dtype=bool)

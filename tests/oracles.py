@@ -272,3 +272,63 @@ def undistort_loops(raw, samples, out_size):
             bottom = (1 - ax) * raw[y1, x0] + ax * raw[y1, x1]
             values[y, x] = (1 - ay) * top + ay * bottom
     return values, invalid
+
+
+# ---------------------------------------------------------------------------
+# Per-pixel votes and per-block L2-Hys HOG
+
+
+def hog_loops(img, params):
+    """HOG descriptor of `img` with pixel-by-pixel votes and block-by-block
+    L2-Hys normalization.
+
+    Gradients are centered differences with edge replication.  Each
+    pixel's magnitude is split between its two nearest orientation bins
+    (circular); the lower-bin shares of a cell are summed in row-major
+    pixel order, then the upper-bin shares, and the two sums added.
+    Magnitude and orientation use the same numpy functions as the
+    library, so the two must agree exactly.
+    """
+    img = np.asarray(img, dtype=float)
+    h, w = img.shape
+    cs, bins = params.cell_size, params.bins
+    cells_x, cells_y = w // cs, h // cs
+    gx = np.zeros((h, w))
+    gy = np.zeros((h, w))
+    for y in range(h):
+        for x in range(w):
+            gx[y, x] = img[y, min(x + 1, w - 1)] - img[y, max(x - 1, 0)]
+            gy[y, x] = img[min(y + 1, h - 1), x] - img[max(y - 1, 0), x]
+    magnitude = np.hypot(gx, gy)
+    orientation = np.mod(np.arctan2(gy, gx), np.pi)
+    bin_width = np.pi / bins
+    lower_sum = np.zeros((cells_y, cells_x, bins))
+    upper_sum = np.zeros((cells_y, cells_x, bins))
+    for y in range(h):
+        for x in range(w):
+            position = orientation[y, x] / bin_width
+            lower = int(np.floor(position))
+            share = position - lower
+            cell = (y // cs, x // cs)
+            lower_sum[cell + (lower % bins,)] += magnitude[y, x] * (1 - share)
+            upper_sum[cell + ((lower + 1) % bins,)] += magnitude[y, x] * share
+    cells = lower_sum + upper_sum
+
+    bc, stride = params.block_cells, params.block_stride
+    out = []
+    for by in range(0, cells_y - bc + 1, stride):
+        for bx in range(0, cells_x - bc + 1, stride):
+            out.append(_l2_hys(cells[by : by + bc, bx : bx + bc].ravel(), params.clip))
+    return np.concatenate(out)
+
+
+def _l2_hys(v, clip):
+    norm = np.linalg.norm(v)
+    if norm < 1e-12:
+        return np.zeros_like(v)
+    v = v / norm
+    np.minimum(v, clip, out=v)
+    norm = np.linalg.norm(v)
+    if norm < 1e-12:
+        return np.zeros_like(v)
+    return v / norm

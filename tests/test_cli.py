@@ -356,6 +356,12 @@ def test_exit_code_data_error(tmp_path, dataset_dir):
         edit(record)
         return record
 
+    def fusion(record):
+        return record["preprocessing"]["fusion"]
+
+    def pca(record):
+        return record["preprocessing"]["pca"]
+
     def non_finite(record):  # written as NaN and Infinity
         record["bias"][0] = float("nan")
         record["support_vectors"][0][0] = float("inf")
@@ -374,6 +380,16 @@ def test_exit_code_data_error(tmp_path, dataset_dir):
         "number_flag.json": edited(lambda r: r["converged"].__setitem__(0, 0.5)),
         "string_c.json": edited(lambda r: r.update(c="10")),
         "bool_gamma.json": edited(lambda r: r.update(gamma=True)),
+        "string_bias.json": edited(lambda r: r.update(bias=[str(b) for b in r["bias"]])),
+        "bool_coef.json": edited(lambda r: r["coef"][0].__setitem__(0, True)),
+        "string_vector.json": edited(lambda r: r["support_vectors"][0].__setitem__(0, "1e3")),
+        "string_hog_weight.json": edited(lambda r: fusion(r).update(hog_weight="2.5")),
+        "string_hog_dim.json": edited(lambda r: fusion(r).update(hog_dim=str(fusion(r)["hog_dim"]))),
+        "float_hog_dim.json": edited(lambda r: fusion(r).update(hog_dim=float(fusion(r)["hog_dim"]))),
+        "string_retained.json": edited(lambda r: pca(r).update(retained_fraction="0.9")),
+        "bool_pca_mean.json": edited(lambda r: pca(r)["mean"].__setitem__(0, True)),
+        "string_pca_component.json": edited(lambda r: pca(r)["components"][0].__setitem__(0, "0.1")),
+        "bool_pca_variance.json": edited(lambda r: pca(r)["variances"].__setitem__(0, False)),
     }
     for name, content in bad_models.items():
         (tmp_path / name).write_text(json.dumps(content))

@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gesturelab.errors import GeometryError, MapSizeMismatch, ParseError
 from gesturelab.image import (
@@ -19,7 +21,7 @@ from gesturelab.image import (
     undistort,
     write_pgm,
 )
-from oracles import otsu_bruteforce, undistort_loops
+from oracles import hog_loops, otsu_bruteforce, undistort_loops
 
 
 # ---------------------------------------------------------------------------
@@ -99,13 +101,11 @@ def _barrel_map(grid=16, strength=0.12):
     return UndistortionMap(samples)
 
 
-@pytest.mark.parametrize("out_size", [(240, 240), (61, 37)])
-def test_undistort_matches_per_pixel_oracle(rng, out_size):
-    raw = rng.integers(1, 256, size=(200, 180)).astype(np.uint8)  # valid pixels stay >= 1
-    umap = _barrel_map()
+def _assert_matches_oracle(raw, umap, out_size):
+    """undistort(raw) against the per-pixel oracle; `raw` must be >= 1, so
+    that exactly the invalid pixels are 0.  Returns the oracle's mask."""
     out = undistort(raw, umap, out_size)
     expected, invalid = undistort_loops(raw, umap.samples, out_size)
-    assert invalid.any() and not invalid.all()
     assert np.array_equal(out == 0, invalid)
     rounded = np.rint(expected)
     # A value within 1e-9 of a half-integer may round either way.
@@ -113,6 +113,49 @@ def test_undistort_matches_per_pixel_oracle(rng, out_size):
     differs = out.astype(float) != rounded
     assert not (differs & ~near_half).any()
     assert np.abs(out - rounded)[differs].max(initial=0.0) <= 1.0
+    return invalid
+
+
+@pytest.mark.parametrize("out_size", [(240, 240), (61, 37)])
+def test_undistort_matches_per_pixel_oracle(rng, out_size):
+    raw = rng.integers(1, 256, size=(200, 180)).astype(np.uint8)  # valid pixels stay >= 1
+    invalid = _assert_matches_oracle(raw, _barrel_map(), out_size)
+    assert invalid.any() and not invalid.all()
+
+
+def test_undistort_follows_in_place_map_edits(rng):
+    umap = _barrel_map()
+    sources = [rng.integers(1, 256, size=shape).astype(np.uint8) for shape in ((50, 40), (31, 47))]
+    masks = []
+    for edit in range(3):
+        if edit == 1:
+            umap.samples[7, 3] = -1.0  # a new invalid point
+        elif edit == 2:
+            umap.samples[7, 3] = (0.2, 0.9)  # valid again, elsewhere
+        for out_size in ((30, 20), (17, 23)):
+            for raw in sources:
+                masks.append(_assert_matches_oracle(raw, umap, out_size))
+    assert not np.array_equal(masks[0], masks[4])  # the edit reached the mask
+    assert np.array_equal(masks[0], masks[8])
+
+
+@st.composite
+def calibration_maps(draw):
+    """2x2 to 8x8 grids of points in [0, 1]^2, some set invalid."""
+    shape = (draw(st.integers(2, 8)), draw(st.integers(2, 8)))
+    samples = draw(hnp.arrays(float, shape + (2,), elements=st.floats(0.0, 1.0)))
+    samples[draw(hnp.arrays(bool, shape))] = -1.0
+    return UndistortionMap(samples)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(
+    umap=calibration_maps(),
+    raw=hnp.arrays(np.uint8, st.tuples(st.integers(1, 30), st.integers(1, 30)), elements=st.integers(1, 255)),
+    out_size=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+)
+def test_undistort_taps_match_per_pixel_oracle(umap, raw, out_size):
+    _assert_matches_oracle(raw, umap, out_size)
 
 
 def test_map_too_small():
@@ -322,6 +365,16 @@ def test_hog_values_in_unit_interval_and_block_norms(rng):
         per_block = desc.values.reshape(-1, params.block_cells**2 * params.bins)
         norms = np.linalg.norm(per_block, axis=1)
         assert norms.max() <= 1.0 + 1e-6
+
+
+@pytest.mark.parametrize(
+    "params", [HogParams(), HogParams(cell_size=4, block_cells=3, block_stride=2, bins=6, clip=0.1)]
+)
+def test_hog_matches_per_block_oracle(rng, params):
+    images = [rng.integers(0, 256, size=(64, 64)).astype(np.uint8) for _ in range(3)]
+    images += [np.zeros((64, 64), np.uint8), np.full((64, 64), 200, np.uint8)]
+    for img in images:
+        assert compute_hog(img, params).values.tobytes() == hog_loops(img, params).tobytes()
 
 
 def test_hog_contrast_invariance(rng):
