@@ -343,7 +343,6 @@ def _run_cell(store, cell, cfg):
     labels = store.labels
     raw, fusion_cfg = raw_features(store, cell.mask, cell.use_hog, cell.k)
     classes = [int(c) for c in np.unique(labels)]
-    class_index = {c: k for k, c in enumerate(classes)}
 
     per_repetition = cfg.grid_mode == "per_repetition"
     params = None
@@ -360,31 +359,19 @@ def _run_cell(store, cell, cfg):
         if per_repetition or r == 0:
             tag = f"grid:{cell.tag()}:{r}" if per_repetition else f"grid:{cell.tag()}"
             params, cv_table = grid_search(
-                train_rows,
-                labels[train_idx],
-                cfg.c_grid,
-                cfg.gamma_grid,
-                folds=cfg.folds,
-                seed=derive_seed(cfg.seed, tag),
+                train_rows, labels[train_idx], cfg.c_grid, cfg.gamma_grid,
+                folds=cfg.folds, seed=derive_seed(cfg.seed, tag),
             )
         model = train_multiclass(
-            train_rows,
-            labels[train_idx],
-            params,
-            max_iter=cfg.svm_max_iter,
-            preprocessing=pre,
+            train_rows, labels[train_idx], params, max_iter=cfg.svm_max_iter, preprocessing=pre
         )
         all_converged &= model.all_converged()
         predicted, votes_won = classify(model, raw[test_idx])
         truth = labels[test_idx]
         accuracies.append(float(np.mean(predicted == truth)))
-        rows = []
-        for pos, t in enumerate(test_idx):
-            confusion[class_index[int(truth[pos])], class_index[int(predicted[pos])]] += 1
-            rows.append(
-                (store.sample_ids[t], int(truth[pos]), int(predicted[pos]), int(votes_won[pos]))
-            )
-        predictions.append(rows)
+        np.add.at(confusion, tuple(np.searchsorted(classes, [truth, predicted])), 1)
+        ids = [store.sample_ids[t] for t in test_idx]
+        predictions.append(list(zip(ids, truth.tolist(), predicted.tolist(), votes_won.tolist())))
     return CellResult(
         cell=cell,
         params=params,

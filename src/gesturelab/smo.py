@@ -8,17 +8,18 @@ Each problem is the standard dual
 solved by sequential minimal optimization with second-order working set
 selection (Fan, Chen & Lin, 2005), LIBSVM's default.  Several problems
 over one kernel, such as the class pairs of a one-vs-one fit, are solved
-in lockstep by one loop: each iteration is one set of array operations
-over every problem not yet stopped, with the kernel rows it needs
-gathered from the shared matrix.  Each problem takes exactly the steps
-it would take alone; `smo_solve` runs the same loop on a single problem.
+in lockstep over their padded (problems, width) state: each iteration,
+and the epilogue (gap, bias and feasibility checks), is one set of array
+operations over every problem, with the kernel rows gathered from the
+shared matrix.  Each problem gets exactly the steps and result it would
+get alone; `smo_solve` runs the same code on a single problem.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NumericalError
+from .errors import ConfigError, DataError, DimensionMismatch, InsufficientData, NumericalError
 
 DEFAULT_TOL = 1e-3
 DEFAULT_MAX_ITER = 1_000_000
@@ -28,6 +29,8 @@ EQUALITY_RTOL = 1e-12
 
 @dataclass
 class SmoResult:
+    """One problem's solution; from `_smo_lockstep`, every field has a leading problem axis."""
+
     alpha: np.ndarray
     bias: float
     converged: bool
@@ -40,59 +43,57 @@ def smo_solve(kernel, y, c, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     """Solve the SVM dual for labels y in {-1, +1}.
 
     `kernel` is the dense (n, n) training kernel matrix, as LIBSVM's
-    precomputed-kernel mode takes it.  The problem is solved by the
-    lockstep core `_smo_lockstep` as a set of one; see there for the
-    working set selection, the step and the stopping rule.  Returns
-    multipliers, the bias (averaged over free support vectors, or the
-    midpoint of the feasible interval if none are free), a convergence
-    flag, the update count and the final gap.  A non-finite or
-    infeasible result (for example from a kernel holding NaN) raises
-    NumericalError.
+    precomputed-kernel mode takes it, solved by `_smo_lockstep` as a set
+    of one.  Returns multipliers, the bias (averaged over free support
+    vectors, or the midpoint of the feasible interval if none are free),
+    a convergence flag, the update count and the final gap.  Bad
+    arguments raise typed errors; a non-finite kernel raises
+    NumericalError before any update, as does a non-finite or infeasible
+    result.
     """
     y = np.asarray(y, dtype=float)
     n = y.size
     kernel = np.asarray(kernel, dtype=float)
-    if kernel.shape != (n, n):
-        raise DimensionMismatch(f"kernel is {kernel.shape}, labels need ({n}, {n})")
-    return _smo_lockstep(kernel, [np.arange(n)], [y], c, tol, max_iter)[0]
+    if y.ndim != 1 or kernel.shape != (n, n):
+        raise DimensionMismatch(f"kernel is {kernel.shape}, labels {y.shape} need ({n}, {n})")
+    if n == 0:
+        raise InsufficientData("SMO needs at least one row")
+    if not np.isin(y, (-1.0, 1.0)).all():
+        raise DataError("SMO labels must all be -1 or +1")
+    if not (np.isfinite(c) and c > 0):
+        raise ConfigError(f"c must be finite and > 0, got {c!r}")
+    if not np.isfinite(kernel).all():
+        raise NumericalError("SMO kernel holds a non-finite value")
+    result = _smo_lockstep(kernel, np.arange(n)[None], y[None], c, tol, max_iter)
+    fields = (result.bias, result.converged, result.iterations, result.gap)
+    return SmoResult(result.alpha[0], *(x[0].item() for x in fields))
 
 
-def _smo_lockstep(kernel, rows, labels, c, tol, max_iter):
+def _smo_lockstep(kernel, index, labels, c, tol, max_iter):
     """SMO on several duals over one kernel, every problem advanced together.
 
-    Problem p solves the dual over the rows `rows[p]` of `kernel` with
-    the labels `labels[p]` in {-1, +1}.  With v = -y * gradient, each
-    update picks its pair by second-order working set selection (Fan,
-    Chen & Lin, JMLR 6, 2005; LIBSVM's default): i maximises v over the
-    rows whose alpha may move up along y, and j is the row t that may
-    move down with b_t = v_i - v_t > 0 maximising b_t^2 / a_t, where
-    a_t = max(K_ii + K_tt - 2 K_it, 1e-12); ties go to the first row.
-    The step b_j / a_j is capped at the box.  A problem stops when its
-    KKT violation gap max(v | up) - min(v | low) drops to `tol` or the
-    iteration budget is spent.
+    Problem p solves the dual over the rows `index[p]` of `kernel` with
+    the labels `labels[p]` in {-1, +1}; slots labelled 0 are padding.
+    With v = -y * gradient, each update picks its pair by second-order
+    working set selection (Fan, Chen & Lin, JMLR 6, 2005; LIBSVM's
+    default): i maximises v over the rows whose alpha may move up along
+    y, and j is the row t that may move down with b_t = v_i - v_t > 0
+    maximising b_t^2 / a_t, where a_t = max(K_ii + K_tt - 2 K_it, 1e-12);
+    ties go to the first row.  The step b_j / a_j is capped at the box.
+    A problem stops when its KKT violation gap max(v | up) - min(v | low)
+    drops to `tol` or the iteration budget is spent; its state is then
+    copied out, and it leaves the active set.
 
-    One iteration is one set of array operations over the active
-    problems, each padded to the longest: kernel rows i and j of every
-    problem are gathered from `kernel`, and row i's curvatures computed
-    from them, so no per-problem kernel block is built.  Padded slots
-    are in neither set; with a finite kernel and C their v stays finite,
-    so they are never picked.  A problem that stops leaves the active
-    set.  Every element-wise operation is the one a solve of that
-    problem alone would do, in the same order, so its iterates do not
-    depend on the other problems.  Returns one SmoResult per problem.
+    Each iteration gathers kernel rows i and j of every active problem
+    from `kernel`, so no per-problem block is built.  Padded slots are in
+    neither set; with a finite kernel and C their v stays finite, so they
+    are never picked.  Every element-wise operation is the one a solve
+    of that problem alone would do, in the same order, so its iterates do
+    not depend on the other problems.  Returns `_smo_results`.
     """
-    if not rows:
-        return []
     kernel = np.ascontiguousarray(kernel)
     n = len(kernel)
-    sizes = np.array([len(r) for r in rows])
-    width = int(sizes.max())
-    pad = np.arange(width) >= sizes[:, None]
-    index = np.zeros((len(rows), width), dtype=np.intp)
-    y = np.zeros((len(rows), width))
-    for p, (r, labels_p) in enumerate(zip(rows, labels)):
-        index[p, : sizes[p]] = r
-        y[p, : sizes[p]] = labels_p
+    y = labels
     diag = kernel.diagonal()[index]
     alpha = np.zeros_like(y)
     pos = y > 0
@@ -102,16 +103,19 @@ def _smo_lockstep(kernel, rows, labels, c, tol, max_iter):
     # 0 in the set, -inf outside.  At alpha = 0 the positives may move up
     # and the negatives down.  Only slots i and j change per update.
     blocked = -np.inf
-    up = np.where(pos & ~pad, 0.0, blocked)
-    low = np.where(pos | pad, blocked, 0.0)
+    up = np.where(pos, 0.0, blocked)
+    low = np.where(y < 0, 0.0, blocked)
     penalty = np.array([blocked, 0.0])  # indexed by set membership
 
-    live = np.arange(len(rows))  # the problem of each state row
-    stopped = [None] * len(rows)
+    # The final state of each problem, written when it stops.
+    final = [np.zeros_like(y) for _ in range(4)]  # alpha, v, up, low
+    converged = np.zeros(len(y), dtype=bool)
+    steps = np.zeros(len(y), dtype=int)
+    live = np.arange(len(y))  # the problem of each state row
     iterations = 0
     while len(live):
         # take/put index the flattened state: row k starts at k * width.
-        m = len(live)
+        m, width = y.shape
         base = np.arange(m) * width
         second = np.arange(2 * m) >= m  # the j half of [i, j]
         b = np.empty_like(v)
@@ -161,31 +165,40 @@ def _smo_lockstep(kernel, rows, labels, c, tol, max_iter):
 
         spent = iterations >= max_iter
         stop = np.ones(m, dtype=bool) if spent else done
-        for k, p in zip(np.flatnonzero(stop), live[stop]):
-            # Copies of the unpadded rows, so the state can be freed.
-            final = (x[k, : sizes[p]].copy() for x in (alpha, v, up, low))
-            stopped[p] = (*final, not spent, iterations)
+        for out, x in zip(final, (alpha, v, up, low)):
+            out[live[stop]] = x[stop]
+        converged[live[stop]], steps[live[stop]] = not spent, iterations
         live, index, y, pos, diag, alpha, v, up, low = (
             x[~stop] for x in (live, index, y, pos, diag, alpha, v, up, low)
         )
-    return [_smo_result(labels_p, c, *state) for labels_p, state in zip(labels, stopped)]
+    return _smo_results(labels, c, *final, converged, steps)
 
 
-def _smo_result(y, c, alpha, v, up, low, converged, iterations):
-    """SmoResult of one problem's final state, checked for feasibility."""
-    n = y.size
+def _smo_results(y, c, alpha, v, up, low, converged, iterations):
+    """SmoResult of all problems' final states (rows), checked for feasibility.
+
+    A padded or segmented sum rounds differently from np.mean(v[free]),
+    so the bias is one row-wise mean per count of free rows.
+    """
     up_rows, low_rows = up == 0.0, low == 0.0
-    hi = v[up_rows].max() if up_rows.any() else 0.0
-    lo = v[low_rows].min() if low_rows.any() else 0.0
-    gap = float(hi - lo) if up_rows.any() and low_rows.any() else 0.0
+    hi = np.where(up_rows.any(axis=1), v.max(axis=1, where=up_rows, initial=-np.inf), 0.0)
+    lo = np.where(low_rows.any(axis=1), v.min(axis=1, where=low_rows, initial=np.inf), 0.0)
+    gap = np.where(up_rows.any(axis=1) & low_rows.any(axis=1), hi - lo, 0.0)
     free = (alpha > 0.0) & (alpha < c)
-    bias = float(np.mean(v[free])) if free.any() else float(0.5 * (hi + lo))
+    bias = 0.5 * (hi + lo)
+    counts = free.sum(axis=1)
+    for k in np.unique(counts[counts > 0]):
+        same = counts == k
+        bias[same] = np.mean(v[same][free[same]].reshape(-1, k), axis=1)
 
     # Dual feasibility must hold regardless of convergence.  Each update
     # keeps y'a = 0 up to rounding of terms no larger than c, so the
-    # tolerance scales with c and n.
-    if not (np.isfinite(alpha).all() and np.isfinite(bias)):
-        raise NumericalError(f"SMO produced a non-finite solution after {iterations} updates")
-    if alpha.min() < 0.0 or alpha.max() > c or abs(np.dot(alpha, y)) > EQUALITY_RTOL * c * n:
-        raise NumericalError(f"SMO produced an infeasible dual solution after {iterations} updates")
+    # tolerance scales with c and each problem's n.
+    finite = np.isfinite(alpha).all(axis=1) & np.isfinite(bias)
+    infeasible = ((alpha < 0.0) | (alpha > c)).any(axis=1) | (
+        np.abs((alpha * y).sum(axis=1)) > EQUALITY_RTOL * c * (y != 0.0).sum(axis=1)
+    )
+    for bad, what in ((~finite, "a non-finite"), (infeasible, "an infeasible dual")):
+        if bad.any():
+            raise NumericalError(f"SMO produced {what} solution after {iterations[bad][0]} updates")
     return SmoResult(alpha=alpha, bias=bias, converged=converged, iterations=iterations, gap=gap)

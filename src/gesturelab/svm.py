@@ -23,16 +23,10 @@ import numpy as np
 
 from . import jsonio
 from .data import stratified_folds
-from .errors import (
-    DimensionMismatch,
-    InsufficientData,
-    ParseError,
-    SchemaVersionMismatch,
-    SingleClassData,
-)
+from .errors import DataError, DimensionMismatch, InsufficientData, NumericalError, ParseError
+from .errors import SchemaVersionMismatch, SingleClassData
 from .fusion import FusionConfig, PcaModel, fuse_matrix
-from .smo import DEFAULT_MAX_ITER, DEFAULT_TOL, _smo_lockstep
-from .smo import smo_solve  # noqa: F401  (part of this module's API)
+from .smo import DEFAULT_MAX_ITER, DEFAULT_TOL, _smo_lockstep, smo_solve  # noqa: F401  (API)
 
 SV_EPS = 1e-8
 
@@ -84,8 +78,14 @@ def rbf_kernel_matrix(X, Y, gamma):
 
 
 def _training_kernel(sq, gamma):
-    """exp(-gamma * sq) of square distances, with its diagonal set to exactly 1."""
+    """exp(-gamma * sq) of square distances, with its diagonal set to exactly 1.
+
+    Entries lie in [0, 1], so a NaN sum means a NaN entry (from a row
+    holding NaN or inf): NumericalError, before any SMO update.
+    """
     kernel = np.exp(-gamma * sq)
+    if not np.isfinite(kernel.sum()):
+        raise NumericalError("training kernel holds a non-finite value")
     np.fill_diagonal(kernel, 1.0)
     return kernel
 
@@ -162,32 +162,41 @@ def _fit_pairs(kernel, labels, classes, c, max_iter):
     """SMO on every class pair of one training kernel, in class-pair order.
 
     `kernel` is the (n, n) Gram matrix of the rows that `labels` labels.
-    A pair trains on its rows of `kernel` with y = +1 for its first
-    class; all pairs are solved together by `_smo_lockstep`.  A pair's
-    support vectors are the rows with alpha > SV_EPS, or with alpha > 0
-    if none exceeds SV_EPS.  Returns (coef, bias, converged): the
-    (n, pairs) matrix of alpha_i * y_i of each pair's support vectors,
-    zero elsewhere, and (pairs,) biases and convergence flags.
+    A pair trains on its rows with y = +1 for its first class; one
+    (pairs, n) membership mask gives the padded rows and labels of all
+    pairs, which `_smo_lockstep` solves together.  A pair's support
+    vectors are the rows with alpha > SV_EPS, or with alpha > 0 if none
+    exceeds SV_EPS.  Returns (coef, bias, converged): the (n, pairs)
+    matrix of alpha_i * y_i of each pair's support vectors, zero
+    elsewhere, and (pairs,) biases and convergence flags.
     """
-    pairs = class_pairs(classes)
-    rows = [np.flatnonzero((labels == ci) | (labels == cj)) for ci, cj in pairs]
-    signs = [np.where(labels[r] == ci, 1.0, -1.0) for r, (ci, _) in zip(rows, pairs)]
-    results = _smo_lockstep(kernel, rows, signs, c, DEFAULT_TOL, max_iter)
-    coef = np.zeros((len(labels), len(pairs)))
-    bias = np.zeros(len(pairs))
-    converged = np.zeros(len(pairs), dtype=bool)
-    for p, (r, y, result) in enumerate(zip(rows, signs, results)):
-        sv = result.alpha > SV_EPS
-        if not sv.any():
-            sv = result.alpha > 0.0
-        coef[r[sv], p] = (result.alpha * y)[sv]
-        bias[p], converged[p] = result.bias, result.converged
-    return coef, bias, converged
+    onehot = labels == np.asarray(classes)[:, None]
+    first, second = np.triu_indices(len(classes), 1)  # class_pairs order
+    flat = np.flatnonzero(onehot[first] | onehot[second])
+    pp, kk = np.divmod(flat, len(labels))
+    sizes = np.bincount(pp, minlength=len(first))
+    index = np.zeros((len(first), sizes.max(initial=0)), dtype=np.intp)
+    y = np.zeros(index.shape)
+    # Flat slot of each (pair, row): the row's rank within its pair.
+    slot = pp * index.shape[1] + np.arange(len(flat)) - (np.cumsum(sizes) - sizes)[pp]
+    index.put(slot, kk)
+    y.put(slot, np.where(onehot[first].ravel()[flat], 1.0, -1.0))
+    result = _smo_lockstep(kernel, index, y, c, DEFAULT_TOL, max_iter)
+    sv = result.alpha > SV_EPS
+    sv |= (result.alpha > 0.0) & ~sv.any(axis=1, keepdims=True)
+    pp, kk = np.nonzero(sv)
+    coef = np.zeros((len(labels), len(first)))
+    coef[index[pp, kk], pp] = (result.alpha * y)[pp, kk]
+    return coef, result.bias, result.converged
 
 
-def _decisions(kernel, coef, bias):
-    """Decision values of every pair: kernel(rows, support rows) @ coef + bias."""
-    return kernel @ coef + bias
+def _training_rows(X, labels):
+    """X as a float (n, d) array and labels as (n,), else DimensionMismatch."""
+    X = np.asarray(X, dtype=float)
+    labels = np.asarray(labels)
+    if X.ndim != 2 or labels.ndim != 1 or len(X) != len(labels):
+        raise DimensionMismatch(f"X is {X.shape} and labels {labels.shape}; need (n, d) and (n,)")
+    return X, labels
 
 
 def train_multiclass(X, labels, params, max_iter=DEFAULT_MAX_ITER, preprocessing=None):
@@ -195,12 +204,10 @@ def train_multiclass(X, labels, params, max_iter=DEFAULT_MAX_ITER, preprocessing
 
     The Gram matrix is n x n over the rows of X, with its diagonal set
     to exactly 1.  X must be (n, d) with n labels, or DimensionMismatch
-    is raised; fewer than 2 classes raise SingleClassData.
+    is raised; fewer than 2 classes raise SingleClassData, and a row
+    holding NaN or infinity NumericalError.
     """
-    X = np.asarray(X, dtype=float)
-    labels = np.asarray(labels)
-    if X.ndim != 2 or labels.ndim != 1 or len(X) != len(labels):
-        raise DimensionMismatch(f"X is {X.shape} and labels {labels.shape}; need (n, d) and (n,)")
+    X, labels = _training_rows(X, labels)
     classes = _classes(labels)
     if len(classes) < 2:
         raise SingleClassData(f"training needs at least 2 classes, got {len(classes)}")
@@ -208,14 +215,8 @@ def train_multiclass(X, labels, params, max_iter=DEFAULT_MAX_ITER, preprocessing
     coef, bias, converged = _fit_pairs(kernel, labels, classes, params.c, max_iter)
     keep = coef.any(axis=1)
     return MulticlassSvm(
-        classes=classes,
-        pairs=class_pairs(classes),
-        support_vectors=X[keep],
-        coef=coef[keep],
-        bias=bias,
-        params=params,
-        converged=converged,
-        preprocessing=preprocessing,
+        classes=classes, pairs=class_pairs(classes), support_vectors=X[keep], coef=coef[keep],
+        bias=bias, params=params, converged=converged, preprocessing=preprocessing,
     )
 
 
@@ -226,18 +227,20 @@ def _vote(classes, pairs, values):
     winners): integer (n, m) vote counts, float (n, m) sums of
     |decision value| over the pairs involving each class, and each row's
     winning class index: the most votes, then among tied classes the
-    largest margin sum, then the first in class order.
+    largest margin sum, then the first in class order.  Each class
+    gathers its pairs' columns in pair order; a sum over that leading
+    axis adds them one by one, as a loop over the pairs would.
     """
-    index = {c: k for k, c in enumerate(classes)}
-    votes = np.zeros((len(values), len(classes)), dtype=int)
-    margins = np.zeros((len(values), len(classes)))
-    for (ci, cj), vals in zip(pairs, values.T):
-        first = vals >= 0.0
-        ki, kj = index[ci], index[cj]
-        votes[:, ki] += first
-        votes[:, kj] += ~first
-        margins[:, ki] += np.abs(vals)
-        margins[:, kj] += np.abs(vals)
+    k = {c: i for i, c in enumerate(classes)}
+    # Side 0 and 1 of pair p (its first and second class) are column 2 p + side.
+    owner = np.array([k[c] for pair in pairs for c in pair], dtype=np.intp)
+    member = owner == np.arange(len(classes))[:, None]
+    order = np.argsort(~member, axis=1, kind="stable")[:, : member.sum(axis=1).max()]
+    gather = np.where(np.take_along_axis(member, order, axis=1), order, 2 * len(pairs))
+    pair, side = np.divmod(gather.T, 2)
+    none = np.zeros((1, len(values)))
+    votes = (np.vstack((values.T >= 0.0, none > 0.0))[pair] != side[..., None]).sum(axis=0).T
+    margins = np.vstack((np.abs(values.T), none))[pair].sum(axis=0).T
     tied = votes == votes.max(axis=1, keepdims=True)
     winners = np.argmax(np.where(tied, margins, -np.inf), axis=1)
     return votes, margins, winners
@@ -248,15 +251,18 @@ def decision_table(model, X):
 
     Rows pass through the model's preprocessing first.  An input width
     other than the preprocessing's (without preprocessing, the support
-    vectors', if there are any) raises DimensionMismatch.  A model with
-    no support vectors decides by its biases alone.
+    vectors', if there are any) raises DimensionMismatch, and a NaN or
+    infinite input DataError.  A model with no support vectors decides
+    by its biases alone.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    if not np.isfinite(X).all():
+        raise DataError("input rows hold a non-finite value")
     if model.preprocessing is not None:
         X = model.preprocessing.apply(X)
     sv = model.support_vectors
     kernel = rbf_kernel_matrix(X, sv, model.params.gamma) if len(sv) else np.empty((len(X), 0))
-    return _decisions(kernel, model.coef, model.bias)
+    return kernel @ model.coef + model.bias
 
 
 def vote_table(model, X):
@@ -288,23 +294,22 @@ def classify(model, X):
 def grid_search(X, labels, c_grid, gamma_grid, folds=10, seed=0):
     """Pick (C, gamma) by stratified k-fold cross-validated accuracy.
 
-    Ties go to the smaller C, then the smaller gamma.  Classes with
-    fewer samples than `folds` degrade the fold count to the smallest
-    class size (leave-one-out per class) with a warning; classes with
-    fewer than 2 samples are an error.  Returns the winning params and
-    the CV table: one {"c", "gamma", "accuracy"} dict per grid point, in
+    X must be (n, d) with n labels, as for train_multiclass.  Ties go
+    to the smaller C, then the smaller gamma.  Classes with fewer
+    samples than `folds` degrade the fold count to the smallest class
+    size (leave-one-out per class) with a warning; classes with fewer
+    than 2 samples are an error.  Returns the winning params and the CV
+    table: one {"c", "gamma", "accuracy"} dict per grid point, in
     ascending C then gamma order, with the accuracy pooled over all
     held-out folds.
 
-    The kernel is built once per call: squared distances between all
-    rows of X, then one kernel K = exp(-gamma * D) per gamma with its
-    diagonal set to 1.  Every fold and C trains all pairs on the fold's
-    block K[train][:, train] and scores the held-out rows with
+    One squared-distance matrix D over all rows of X gives one kernel
+    K = exp(-gamma * D) per gamma, diagonal 1.  Every fold and C trains
+    all pairs on K[train][:, train] and scores the held-out rows with
     K[held][:, train] @ coef + bias, as train_multiclass and classify
     would on the fold's rows.
     """
-    X = np.asarray(X, dtype=float)
-    labels = np.asarray(labels)
+    X, labels = _training_rows(X, labels)
     if len(c_grid) == 0 or len(gamma_grid) == 0:
         raise ValueError("parameter grids must be non-empty")
     if folds < 2:
@@ -314,13 +319,10 @@ def grid_search(X, labels, c_grid, gamma_grid, folds=10, seed=0):
     _, counts = np.unique(labels, return_counts=True)
     min_count = int(counts.min())
     if min_count < 2:
-        raise InsufficientData(
-            f"smallest class has {min_count} sample(s); need at least 2 for CV"
-        )
+        raise InsufficientData(f"smallest class has {min_count} sample(s); need at least 2 for CV")
     if min_count < folds:
         warnings.warn(
-            f"reducing folds from {folds} to {min_count} (smallest class size)",
-            stacklevel=2,
+            f"reducing folds from {folds} to {min_count} (smallest class size)", stacklevel=2
         )
         folds = min_count
 
@@ -341,18 +343,13 @@ def grid_search(X, labels, c_grid, gamma_grid, folds=10, seed=0):
                 coef, bias, _ = _fit_pairs(
                     train_kernel, labels[train], classes, row[g].c, DEFAULT_MAX_ITER
                 )
-                _, _, winners = _vote(classes, pairs, _decisions(held_kernel, coef, bias))
+                _, _, winners = _vote(classes, pairs, held_kernel @ coef + bias)
                 correct[k, g] += int(np.sum(np.asarray(classes)[winners] == labels[held]))
 
-    best = None
-    table = []
-    for k, row in enumerate(grid):
-        for g, params in enumerate(row):
-            accuracy = int(correct[k, g]) / len(labels)
-            table.append({"c": params.c, "gamma": params.gamma, "accuracy": accuracy})
-            if best is None or accuracy > best[0]:
-                best = (accuracy, params)
-    return best[1], table
+    points = [params for row in grid for params in row]
+    accuracy = correct.ravel() / len(labels)
+    table = [{"c": p.c, "gamma": p.gamma, "accuracy": float(a)} for p, a in zip(points, accuracy)]
+    return points[int(accuracy.argmax())], table  # the first best wins ties
 
 
 # ---------------------------------------------------------------------------

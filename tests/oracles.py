@@ -201,6 +201,28 @@ def smo_reference_run(kernel, y, c, tol, max_iter):
     return alpha, bias, converged, iterations, gap
 
 
+def vote_reference(classes, pairs, values):
+    """(votes, margins, winners) of a one-vs-one vote by a loop over the pairs.
+
+    Each pair in turn adds its vote (decision >= 0 to its first class)
+    and |decision| to the margins of both its classes; the winner has
+    the most votes, then the largest margin sum, then the lowest index.
+    """
+    index = {c: k for k, c in enumerate(classes)}
+    votes = np.zeros((len(values), len(classes)), dtype=int)
+    margins = np.zeros((len(values), len(classes)))
+    for (ci, cj), vals in zip(pairs, values.T):
+        first = vals >= 0.0
+        ki, kj = index[ci], index[cj]
+        votes[:, ki] += first
+        votes[:, kj] += ~first
+        margins[:, ki] += np.abs(vals)
+        margins[:, kj] += np.abs(vals)
+    tied = votes == votes.max(axis=1, keepdims=True)
+    winners = np.argmax(np.where(tied, margins, -np.inf), axis=1)
+    return votes, margins, winners
+
+
 # ---------------------------------------------------------------------------
 # Brute-force Otsu threshold
 

@@ -5,7 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gesturelab.smo
+import gesturelab.svm
 from gesturelab.errors import (
+    ConfigError,
+    DataError,
     DimensionMismatch,
     InsufficientData,
     NumericalError,
@@ -22,6 +26,7 @@ from gesturelab.svm import (
     Preprocessing,
     _fit_pairs,
     _smo_lockstep,
+    _vote,
     class_pairs,
     classify,
     decision_table,
@@ -43,6 +48,7 @@ from oracles import (
     smo_reference,
     smo_reference_run,
     svm_dual_solve_pg,
+    vote_reference,
 )
 
 
@@ -178,6 +184,41 @@ def test_smo_rejects_non_finite_kernel():
         smo_solve(np.eye(3), y, 1.0)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf in distances
+def test_non_finite_kernel_fails_before_any_update(monkeypatch, rng):
+    # With the default budget a NaN kernel used to run 1,000,000 updates
+    # before the epilogue caught it; now no solve may start.
+    def no_solve(*args):
+        raise AssertionError("SMO ran on a non-finite kernel")
+
+    monkeypatch.setattr(gesturelab.smo, "_smo_lockstep", no_solve)
+    monkeypatch.setattr(gesturelab.svm, "_smo_lockstep", no_solve)
+    y = np.array([1.0, -1.0, 1.0, -1.0])
+    for bad in (np.nan, np.inf):
+        K = np.eye(4)
+        K[1, 2] = bad
+        with pytest.raises(NumericalError):
+            smo_solve(K, y, 1.0)
+        X, labels = make_blobs(rng, [(0.0, 0.0), (3.0, 0.0)], per_class=6)
+        X[4, 1] = bad
+        with pytest.raises(NumericalError):
+            train_multiclass(X, labels, KernelParams(1.0, 1.0))
+        with pytest.raises(NumericalError):
+            grid_search(X, labels, [1.0, 10.0], [0.1, 1.0], folds=2, seed=0)
+
+
+def test_smo_solve_rejects_bad_arguments():
+    y = np.array([1.0, -1.0])
+    for c in (np.nan, np.inf, 0.0, -1.0):
+        with pytest.raises(ConfigError):
+            smo_solve(np.eye(2), y, c)
+    for labels in ([2.0, -3.0], [1.0, 0.0], [1.0, np.nan]):
+        with pytest.raises(DataError):
+            smo_solve(np.eye(2), labels, 1.0)
+    with pytest.raises(InsufficientData):
+        smo_solve(np.zeros((0, 0)), [], 1.0)
+
+
 def seeded_smo_problems():
     """200 seeded problems (k, K, y, c, max_iter), n 4..120, C 0.1..1000:
     overlapping classes put most solutions on the C bound, and every 10th
@@ -240,6 +281,15 @@ def lockstep_fits():
         yield k, K, labels, (1.0, 1000.0)[k % 2]
 
 
+def padded(rows, signs):
+    """(index, y) of _smo_lockstep: one row per problem, padded with y = 0."""
+    index = np.zeros((len(rows), max(map(len, rows))), dtype=np.intp)
+    y = np.zeros(index.shape)
+    for p, (r, s) in enumerate(zip(rows, signs)):
+        index[p, : len(r)], y[p, : len(r)] = r, s
+    return index, y
+
+
 def test_lockstep_pairs_equal_reference_per_pair():
     # _fit_pairs solves every pair of a fit in one lockstep loop; each pair
     # must still get the reference loop's result on its own block, bit for
@@ -262,12 +312,12 @@ def test_lockstep_pairs_equal_reference_per_pair():
         assert len({len(r) for r in rows}) > 1 and counts[-1] - counts[0] >= 9, k
         # A budget of 0 or below runs no update and stops every pair.
         for max_iter in (DEFAULT_MAX_ITER, counts[len(counts) // 2], 0, -1):
-            results = _smo_lockstep(K, rows, signs, c, DEFAULT_TOL, max_iter)
+            result = _smo_lockstep(K, *padded(rows, signs), c, DEFAULT_TOL, max_iter)
             coef, bias, converged = _fit_pairs(K, labels, classes, c, max_iter)
-            for p, (result, run) in enumerate(zip(results, reference(max_iter))):
+            for p, run in enumerate(reference(max_iter)):
                 alpha, b, conv, iterations, gap = run
-                assert result.alpha.tobytes() == alpha.tobytes(), (k, p)
-                got = (result.bias, result.converged, result.iterations, result.gap)
+                assert result.alpha[p, : len(rows[p])].tobytes() == alpha.tobytes(), (k, p)
+                got = (result.bias[p], result.converged[p], result.iterations[p], result.gap[p])
                 assert got == (b, conv, iterations, gap), (k, p)
                 assert (bias[p], converged[p]) == (b, conv), (k, p)
                 pair_coef = np.zeros(len(labels))
@@ -275,6 +325,21 @@ def test_lockstep_pairs_equal_reference_per_pair():
                 assert coef[:, p].tobytes() == pair_coef.tobytes(), (k, p)
                 budget_hits += not conv
     assert budget_hits >= 10
+
+
+def test_lockstep_raises_when_one_problem_is_infeasible():
+    # The batched epilogue checks every problem: only the third, whose
+    # kernel block holds NaN, fails, and the narrower ones (padded) pass.
+    K = np.eye(9) + 0.1
+    rows = [np.arange(0, 2), np.arange(2, 5), np.arange(5, 9)]
+    signs = [np.array([1.0, -1.0]), np.array([1.0, -1.0, 1.0]), np.array([1.0, 1.0, -1.0, -1.0])]
+    result = _smo_lockstep(K, *padded(rows, signs), 1.0, DEFAULT_TOL, 50)
+    assert result.converged.all()
+    K[6, 7] = K[7, 6] = np.nan
+    with pytest.raises(NumericalError):
+        _smo_lockstep(K, *padded(rows, signs), 1.0, DEFAULT_TOL, 50)
+    with pytest.raises(NumericalError):
+        _smo_lockstep(K, *padded(rows[::-1], signs[::-1]), 1.0, DEFAULT_TOL, 50)
 
 
 def test_smo_curvature_edge_cases_match_projected_gradient_oracle(rng):
@@ -409,6 +474,38 @@ def test_vote_totals_sum_to_pair_count(rng):
     assert np.all(votes.sum(axis=1) == 10)  # 5*4/2
 
 
+def test_vote_equals_per_pair_reference(rng):
+    # Decision values drawn from a few small integers give exact zeros and
+    # exact vote and margin ties; pair lists come in class-pair order, in
+    # shuffled order, as a subset, and empty.
+    for trial in range(200):
+        m = int(rng.integers(1, 13))
+        classes = [int(c) for c in rng.permutation(20)[:m]]
+        pairs = class_pairs(classes)
+        if trial % 3 == 1:
+            pairs = [pairs[i] for i in rng.permutation(len(pairs))]
+        elif trial % 3 == 2:
+            pairs = [p for p in pairs if rng.random() < 0.6]
+        n = int(rng.integers(0, 40))
+        values = rng.integers(-2, 3, size=(n, len(pairs))) * 0.5
+        if trial % 2:
+            values = values + rng.normal(size=values.shape) * (rng.random(values.shape) < 0.5)
+        got, want = _vote(classes, pairs, values), vote_reference(classes, pairs, values)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape, trial
+            assert np.ascontiguousarray(a).tobytes() == b.tobytes(), trial
+
+
+def test_decision_table_rejects_non_finite_rows(rng):
+    X, y = make_blobs(rng, [(0.0, 0.0), (4.0, 0.0), (0.0, 4.0), (4.0, 4.0)], per_class=6)
+    model = train_multiclass(X, y, KernelParams(c=10.0, gamma=0.5))
+    for bad in (np.nan, np.inf, -np.inf):
+        rows = np.array([[1.0, 1.0], [bad, 0.0]])
+        for predict in (decision_table, classify, vote_table):
+            with pytest.raises(DataError):
+                predict(model, rows)
+
+
 def test_cyclic_tie_broken_by_margin_sum():
     # decision ~= bias everywhere near the origin: the one support vector
     # is far away, so its kernel contribution vanishes
@@ -466,7 +563,9 @@ def test_grid_search_single_class_leaves_the_error_to_training(rng):
     assert [row["accuracy"] for row in table] == [1.0, 1.0]
     with pytest.raises(SingleClassData):
         train_multiclass(X, y, params)
-    assert _smo_lockstep(np.eye(2), [], [], 1.0, DEFAULT_TOL, DEFAULT_MAX_ITER) == []
+    empty = np.zeros((0, 0))
+    result = _smo_lockstep(np.eye(2), empty.astype(np.intp), empty, 1.0, DEFAULT_TOL, 9)
+    assert result.alpha.shape == (0, 0) and result.bias.shape == (0,)
 
 
 def test_grid_search_tie_prefers_smaller_c_then_gamma(rng):
@@ -521,6 +620,13 @@ def test_multiclass_shared_gram_equals_per_pair_training(rng):
         assert abs(model.bias[p] - alone.bias[0]) <= 1e-9
         assert np.array_equal(table[:, p] >= 0, pair_values(alone, probes) >= 0)
     assert model.pairs == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+
+
+def test_grid_search_rejects_mismatched_shapes(rng):
+    X = rng.normal(size=(4, 2))
+    for rows, labels in ((X, np.array([0, 0, 1, 1, 1])), (X[:, 0], np.array([0, 0, 1, 1]))):
+        with pytest.raises(DimensionMismatch):
+            grid_search(rows, labels, [1.0], [0.1], folds=2, seed=0)
 
 
 def test_grid_search_insufficient_data(rng):
