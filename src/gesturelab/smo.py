@@ -82,7 +82,8 @@ def _smo_lockstep(kernel, index, labels, c, tol, max_iter):
     ties go to the first row.  The step b_j / a_j is capped at the box.
     A problem stops when its KKT violation gap max(v | up) - min(v | low)
     drops to `tol` or the iteration budget is spent; its state is then
-    copied out, and it leaves the active set.
+    copied out, and its row leaves the active state: one (6, problems,
+    width) array of y, diag, alpha, v and the up/low penalties.
 
     Each iteration gathers kernel rows i and j of every active problem
     from `kernel`, so no per-problem block is built.  Padded slots are in
@@ -93,27 +94,25 @@ def _smo_lockstep(kernel, index, labels, c, tol, max_iter):
     """
     kernel = np.ascontiguousarray(kernel)
     n = len(kernel)
-    y = labels
-    diag = kernel.diagonal()[index]
-    alpha = np.zeros_like(y)
-    pos = y > 0
     # v = -y * gradient of the dual objective, which is -1 at alpha = 0.
-    v = y.copy()
     # Penalties marking the slots whose alpha may move up / down along y:
     # 0 in the set, -inf outside.  At alpha = 0 the positives may move up
     # and the negatives down.  Only slots i and j change per update.
     blocked = -np.inf
-    up = np.where(pos, 0.0, blocked)
-    low = np.where(y < 0, 0.0, blocked)
+    state = np.stack((
+        labels, kernel.diagonal()[index], np.zeros_like(labels), labels,
+        np.where(labels > 0, 0.0, blocked), np.where(labels < 0, 0.0, blocked),
+    ))
     penalty = np.array([blocked, 0.0])  # indexed by set membership
 
-    # The final state of each problem, written when it stops.
-    final = [np.zeros_like(y) for _ in range(4)]  # alpha, v, up, low
-    converged = np.zeros(len(y), dtype=bool)
-    steps = np.zeros(len(y), dtype=int)
-    live = np.arange(len(y))  # the problem of each state row
+    # The final alpha, v, up and low of each problem, written when it stops.
+    final = np.zeros((4, *labels.shape))
+    converged = np.zeros(len(labels), dtype=bool)
+    steps = np.zeros(len(labels), dtype=int)
+    live = np.arange(len(labels))  # the problem of each state row
     iterations = 0
     while len(live):
+        y, diag, alpha, v, up, low = state  # views: updates write the state
         # take/put index the flattened state: row k starts at k * width.
         m, width = y.shape
         base = np.arange(m) * width
@@ -147,7 +146,8 @@ def _smo_lockstep(kernel, index, labels, c, tol, max_iter):
             # alpha_j down along y_j.  min and max are Python's: the first
             # argument wins ties and NaN comparisons.
             fk = np.concatenate((fi, fj))
-            a, s, pos_k = alpha.take(fk), y.take(fk), pos.take(fk)
+            a, s = alpha.take(fk), y.take(fk)
+            pos_k = s > 0
             cap = np.where(pos_k != second, c - a, a)
             step = (v_i - v.take(fj)) / curv.take(fj)
             np.copyto(step, cap[:m], where=cap[:m] < step)
@@ -165,12 +165,9 @@ def _smo_lockstep(kernel, index, labels, c, tol, max_iter):
 
         spent = iterations >= max_iter
         stop = np.ones(m, dtype=bool) if spent else done
-        for out, x in zip(final, (alpha, v, up, low)):
-            out[live[stop]] = x[stop]
+        final[:, live[stop]] = state[2:, stop]
         converged[live[stop]], steps[live[stop]] = not spent, iterations
-        live, index, y, pos, diag, alpha, v, up, low = (
-            x[~stop] for x in (live, index, y, pos, diag, alpha, v, up, low)
-        )
+        state, index, live = state[:, ~stop], index[~stop], live[~stop]
     return _smo_results(labels, c, *final, converged, steps)
 
 

@@ -4,10 +4,12 @@ Each unordered class pair solves the binary SVM dual by SMO (`smo.py`);
 the pairs of one fit are solved there together, in lockstep.  The pairs
 form one model table, as in LIBSVM: each support vector stored once and
 one coefficient column per pair, so the decision values of all pairs are
-`K @ coef + bias`.  Prediction is by majority vote; ties are broken by
-the largest sum of absolute decision values over the pairs involving
-each tied class, then by class order.  Hyper-parameters are selected by
-grid search with stratified k-fold cross-validation.
+`K @ coef + bias`; the class list fixes the pairs, (classes[i],
+classes[j]) for i < j in that order, as in LIBSVM.  Prediction is by
+majority vote; ties are broken by the largest sum of absolute decision
+values over the pairs involving each tied class, then by class order.
+Hyper-parameters are selected by grid search with stratified k-fold
+cross-validation.
 
 Training is kernel-first, as in LIBSVM's precomputed-kernel mode: a
 multi-class fit builds one Gram matrix over its rows and a grid search
@@ -127,20 +129,23 @@ class MulticlassSvm:
     Each support vector is stored once, as a row of `support_vectors`
     (n_sv, d).  `coef` (n_sv, pairs) holds alpha_i * y_i of row i in
     each pair's column, zero where row i is not a support vector of that
-    pair.  Pair p = (class_i, class_j) of `pairs` decides
-    `kernel(x, support_vectors) @ coef[:, p] + bias[p]`; a value >= 0
-    goes to class_i.  `params` holds the C and gamma every pair was
-    trained with, and `converged` one flag per pair.
+    pair.  The pairs are `class_pairs(classes)`; pair p = (class_i,
+    class_j) decides `kernel(x, support_vectors) @ coef[:, p] + bias[p]`,
+    and a value >= 0 goes to class_i.  `params` holds the C and gamma
+    every pair was trained with, and `converged` one flag per pair.
     """
 
     classes: list
-    pairs: list
     support_vectors: np.ndarray
     coef: np.ndarray
     bias: np.ndarray
     params: KernelParams
     converged: np.ndarray
     preprocessing: Preprocessing | None = None
+
+    @property
+    def pairs(self):
+        return class_pairs(self.classes)
 
     @property
     def n_pairs(self):
@@ -191,11 +196,14 @@ def _fit_pairs(kernel, labels, classes, c, max_iter):
 
 
 def _training_rows(X, labels):
-    """X as a float (n, d) array and labels as (n,), else DimensionMismatch."""
+    """X as a float (n, d) array and labels as (n,), else DimensionMismatch;
+    a NaN or infinite entry raises NumericalError before any distance uses it."""
     X = np.asarray(X, dtype=float)
     labels = np.asarray(labels)
     if X.ndim != 2 or labels.ndim != 1 or len(X) != len(labels):
         raise DimensionMismatch(f"X is {X.shape} and labels {labels.shape}; need (n, d) and (n,)")
+    if not np.isfinite(X).all():
+        raise NumericalError("training rows hold a non-finite value")
     return X, labels
 
 
@@ -215,32 +223,29 @@ def train_multiclass(X, labels, params, max_iter=DEFAULT_MAX_ITER, preprocessing
     coef, bias, converged = _fit_pairs(kernel, labels, classes, params.c, max_iter)
     keep = coef.any(axis=1)
     return MulticlassSvm(
-        classes=classes, pairs=class_pairs(classes), support_vectors=X[keep], coef=coef[keep],
+        classes=classes, support_vectors=X[keep], coef=coef[keep],
         bias=bias, params=params, converged=converged, preprocessing=preprocessing,
     )
 
 
-def _vote(classes, pairs, values):
-    """One-vs-one vote over the rows of an (n, pairs) decision matrix.
+def _vote(m, values):
+    """One-vs-one vote of m classes over the rows of an (n, class pairs) decision matrix.
 
     Decision 0 goes to the pair's first class.  Returns (votes, margins,
     winners): integer (n, m) vote counts, float (n, m) sums of
     |decision value| over the pairs involving each class, and each row's
     winning class index: the most votes, then among tied classes the
-    largest margin sum, then the first in class order.  Each class
-    gathers its pairs' columns in pair order; a sum over that leading
-    axis adds them one by one, as a loop over the pairs would.
+    largest margin sum, then the first in class order.  Entry [j, c] of
+    the (m, m, n) win and |margin| tables is class c against class j, so
+    the sum over j adds c's pairs one by one in pair order, as a loop would.
     """
-    k = {c: i for i, c in enumerate(classes)}
-    # Side 0 and 1 of pair p (its first and second class) are column 2 p + side.
-    owner = np.array([k[c] for pair in pairs for c in pair], dtype=np.intp)
-    member = owner == np.arange(len(classes))[:, None]
-    order = np.argsort(~member, axis=1, kind="stable")[:, : member.sum(axis=1).max()]
-    gather = np.where(np.take_along_axis(member, order, axis=1), order, 2 * len(pairs))
-    pair, side = np.divmod(gather.T, 2)
-    none = np.zeros((1, len(values)))
-    votes = (np.vstack((values.T >= 0.0, none > 0.0))[pair] != side[..., None]).sum(axis=0).T
-    margins = np.vstack((np.abs(values.T), none))[pair].sum(axis=0).T
+    first, second = np.triu_indices(m, 1)
+    wins = np.zeros((m, m, len(values)), dtype=bool)
+    wins[second, first] = values.T >= 0.0
+    wins[first, second] = values.T < 0.0
+    margin = np.zeros(wins.shape)
+    margin[second, first] = margin[first, second] = np.abs(values.T)
+    votes, margins = wins.sum(axis=0).T, margin.sum(axis=0).T
     tied = votes == votes.max(axis=1, keepdims=True)
     winners = np.argmax(np.where(tied, margins, -np.inf), axis=1)
     return votes, margins, winners
@@ -272,7 +277,7 @@ def vote_table(model, X):
     pair count per row, and float (n, m) sums of |decision value| over
     the pairs involving each class.
     """
-    votes, margins, _ = _vote(model.classes, model.pairs, decision_table(model, X))
+    votes, margins, _ = _vote(len(model.classes), decision_table(model, X))
     return votes, margins
 
 
@@ -282,7 +287,7 @@ def classify(model, X):
     The winner has the most votes; among tied classes, the largest
     margin sum, then the first in class order.
     """
-    votes, _, winners = _vote(model.classes, model.pairs, decision_table(model, X))
+    votes, _, winners = _vote(len(model.classes), decision_table(model, X))
     labels = np.asarray(model.classes)[winners]
     return labels, votes[np.arange(len(votes)), winners]
 
@@ -336,14 +341,13 @@ def grid_search(X, labels, c_grid, gamma_grid, folds=10, seed=0):
             train = np.flatnonzero(fold_of != f)
             held = np.flatnonzero(fold_of == f)
             classes = _classes(labels[train])
-            pairs = class_pairs(classes)
             train_kernel = kernel[np.ix_(train, train)]
             held_kernel = kernel[np.ix_(held, train)]
             for k, row in enumerate(grid):
                 coef, bias, _ = _fit_pairs(
                     train_kernel, labels[train], classes, row[g].c, DEFAULT_MAX_ITER
                 )
-                _, _, winners = _vote(classes, pairs, held_kernel @ coef + bias)
+                _, _, winners = _vote(len(classes), held_kernel @ coef + bias)
                 correct[k, g] += int(np.sum(np.asarray(classes)[winners] == labels[held]))
 
     points = [params for row in grid for params in row]
@@ -392,7 +396,7 @@ def _v1_table(records):
         coefs = jsonio.numbers(rec["dual_coefs"], 1)
         if vectors.ndim != 2 or coefs.shape != (len(vectors),):
             raise ValueError(f"pair record: {coefs.shape} coefficients, {vectors.shape} vectors")
-        pairs.append((rec["first"], rec["second"]))
+        pairs.append((jsonio.integer(rec["first"]), jsonio.integer(rec["second"])))
         blocks.append(vectors)
         columns.append(coefs)
         params.add((jsonio.number(rec["c"]), jsonio.number(rec["gamma"])))
@@ -419,20 +423,21 @@ def _flag(value):
 def model_from_dict(data):
     """Multi-class model from its model.json record, version 2 or 1.
 
-    A missing or mistyped field, arrays whose shapes disagree, a pair
-    naming an unlisted class, no pairs at all and any non-finite number
-    raise ParseError, as do version-1 pairs that disagree on C or gamma;
-    any other version raises SchemaVersionMismatch.
+    `classes` must be distinct integers, at least two, and the pairs
+    exactly `class_pairs(classes)`.  A missing or mistyped field, any
+    other pair list, arrays whose shapes disagree and any non-finite
+    number raise ParseError, as do version-1 pairs that disagree on C or
+    gamma; any other version raises SchemaVersionMismatch.
     """
     try:
         version = data.get("version")
         if version not in (1, 2):
             raise SchemaVersionMismatch(f"unsupported model version {version!r}")
-        classes = list(data["classes"])
+        classes = [jsonio.integer(c) for c in data["classes"]]
         if version == 1:
             pairs, vectors, coef, bias, params, converged = _v1_table(data["pairs"])
         else:
-            pairs = [tuple(pair) for pair in data["pairs"]]
+            pairs = [tuple(map(jsonio.integer, pair)) for pair in data["pairs"]]
             vectors = jsonio.numbers(data["support_vectors"], 2)
             coef = jsonio.numbers(data["coef"], 2)
             bias = jsonio.numbers(data["bias"], 1)
@@ -440,12 +445,8 @@ def model_from_dict(data):
             converged = [_flag(flag) for flag in data["converged"]]
         bias = np.asarray(bias, dtype=float)
         converged = np.array(converged, dtype=bool)
-        if not pairs:
-            raise ValueError("model lists no class pairs")
-        for pair in pairs:
-            ci, cj = pair
-            if not {ci, cj} <= set(classes):
-                raise ValueError(f"pair {pair} names a class not in {classes}")
+        if len(set(classes)) < max(len(classes), 2) or pairs != class_pairs(classes):
+            raise ValueError(f"pairs must be those of >= 2 distinct classes in order: {classes}")
         pre = None
         if data.get("preprocessing") is not None:
             raw = data["preprocessing"]
@@ -468,7 +469,6 @@ def model_from_dict(data):
             raise ValueError("model holds a non-finite number")
         return MulticlassSvm(
             classes=classes,
-            pairs=pairs,
             support_vectors=vectors,
             coef=coef,
             bias=bias,

@@ -8,7 +8,7 @@ from gesturelab.cli import main
 from gesturelab.data import default_templates, generate_synthetic, load_dataset, save_dataset
 from gesturelab.harness import config_from_dict, experiment_cells
 from gesturelab.image import UndistortionMap
-from gesturelab.svm import load_model
+from gesturelab.svm import class_pairs, load_model
 
 
 def run_cli(*argv):
@@ -366,6 +366,10 @@ def test_exit_code_data_error(tmp_path, dataset_dir):
         record["bias"][0] = float("nan")
         record["support_vectors"][0][0] = float("inf")
 
+    def string_class(record):  # with the pairs of the edited class list
+        classes = ["a", *record["classes"][1:]]
+        record.update(classes=classes, pairs=[list(pair) for pair in class_pairs(classes)])
+
     bad_models = {
         "no_pairs.json": {"version": 2},
         "list.json": [1],
@@ -373,6 +377,9 @@ def test_exit_code_data_error(tmp_path, dataset_dir):
         "non_finite.json": edited(non_finite),
         "no_classes.json": edited(lambda r: r.update(classes=[], pairs=[])),
         "unlisted_class.json": edited(lambda r: r["classes"].pop()),
+        "extra_class.json": edited(lambda r: r["classes"].append(len(r["classes"]))),
+        "reordered_pairs.json": edited(lambda r: r["pairs"].reverse()),
+        "string_class.json": edited(string_class),
         "short_coefs.json": edited(lambda r: r["coef"].pop()),
         "flat_vectors.json": edited(lambda r: r.update(support_vectors=[0.5])),
         "short_pca_mean.json": edited(lambda r: r["preprocessing"]["pca"]["mean"].pop()),

@@ -184,7 +184,6 @@ def test_smo_rejects_non_finite_kernel():
         smo_solve(np.eye(3), y, 1.0)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf in distances
 def test_non_finite_kernel_fails_before_any_update(monkeypatch, rng):
     # With the default budget a NaN kernel used to run 1,000,000 updates
     # before the epilogue caught it; now no solve may start.
@@ -476,21 +475,19 @@ def test_vote_totals_sum_to_pair_count(rng):
 
 def test_vote_equals_per_pair_reference(rng):
     # Decision values drawn from a few small integers give exact zeros and
-    # exact vote and margin ties; pair lists come in class-pair order, in
-    # shuffled order, as a subset, and empty.
+    # exact vote and margin ties; the columns are the class pairs in order,
+    # none for a single class.  A single row is drawn often: with 8 or more
+    # pairs per class, numpy sums a contiguous pair axis pairwise, which
+    # rounds differently from the loop.
     for trial in range(200):
         m = int(rng.integers(1, 13))
         classes = [int(c) for c in rng.permutation(20)[:m]]
         pairs = class_pairs(classes)
-        if trial % 3 == 1:
-            pairs = [pairs[i] for i in rng.permutation(len(pairs))]
-        elif trial % 3 == 2:
-            pairs = [p for p in pairs if rng.random() < 0.6]
-        n = int(rng.integers(0, 40))
+        n = 1 if trial % 4 == 3 else int(rng.integers(0, 40))
         values = rng.integers(-2, 3, size=(n, len(pairs))) * 0.5
         if trial % 2:
             values = values + rng.normal(size=values.shape) * (rng.random(values.shape) < 0.5)
-        got, want = _vote(classes, pairs, values), vote_reference(classes, pairs, values)
+        got, want = _vote(m, values), vote_reference(classes, pairs, values)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and a.shape == b.shape, trial
             assert np.ascontiguousarray(a).tobytes() == b.tobytes(), trial
@@ -510,11 +507,10 @@ def test_cyclic_tie_broken_by_margin_sum():
     # decision ~= bias everywhere near the origin: the one support vector
     # is far away, so its kernel contribution vanishes
     model = MulticlassSvm(
-        classes=[0, 1, 2],
-        pairs=[(0, 1), (1, 2), (0, 2)],
+        classes=[0, 1, 2],  # pairs (0, 1), (0, 2), (1, 2)
         support_vectors=np.array([[1000.0]]),
         coef=np.full((1, 3), 1e-12),
-        bias=np.array([0.5, 0.9, -0.7]),  # votes 0, 1, 2
+        bias=np.array([0.5, -0.7, 0.9]),  # votes 0, 2, 1
         params=KernelParams(c=1.0, gamma=1.0),
         converged=np.ones(3, dtype=bool),
     )
