@@ -100,8 +100,8 @@ class ExperimentConfig:
             raise ConfigError("k_values must be finite and >= 0")
         if not self.c_grid or not self.gamma_grid:
             raise ConfigError("c_grid and gamma_grid must be non-empty")
-        if not all(v > 0 for v in (*self.c_grid, *self.gamma_grid)):
-            raise ConfigError("c_grid and gamma_grid values must be > 0")
+        if not all(0 < v < math.inf for v in (*self.c_grid, *self.gamma_grid)):
+            raise ConfigError("c_grid and gamma_grid values must be finite and > 0")
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError("train_fraction must be in (0, 1)")
         if self.grid_mode not in ("per_cell", "per_repetition"):

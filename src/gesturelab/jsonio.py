@@ -23,9 +23,10 @@ def dumps(obj):
 
 
 def dump_path(obj, path):
+    """Write `obj` to `path` as one JSON line; a value `dumps` refuses leaves the file untouched."""
+    text = dumps(obj) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(obj))
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_path(path):

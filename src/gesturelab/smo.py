@@ -7,12 +7,15 @@ Each problem is the standard dual
 
 solved by sequential minimal optimization with second-order working set
 selection (Fan, Chen & Lin, 2005), LIBSVM's default.  Several problems
-over one kernel, such as the class pairs of a one-vs-one fit, are solved
-in lockstep over their padded (problems, width) state: each iteration,
-and the epilogue (gap, bias and feasibility checks), is one set of array
-operations over every problem, with the kernel rows gathered from the
-shared matrix.  Each problem gets exactly the steps and result it would
-get alone; `smo_solve` runs the same code on a single problem.
+over one kernel, such as the class pairs of every fold and C of a grid
+search, each with its own C, are solved in lockstep over their padded
+(problems, width) state: each iteration, and the epilogue (gap, bias
+and feasibility checks), is one set of array operations over every
+problem, with the kernel rows gathered from the shared matrix.  A
+problem that stops stays frozen in the state until half of them have
+stopped, so the state is compacted a few times per call, not at every
+stop.  Each problem gets exactly the steps and result it would get
+alone; `smo_solve` runs the same code on a single problem.
 """
 
 from dataclasses import dataclass
@@ -73,8 +76,9 @@ def _smo_lockstep(kernel, index, labels, c, tol, max_iter):
     """SMO on several duals over one kernel, every problem advanced together.
 
     Problem p solves the dual over the rows `index[p]` of `kernel` with
-    the labels `labels[p]` in {-1, +1}; slots labelled 0 are padding.
-    With v = -y * gradient, each update picks its pair by second-order
+    the labels `labels[p]` in {-1, +1} and the box bound `c`, a scalar or
+    one C per problem; slots labelled 0 are padding.  With
+    v = -y * gradient, each update picks its pair by second-order
     working set selection (Fan, Chen & Lin, JMLR 6, 2005; LIBSVM's
     default): i maximises v over the rows whose alpha may move up along
     y, and j is the row t that may move down with b_t = v_i - v_t > 0
@@ -82,8 +86,12 @@ def _smo_lockstep(kernel, index, labels, c, tol, max_iter):
     ties go to the first row.  The step b_j / a_j is capped at the box.
     A problem stops when its KKT violation gap max(v | up) - min(v | low)
     drops to `tol` or the iteration budget is spent; its state is then
-    copied out, and its row leaves the active state: one (6, problems,
-    width) array of y, diag, alpha, v and the up/low penalties.
+    copied out.  A stopped problem's row stays in the active state,
+    frozen by a zero step (alpha and v are never -0.0, so adding a signed
+    zero leaves them bit-identical), until at most half the rows are
+    live; only then is the state compacted to the live rows.  The state
+    is one (6, problems, width) array of y, diag, alpha, v and the
+    up/low penalties.
 
     Each iteration gathers kernel rows i and j of every active problem
     from `kernel`, so no per-problem block is built.  Padded slots are in
@@ -94,6 +102,7 @@ def _smo_lockstep(kernel, index, labels, c, tol, max_iter):
     """
     kernel = np.ascontiguousarray(kernel)
     n = len(kernel)
+    c = np.broadcast_to(np.asarray(c, dtype=float), len(labels))
     # v = -y * gradient of the dual objective, which is -1 at alpha = 0.
     # Penalties marking the slots whose alpha may move up / down along y:
     # 0 in the set, -inf outside.  At alpha = 0 the positives may move up
@@ -117,8 +126,9 @@ def _smo_lockstep(kernel, index, labels, c, tol, max_iter):
         m, width = y.shape
         base = np.arange(m) * width
         second = np.arange(2 * m) >= m  # the j half of [i, j]
+        box = np.concatenate((c[live], c[live]))  # C of slots i then j
         b = np.empty_like(v)
-        done = np.zeros(m, dtype=bool)
+        stopped = np.zeros(m, dtype=bool)  # copied out and frozen
         while iterations < max_iter:
             np.add(v, up, out=b)
             fi = base + b.argmax(axis=1)
@@ -128,8 +138,13 @@ def _smo_lockstep(kernel, index, labels, c, tol, max_iter):
             np.subtract(v_i[:, None], v, out=b)
             b += low
             done = b.take(base + b.argmax(axis=1)) <= tol
+            done &= ~stopped
             if done.any():
-                break
+                final[:, live[done]] = state[2:, done]
+                converged[live[done]], steps[live[done]] = True, iterations
+                stopped |= done
+                if 2 * stopped.sum() >= m:
+                    break
             # Curvatures a_it of row i against every slot.
             kernel_i = kernel.take(index + (n * index.take(fi))[:, None])
             curv = diag.take(fi)[:, None] + diag
@@ -148,31 +163,33 @@ def _smo_lockstep(kernel, index, labels, c, tol, max_iter):
             fk = np.concatenate((fi, fj))
             a, s = alpha.take(fk), y.take(fk)
             pos_k = s > 0
-            cap = np.where(pos_k != second, c - a, a)
+            cap = np.where(pos_k != second, box - a, a)
             step = (v_i - v.take(fj)) / curv.take(fj)
             np.copyto(step, cap[:m], where=cap[:m] < step)
             np.copyto(step, cap[m:], where=cap[m:] < step)
+            step[stopped] = 0.0
             s[m:] *= -1.0
             a += s * np.concatenate((step, step))
             np.copyto(a, 0.0, where=0.0 > a)
-            np.copyto(a, c, where=c < a)
+            np.copyto(a, box, where=box < a)
             alpha.put(fk, a)  # j last: it wins if i == j
             v -= step[:, None] * (kernel_i - kernel.take(index + (n * index.take(fj))[:, None]))
-            below, above = a < c, a > 0.0
+            below, above = a < box, a > 0.0
             up.put(fk, penalty.take(np.where(pos_k, below, above)))
             low.put(fk, penalty.take(np.where(pos_k, above, below)))
             iterations += 1
 
-        spent = iterations >= max_iter
-        stop = np.ones(m, dtype=bool) if spent else done
-        final[:, live[stop]] = state[2:, stop]
-        converged[live[stop]], steps[live[stop]] = not spent, iterations
-        state, index, live = state[:, ~stop], index[~stop], live[~stop]
+        if iterations >= max_iter:  # the budget stops every live problem
+            final[:, live[~stopped]] = state[2:, ~stopped]
+            steps[live[~stopped]] = iterations
+            break
+        state, index, live = state[:, ~stopped], index[~stopped], live[~stopped]
     return _smo_results(labels, c, *final, converged, steps)
 
 
 def _smo_results(y, c, alpha, v, up, low, converged, iterations):
-    """SmoResult of all problems' final states (rows), checked for feasibility.
+    """SmoResult of all problems' final states (rows) and their (problems,)
+    C, checked for feasibility.
 
     A padded or segmented sum rounds differently from np.mean(v[free]),
     so the bias is one row-wise mean per count of free rows.
@@ -181,7 +198,8 @@ def _smo_results(y, c, alpha, v, up, low, converged, iterations):
     hi = np.where(up_rows.any(axis=1), v.max(axis=1, where=up_rows, initial=-np.inf), 0.0)
     lo = np.where(low_rows.any(axis=1), v.min(axis=1, where=low_rows, initial=np.inf), 0.0)
     gap = np.where(up_rows.any(axis=1) & low_rows.any(axis=1), hi - lo, 0.0)
-    free = (alpha > 0.0) & (alpha < c)
+    box = c[:, None]  # each problem's C against its row
+    free = (alpha > 0.0) & (alpha < box)
     bias = 0.5 * (hi + lo)
     counts = free.sum(axis=1)
     for k in np.unique(counts[counts > 0]):
@@ -192,7 +210,7 @@ def _smo_results(y, c, alpha, v, up, low, converged, iterations):
     # keeps y'a = 0 up to rounding of terms no larger than c, so the
     # tolerance scales with c and each problem's n.
     finite = np.isfinite(alpha).all(axis=1) & np.isfinite(bias)
-    infeasible = ((alpha < 0.0) | (alpha > c)).any(axis=1) | (
+    infeasible = ((alpha < 0.0) | (alpha > box)).any(axis=1) | (
         np.abs((alpha * y).sum(axis=1)) > EQUALITY_RTOL * c * (y != 0.0).sum(axis=1)
     )
     for bad, what in ((~finite, "a non-finite"), (infeasible, "an infeasible dual")):

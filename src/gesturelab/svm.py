@@ -1,7 +1,8 @@
 """Soft-margin one-vs-one RBF support-vector machines.
 
 Each unordered class pair solves the binary SVM dual by SMO (`smo.py`);
-the pairs of one fit are solved there together, in lockstep.  The pairs
+the pairs of one fit, or of many fits over one kernel, are solved there
+together, in lockstep.  The pairs
 form one model table, as in LIBSVM: each support vector stored once and
 one coefficient column per pair, so the decision values of all pairs are
 `K @ coef + bias`; the class list fixes the pairs, (classes[i],
@@ -13,8 +14,10 @@ cross-validation.
 
 Training is kernel-first, as in LIBSVM's precomputed-kernel mode: a
 multi-class fit builds one Gram matrix over its rows and a grid search
-one squared-distance matrix over its rows; every pair, fold and C then
-indexes into that matrix instead of recomputing kernel entries.
+one squared-distance matrix over its rows, then one kernel per gamma.
+Every pair of every fold and C indexes that kernel by global row ids,
+with no per-fold copy, and all of one gamma's fits are solved in a few
+lockstep calls.
 """
 
 import itertools
@@ -31,6 +34,9 @@ from .fusion import FusionConfig, PcaModel, fuse_matrix
 from .smo import DEFAULT_MAX_ITER, DEFAULT_TOL, _smo_lockstep, smo_solve  # noqa: F401  (API)
 
 SV_EPS = 1e-8
+# Largest lockstep call of a grid search, in padded slots (pairs x width):
+# a much wider state falls out of cache and costs more per iteration.
+LOCKSTEP_SLOTS = 65_536
 
 
 @dataclass(frozen=True)
@@ -41,10 +47,10 @@ class KernelParams:
     gamma: float
 
     def __post_init__(self):
-        if not self.c > 0:
-            raise ValueError("c must be > 0")
-        if not self.gamma > 0:
-            raise ValueError("gamma must be > 0")
+        if not 0 < self.c < np.inf:
+            raise ValueError(f"c must be finite and > 0, got {self.c!r}")
+        if not 0 < self.gamma < np.inf:
+            raise ValueError(f"gamma must be finite and > 0, got {self.gamma!r}")
 
 
 def rbf_kernel(x, y, gamma):
@@ -163,36 +169,64 @@ def _classes(labels):
     return [c.item() if hasattr(c, "item") else c for c in np.unique(labels)]
 
 
-def _fit_pairs(kernel, labels, classes, c, max_iter):
-    """SMO on every class pair of one training kernel, in class-pair order.
+def _fit_pairs(kernel, labels, fits, max_iter):
+    """SMO on every class pair of several fits over one kernel, in one lockstep call.
 
-    `kernel` is the (n, n) Gram matrix of the rows that `labels` labels.
-    A pair trains on its rows with y = +1 for its first class; one
-    (pairs, n) membership mask gives the padded rows and labels of all
-    pairs, which `_smo_lockstep` solves together.  A pair's support
-    vectors are the rows with alpha > SV_EPS, or with alpha > 0 if none
-    exceeds SV_EPS.  Returns (coef, bias, converged): the (n, pairs)
-    matrix of alpha_i * y_i of each pair's support vectors, zero
-    elsewhere, and (pairs,) biases and convergence flags.
+    `kernel` is the (n, n) Gram matrix of the rows that `labels` labels,
+    and each fit is (rows, c): the rows of `kernel` it trains on and its
+    C.  A fit's pairs are those of its classes, in class-pair order; a
+    pair trains on its rows with y = +1 for its first class.  One
+    (pairs, rows) membership mask per fit gives the padded pair rows and
+    labels, as global row ids, and `_smo_lockstep` solves the pairs of
+    all fits together, each with its fit's C.  A pair's support vectors
+    are the rows with alpha > SV_EPS, or with alpha > 0 if none exceeds
+    SV_EPS.  Returns one (coef, bias, converged) per fit: the
+    (len(rows), pairs) matrix of alpha_i * y_i of each pair's support
+    vectors, zero elsewhere, and (pairs,) biases and convergence flags.
     """
-    onehot = labels == np.asarray(classes)[:, None]
-    first, second = np.triu_indices(len(classes), 1)  # class_pairs order
-    flat = np.flatnonzero(onehot[first] | onehot[second])
-    pp, kk = np.divmod(flat, len(labels))
-    sizes = np.bincount(pp, minlength=len(first))
-    index = np.zeros((len(first), sizes.max(initial=0)), dtype=np.intp)
-    y = np.zeros(index.shape)
-    # Flat slot of each (pair, row): the row's rank within its pair.
-    slot = pp * index.shape[1] + np.arange(len(flat)) - (np.cumsum(sizes) - sizes)[pp]
-    index.put(slot, kk)
-    y.put(slot, np.where(onehot[first].ravel()[flat], 1.0, -1.0))
+    blocks = []
+    for rows, _ in fits:
+        fit_labels = labels[rows]
+        onehot = fit_labels == np.asarray(_classes(fit_labels))[:, None]
+        first, second = np.triu_indices(len(onehot), 1)  # class_pairs order
+        flat = np.flatnonzero(onehot[first] | onehot[second])
+        pp, kk = np.divmod(flat, len(rows))
+        sizes = np.bincount(pp, minlength=len(first))
+        local = np.zeros((len(first), sizes.max(initial=0)), dtype=np.intp)
+        y = np.zeros(local.shape)
+        # Flat slot of each (pair, row): the row's rank within its pair.
+        slot = pp * local.shape[1] + np.arange(len(flat)) - (np.cumsum(sizes) - sizes)[pp]
+        local.put(slot, kk)
+        y.put(slot, np.where(onehot[first].ravel()[flat], 1.0, -1.0))
+        blocks.append((local, y))
+
+    width = max(local.shape[1] for local, _ in blocks)
+    index = np.vstack([
+        np.pad(rows[local], ((0, 0), (0, width - local.shape[1])))
+        for (rows, _), (local, _) in zip(fits, blocks)
+    ])
+    y = np.vstack([np.pad(fit_y, ((0, 0), (0, width - fit_y.shape[1]))) for _, fit_y in blocks])
+    c = np.repeat([c for _, c in fits], [len(local) for local, _ in blocks])
     result = _smo_lockstep(kernel, index, y, c, DEFAULT_TOL, max_iter)
     sv = result.alpha > SV_EPS
     sv |= (result.alpha > 0.0) & ~sv.any(axis=1, keepdims=True)
-    pp, kk = np.nonzero(sv)
-    coef = np.zeros((len(labels), len(first)))
-    coef[index[pp, kk], pp] = (result.alpha * y)[pp, kk]
-    return coef, result.bias, result.converged
+
+    out, start = [], 0
+    for (rows, _), (local, fit_y) in zip(fits, blocks):
+        end = start + len(local)
+        pp, kk = np.nonzero(sv[start:end, : local.shape[1]])
+        coef = np.zeros((len(rows), len(local)))
+        coef[local[pp, kk], pp] = result.alpha[start + pp, kk] * fit_y[pp, kk]
+        out.append((coef, result.bias[start:end], result.converged[start:end]))
+        start = end
+    return out
+
+
+def _pair_shape(labels):
+    """(pairs, width) of the one-vs-one problems over `labels`: the pair
+    count and the row count of the largest pair."""
+    counts = np.sort(np.unique(labels, return_counts=True)[1])
+    return len(counts) * (len(counts) - 1) // 2, int(counts[-2:].sum())
 
 
 def _training_rows(X, labels):
@@ -220,7 +254,8 @@ def train_multiclass(X, labels, params, max_iter=DEFAULT_MAX_ITER, preprocessing
     if len(classes) < 2:
         raise SingleClassData(f"training needs at least 2 classes, got {len(classes)}")
     kernel = _training_kernel(_squared_distances(X, X), params.gamma)
-    coef, bias, converged = _fit_pairs(kernel, labels, classes, params.c, max_iter)
+    fit = (np.arange(len(X)), params.c)
+    [(coef, bias, converged)] = _fit_pairs(kernel, labels, [fit], max_iter)
     keep = coef.any(axis=1)
     return MulticlassSvm(
         classes=classes, support_vectors=X[keep], coef=coef[keep],
@@ -309,10 +344,13 @@ def grid_search(X, labels, c_grid, gamma_grid, folds=10, seed=0):
     held-out folds.
 
     One squared-distance matrix D over all rows of X gives one kernel
-    K = exp(-gamma * D) per gamma, diagonal 1.  Every fold and C trains
-    all pairs on K[train][:, train] and scores the held-out rows with
-    K[held][:, train] @ coef + bias, as train_multiclass and classify
-    would on the fold's rows.
+    K = exp(-gamma * D) per gamma, diagonal 1.  All folds x C fits of a
+    gamma train their pairs together on K itself, indexed by the fold's
+    training rows, in lockstep calls of at most LOCKSTEP_SLOTS padded
+    slots; each fit then scores its held-out rows with
+    K[held][:, train] @ coef + bias.  Every pair gets the iterates it
+    would get alone, so the table is that of train_multiclass and
+    classify on each fold's rows.
     """
     X, labels = _training_rows(X, labels)
     if len(c_grid) == 0 or len(gamma_grid) == 0:
@@ -333,20 +371,32 @@ def grid_search(X, labels, c_grid, gamma_grid, folds=10, seed=0):
 
     grid = [[KernelParams(c=c, gamma=g) for g in sorted(gamma_grid)] for c in sorted(c_grid)]
     fold_of = stratified_folds(labels, folds, seed)
+    trains = [np.flatnonzero(fold_of != f) for f in range(folds)]
+    helds = [np.flatnonzero(fold_of == f) for f in range(folds)]
+    # Every (C, fold) fit of one gamma, grouped into lockstep calls of at
+    # most LOCKSTEP_SLOTS padded slots: pairs times the widest pair.
+    shapes = [_pair_shape(labels[train]) for train in trains]
+    calls, pairs, width = [[]], 0, 0
+    for k, f in itertools.product(range(len(grid)), range(folds)):
+        fit_pairs, fit_width = shapes[f]
+        if calls[-1] and (pairs + fit_pairs) * max(width, fit_width) > LOCKSTEP_SLOTS:
+            calls.append([])
+            pairs = width = 0
+        calls[-1].append((k, f))
+        pairs, width = pairs + fit_pairs, max(width, fit_width)
+
     sq = _squared_distances(X, X)
     correct = np.zeros((len(grid), len(grid[0])), dtype=int)
     for g, gamma in enumerate(sorted(gamma_grid)):
         kernel = _training_kernel(sq, gamma)
-        for f in range(folds):
-            train = np.flatnonzero(fold_of != f)
-            held = np.flatnonzero(fold_of == f)
-            classes = _classes(labels[train])
-            train_kernel = kernel[np.ix_(train, train)]
-            held_kernel = kernel[np.ix_(held, train)]
-            for k, row in enumerate(grid):
-                coef, bias, _ = _fit_pairs(
-                    train_kernel, labels[train], classes, row[g].c, DEFAULT_MAX_ITER
-                )
+        for call in calls:
+            solved = _fit_pairs(
+                kernel, labels, [(trains[f], grid[k][g].c) for k, f in call], DEFAULT_MAX_ITER
+            )
+            for (k, f), (coef, bias, _) in zip(call, solved):
+                train, held = trains[f], helds[f]
+                classes = _classes(labels[train])
+                held_kernel = kernel[held].take(train, axis=1)  # K[held][:, train]
                 _, _, winners = _vote(len(classes), held_kernel @ coef + bias)
                 correct[k, g] += int(np.sum(np.asarray(classes)[winners] == labels[held]))
 

@@ -135,6 +135,21 @@ def test_empty_manifest_is_empty_list(tmp_path):
     assert load_dataset(path) == []
 
 
+def test_failed_dump_leaves_existing_file_unchanged(tmp_path):
+    # A non-finite value is refused before the file is opened, so an
+    # earlier file at the path survives and no empty file is left behind.
+    path = tmp_path / "model.json"
+    dump_path({"c": 10.0}, path)
+    before = path.read_bytes()
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            dump_path({"c": bad}, path)
+        assert path.read_bytes() == before
+        with pytest.raises(ValueError):
+            dump_path({"c": bad}, tmp_path / "absent.json")
+        assert not (tmp_path / "absent.json").exists()
+
+
 def test_missing_files_all_reported(tmp_path):
     path = tmp_path / "dataset.json"
     dump_path(

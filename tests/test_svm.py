@@ -312,7 +312,9 @@ def test_lockstep_pairs_equal_reference_per_pair():
         # A budget of 0 or below runs no update and stops every pair.
         for max_iter in (DEFAULT_MAX_ITER, counts[len(counts) // 2], 0, -1):
             result = _smo_lockstep(K, *padded(rows, signs), c, DEFAULT_TOL, max_iter)
-            coef, bias, converged = _fit_pairs(K, labels, classes, c, max_iter)
+            [(coef, bias, converged)] = _fit_pairs(
+                K, labels, [(np.arange(len(labels)), c)], max_iter
+            )
             for p, run in enumerate(reference(max_iter)):
                 alpha, b, conv, iterations, gap = run
                 assert result.alpha[p, : len(rows[p])].tobytes() == alpha.tobytes(), (k, p)
@@ -324,6 +326,45 @@ def test_lockstep_pairs_equal_reference_per_pair():
                 assert coef[:, p].tobytes() == pair_coef.tobytes(), (k, p)
                 budget_hits += not conv
     assert budget_hits >= 10
+
+
+def test_lockstep_mixed_c_equals_reference_per_problem():
+    # One call over problems with C from 0.1 to 1000 on random row subsets
+    # of one kernel.  Their iteration counts differ by more than 10x, so
+    # stopped problems stay frozen in the state until at most half are
+    # live, and the state is then compacted; the median budget also stops
+    # about half of them mid-run.  Each must still get the reference
+    # loop's result on its own block, bit for bit.
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(90, 3))
+    K = rbf_kernel_matrix(X, X, 0.7)
+    np.fill_diagonal(K, 1.0)
+    rows, signs = [], []
+    for p in range(30):
+        r = rng.choice(len(X), size=int(rng.integers(4, 60)), replace=False)
+        s = np.where(X[r, 0] + rng.uniform(0.0, 1.5) * rng.normal(size=len(r)) > 0, 1.0, -1.0)
+        s[:2] = (1.0, -1.0)
+        rows.append(r)
+        signs.append(s)
+    c = np.array([(0.1, 1.0, 10.0, 100.0, 1000.0)[p % 5] for p in range(len(rows))])
+
+    def reference(max_iter):
+        return [
+            smo_reference_run(K[np.ix_(r, r)], s, cp, DEFAULT_TOL, max_iter)
+            for r, s, cp in zip(rows, signs, c)
+        ]
+
+    counts = sorted(run[3] for run in reference(DEFAULT_MAX_ITER))
+    assert counts[-1] >= 10 * counts[0] > 0
+    unconverged = 0
+    for max_iter in (DEFAULT_MAX_ITER, counts[len(counts) // 2]):
+        result = _smo_lockstep(K, *padded(rows, signs), c, DEFAULT_TOL, max_iter)
+        for p, (alpha, bias, converged, iterations, gap) in enumerate(reference(max_iter)):
+            assert result.alpha[p, : len(rows[p])].tobytes() == alpha.tobytes(), (max_iter, p)
+            got = (result.bias[p], result.converged[p], result.iterations[p], result.gap[p])
+            assert got == (bias, converged, iterations, gap), (max_iter, p)
+            unconverged += not converged
+    assert unconverged >= 5
 
 
 def test_lockstep_raises_when_one_problem_is_infeasible():
@@ -599,6 +640,71 @@ def test_grid_search_equals_per_fold_training(rng):
             expected.append({"c": c, "gamma": gamma, "accuracy": correct / len(y)})
     assert table == expected
     assert len({row["accuracy"] for row in table}) > 1  # the grid points differ
+
+
+def reference_grid_search(X, y, c_grid, gamma_grid, folds, seed):
+    """(params, table) of a per-fold loop: one single-fit _fit_pairs on
+    K[np.ix_(train, train)] per fold, C and gamma."""
+    from gesturelab.data import stratified_folds
+
+    fold_of = stratified_folds(y, folds, seed)
+    sq = gesturelab.svm._squared_distances(X, X)
+    points, accuracy = [], []
+    for c in sorted(c_grid):
+        for gamma in sorted(gamma_grid):
+            K = gesturelab.svm._training_kernel(sq, gamma)
+            correct = 0
+            for f in range(folds):
+                train, held = np.flatnonzero(fold_of != f), np.flatnonzero(fold_of == f)
+                classes = np.unique(y[train])
+                [(coef, bias, _)] = _fit_pairs(
+                    K[np.ix_(train, train)], y[train], [(np.arange(len(train)), c)],
+                    DEFAULT_MAX_ITER,
+                )
+                _, _, winners = _vote(len(classes), K[np.ix_(held, train)] @ coef + bias)
+                correct += int(np.sum(classes[winners] == y[held]))
+            points.append(KernelParams(c, gamma))
+            accuracy.append(correct / len(y))
+    table = [{"c": p.c, "gamma": p.gamma, "accuracy": a} for p, a in zip(points, accuracy)]
+    return points[int(np.argmax(accuracy))], table
+
+
+@pytest.mark.parametrize("slots", [None, 1, 300])
+def test_grid_search_equals_per_fold_reference_loop(monkeypatch, slots):
+    # grid_search solves all folds and C of one gamma in lockstep calls of
+    # at most LOCKSTEP_SLOTS padded slots over the whole kernel; a small
+    # bound splits them over several calls.  Either way the table and the
+    # chosen params are the per-fold loop's.
+    if slots is not None:
+        monkeypatch.setattr(gesturelab.svm, "LOCKSTEP_SLOTS", slots)
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        return _smo_lockstep(*args)
+
+    monkeypatch.setattr(gesturelab.svm, "_smo_lockstep", counted)
+    rng = np.random.default_rng(31)
+    split = 0
+    for k in range(4):
+        m, folds = int(rng.integers(3, 6)), int(rng.integers(2, 6))
+        sizes = rng.integers(folds, 14, size=m)
+        centers = rng.normal(0.0, 1.0, size=(m, 2))
+        X = np.vstack([rng.normal(ctr, 0.7, size=(s, 2)) for ctr, s in zip(centers, sizes)])
+        y = rng.permutation(np.repeat(np.arange(m), sizes))
+        c_grid = list(rng.choice([0.1, 1.0, 10.0, 1000.0], size=2 + k % 2, replace=False))
+        gamma_grid = list(rng.choice([0.1, 0.5, 2.0], size=2, replace=False))
+        seed = int(rng.integers(100))
+        calls.clear()
+        params, table = grid_search(X, y, c_grid, gamma_grid, folds=folds, seed=seed)
+        assert sum(calls) == len(c_grid) * len(gamma_grid) * folds * m * (m - 1) // 2, k
+        if slots is None:
+            assert len(calls) == len(gamma_grid), k  # one call per gamma
+        split += len(calls) > len(gamma_grid) and max(calls) > m * (m - 1) // 2
+        expected = reference_grid_search(X, y, c_grid, gamma_grid, folds, seed)
+        assert (params, table) == expected, k
+        assert len({row["accuracy"] for row in table}) > 1, k
+    assert slots != 300 or split >= 2  # calls of several fits, but not all of one gamma
 
 
 def test_multiclass_shared_gram_equals_per_pair_training(rng):
