@@ -118,13 +118,18 @@ class PcaModel:
     def input_dim(self):
         return self.components.shape[1]
 
-    def transform(self, x):
+    def transform(self, x, product=np.matmul):
+        """Coordinates of x on the components: product(x - mean, components.T).
+
+        The default is one matrix product; a product that works row by row
+        gives each row the same bits alone or in a stack.
+        """
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.input_dim:
             raise DimensionMismatch(
                 f"input has {x.shape[-1]} dims, model expects {self.input_dim}"
             )
-        return (x - self.mean) @ self.components.T
+        return product(x - self.mean, self.components.T)
 
     def inverse_transform(self, z):
         z = np.asarray(z, dtype=float)

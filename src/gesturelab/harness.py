@@ -8,6 +8,13 @@ endian), so repetitions are independent but exactly reproducible.
 Reports are written as CSV (one accuracy row per repetition plus an
 aggregate, a summed confusion matrix per cell, and per-sample
 prediction logs); plotting is left to external tools.
+
+A cell works over one squared-distance matrix of all its rows, training
+and test: one per cell without PCA, whose rows do not change between
+repetitions, and one per repetition with PCA.  Grid searches and final
+fits index its kernels by row id, the final fits of one gamma are
+batched into lockstep calls, and each votes on its test rows from the
+same kernel (`svm._grid_search`, `svm._fit_and_predict`).
 """
 
 import hashlib
@@ -23,13 +30,7 @@ from .data import default_templates, generate_synthetic, load_dataset, split_ind
 from .errors import ConfigError, GestureLabError
 from .fusion import FusionConfig, fit_pca
 from .image import ImagePipelineConfig, UndistortionMap, extract_image_features
-from .svm import (
-    KernelParams,
-    Preprocessing,
-    classify,
-    grid_search,
-    train_multiclass,
-)
+from .svm import KernelParams, Preprocessing, _fit_and_predict, _grid_search, _row_distances
 from .tracking import FULL_MASK, FeatureMask, extract_tracking_features
 
 def derive_seed(master_seed, tag):
@@ -332,46 +333,71 @@ def fit_preprocessing(raw, fusion, retention):
     weighted = pre.apply(raw)
     if retention is None:
         return pre, weighted
-    if isinstance(retention, int) and not isinstance(retention, bool):
-        pre.pca = fit_pca(weighted, n_components=retention)
-    else:
-        pre.pca = fit_pca(weighted, retained_fraction=float(retention))
+    pre.pca = _fit_pca(weighted, retention)
     return pre, pre.pca.transform(weighted)
 
 
+def _fit_pca(weighted, retention):
+    """PCA of the weighted rows: an int retention is a component count,
+    a float a retained-variance fraction."""
+    if isinstance(retention, int) and not isinstance(retention, bool):
+        return fit_pca(weighted, n_components=retention)
+    return fit_pca(weighted, retained_fraction=float(retention))
+
+
 def _run_cell(store, cell, cfg):
+    """The repeated 80/20 protocol on one cell, over one distance matrix.
+
+    All rows of the cell, training and test, are fused once.  Without
+    PCA they are the same in every repetition, so one squared-distance
+    matrix over all of them serves every grid search and every final
+    fit, and the final fits of one gamma share lockstep calls.  With
+    PCA, each repetition fits PCA on its training rows, projects all
+    rows and builds its own matrix.  The results are those of
+    grid_search, train_multiclass and classify per repetition.
+    """
     labels = store.labels
     raw, fusion_cfg = raw_features(store, cell.mask, cell.use_hog, cell.k)
+    fused = Preprocessing(fusion=fusion_cfg).apply(raw)
+    del raw  # only the fused rows are used from here on
     classes = [int(c) for c in np.unique(labels)]
-
+    splits = [
+        split_indices(labels, cfg.train_fraction, derive_seed(cfg.seed, f"split:{r}"))
+        for r in range(cfg.repetitions)
+    ]
     per_repetition = cfg.grid_mode == "per_repetition"
-    params = None
-    cv_table = []
+    if cell.retention is None:
+        groups = [range(cfg.repetitions)]  # repetitions that share their rows
+    else:
+        groups = [[r] for r in range(cfg.repetitions)]
+
+    searches, outcomes = {}, []
+    for group in groups:
+        rows = fused
+        if cell.retention is not None:
+            rows = _fit_pca(fused[splits[group[0]][0]], cell.retention).transform(fused)
+        sq = _row_distances(rows, labels)
+        for r in group:
+            if per_repetition or r == 0:
+                tag = f"grid:{cell.tag()}:{r}" if per_repetition else f"grid:{cell.tag()}"
+                searches[r] = _grid_search(
+                    sq, labels, splits[r][0], cfg.c_grid, cfg.gamma_grid,
+                    cfg.folds, derive_seed(cfg.seed, tag),
+                )
+        fits = [(*splits[r], searches[r if per_repetition else 0][0]) for r in group]
+        outcomes += _fit_and_predict(sq, labels, fits, cfg.svm_max_iter)
+        del sq
+
     accuracies = []
     confusion = np.zeros((len(classes), len(classes)), dtype=int)
     predictions = []
-    all_converged = True
-    for r in range(cfg.repetitions):
-        train_idx, test_idx = split_indices(
-            labels, cfg.train_fraction, derive_seed(cfg.seed, f"split:{r}")
-        )
-        pre, train_rows = fit_preprocessing(raw[train_idx], fusion_cfg, cell.retention)
-        if per_repetition or r == 0:
-            tag = f"grid:{cell.tag()}:{r}" if per_repetition else f"grid:{cell.tag()}"
-            params, cv_table = grid_search(
-                train_rows, labels[train_idx], cfg.c_grid, cfg.gamma_grid,
-                folds=cfg.folds, seed=derive_seed(cfg.seed, tag),
-            )
-        model = train_multiclass(
-            train_rows, labels[train_idx], params, max_iter=cfg.svm_max_iter, preprocessing=pre
-        )
-        all_converged &= model.all_converged()
-        predicted, votes_won = classify(model, raw[test_idx])
+    for (_, test_idx), (predicted, votes_won, _) in zip(splits, outcomes):
         truth = labels[test_idx]
         accuracies.append(float(np.mean(predicted == truth)))
         np.add.at(confusion, tuple(np.searchsorted(classes, [truth, predicted])), 1)
         ids = [store.sample_ids[t] for t in test_idx]
         predictions.append(list(zip(ids, truth.tolist(), predicted.tolist(), votes_won.tolist())))
+    params, cv_table = searches[max(searches)]  # the last repetition's search
     return CellResult(
         cell=cell,
         params=params,
@@ -380,7 +406,7 @@ def _run_cell(store, cell, cfg):
         accuracies=accuracies,
         confusion=confusion,
         predictions=predictions,
-        all_converged=all_converged,
+        all_converged=all(converged for _, _, converged in outcomes),
     )
 
 

@@ -17,7 +17,15 @@ multi-class fit builds one Gram matrix over its rows and a grid search
 one squared-distance matrix over its rows, then one kernel per gamma.
 Every pair of every fold and C indexes that kernel by global row ids,
 with no per-fold copy, and all of one gamma's fits are solved in a few
-lockstep calls.
+lockstep calls.  The experiment harness takes this from one grid
+search up to a whole cell: one distance matrix over all rows of a cell,
+or of a repetition when PCA changes the rows, serves its grid searches
+(`_grid_search`) and its final fits (`_fit_and_predict`).  The final
+fits of one gamma are batched into lockstep calls, and each votes on
+its test rows from the same kernel.
+
+Prediction forms every product one row at a time (`_row_products`), so
+a row gets the same decision values, bit for bit, alone or in a batch.
 """
 
 import itertools
@@ -65,8 +73,12 @@ def rbf_kernel(x, y, gamma):
     return float(np.exp(-gamma * np.dot(diff, diff)))
 
 
-def _squared_distances(X, Y):
-    """|x|^2 + |y|^2 - 2 x.y between the rows of X and Y, clipped at 0."""
+def _squared_distances(X, Y, product=np.matmul):
+    """|x|^2 + |y|^2 - 2 x.y between the rows of X and Y, clipped at 0.
+
+    `product(X, Y.T)` forms the dot products: one matrix product by
+    default, `_row_products` for values that do not depend on the batch.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if X.shape[1] != Y.shape[1]:
@@ -74,10 +86,20 @@ def _squared_distances(X, Y):
     sq = (
         (X * X).sum(axis=1)[:, None]
         + (Y * Y).sum(axis=1)[None, :]
-        - 2.0 * (X @ Y.T)
+        - 2.0 * product(X, Y.T)
     )
     np.clip(sq, 0.0, None, out=sq)
     return sq
+
+
+def _row_products(rows, matrix):
+    """rows @ matrix as one product per row, over the last axis of `rows`.
+
+    A single (n, d) product may round a row differently with the batch
+    size (BLAS picks its kernel and blocking by shape); an (n, 1, d)
+    matmul stack rounds each row as it would be rounded alone.
+    """
+    return np.matmul(rows[..., None, :], matrix)[..., 0, :]
 
 
 def rbf_kernel_matrix(X, Y, gamma):
@@ -91,7 +113,8 @@ def _training_kernel(sq, gamma):
     Entries lie in [0, 1], so a NaN sum means a NaN entry (from a row
     holding NaN or inf): NumericalError, before any SMO update.
     """
-    kernel = np.exp(-gamma * sq)
+    kernel = np.multiply(sq, -gamma)
+    np.exp(kernel, out=kernel)
     if not np.isfinite(kernel.sum()):
         raise NumericalError("training kernel holds a non-finite value")
     np.fill_diagonal(kernel, 1.0)
@@ -109,13 +132,13 @@ class Preprocessing:
     Input vectors are the unweighted concatenation [tracking segments,
     raw HOG]; apply() splits one vector or a stack of them at the layout's
     tracking width, weights them with fuse_matrix and projects through
-    PCA when fitted.
+    PCA when fitted, with `product` as PcaModel.transform takes it.
     """
 
     fusion: FusionConfig
     pca: PcaModel | None = None
 
-    def apply(self, X):
+    def apply(self, X, product=np.matmul):
         X = np.asarray(X, dtype=float)
         if X.shape[-1] != self.fusion.total_dim:
             raise DimensionMismatch(
@@ -124,7 +147,7 @@ class Preprocessing:
         td = self.fusion.tracking_dim
         out = fuse_matrix(X[..., :td], X[..., td:], self.fusion)
         if self.pca is not None:
-            out = self.pca.transform(out)
+            out = self.pca.transform(out, product)
         return out
 
 
@@ -293,16 +316,21 @@ def decision_table(model, X):
     other than the preprocessing's (without preprocessing, the support
     vectors', if there are any) raises DimensionMismatch, and a NaN or
     infinite input DataError.  A model with no support vectors decides
-    by its biases alone.
+    by its biases alone.  Every product is one product per row
+    (`_row_products`), so a row gets the same values, bit for bit,
+    alone or in any batch.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if not np.isfinite(X).all():
         raise DataError("input rows hold a non-finite value")
     if model.preprocessing is not None:
-        X = model.preprocessing.apply(X)
+        X = model.preprocessing.apply(X, _row_products)
     sv = model.support_vectors
-    kernel = rbf_kernel_matrix(X, sv, model.params.gamma) if len(sv) else np.empty((len(X), 0))
-    return kernel @ model.coef + model.bias
+    if len(sv):
+        kernel = np.exp(-model.params.gamma * _squared_distances(X, sv, _row_products))
+    else:
+        kernel = np.empty((len(X), 0))
+    return _row_products(kernel, model.coef) + model.bias
 
 
 def vote_table(model, X):
@@ -328,7 +356,46 @@ def classify(model, X):
 
 
 # ---------------------------------------------------------------------------
-# Grid search
+# Grid search and fits over one shared kernel
+
+
+def _row_distances(X, labels):
+    """Squared distances between all rows of X, once _training_rows has
+    checked X and labels."""
+    X, labels = _training_rows(X, labels)
+    return _squared_distances(X, X)
+
+
+def _lockstep_calls(shapes):
+    """Consecutive fits grouped into lockstep calls of at most
+    LOCKSTEP_SLOTS padded slots: pairs times the widest pair.
+
+    `shapes` holds each fit's `_pair_shape`; returns lists of fit indices.
+    """
+    calls, pairs, width = [[]], 0, 0
+    for i, (fit_pairs, fit_width) in enumerate(shapes):
+        if calls[-1] and (pairs + fit_pairs) * max(width, fit_width) > LOCKSTEP_SLOTS:
+            calls.append([])
+            pairs = width = 0
+        calls[-1].append(i)
+        pairs, width = pairs + fit_pairs, max(width, fit_width)
+    return calls
+
+
+def _held_out(kernel, labels, train, held, solved):
+    """Predicted labels and winners' vote counts of the rows `held`, for
+    each (coef, bias, converged) of `solved` trained on the rows `train`.
+
+    One gather K[held][:, train] serves every fit: its decision values
+    are K[held][:, train] @ coef + bias, voted as `classify` votes.
+    """
+    classes = np.asarray(_classes(labels[train]))
+    held_kernel = kernel[held].take(train, axis=1)  # K[held][:, train]
+    scored = []
+    for coef, bias, _ in solved:
+        votes, _, winners = _vote(len(classes), held_kernel @ coef + bias)
+        scored.append((classes[winners], votes[np.arange(len(held)), winners]))
+    return scored
 
 
 def grid_search(X, labels, c_grid, gamma_grid, folds=10, seed=0):
@@ -341,51 +408,51 @@ def grid_search(X, labels, c_grid, gamma_grid, folds=10, seed=0):
     than 2 samples are an error.  Returns the winning params and the CV
     table: one {"c", "gamma", "accuracy"} dict per grid point, in
     ascending C then gamma order, with the accuracy pooled over all
-    held-out folds.
+    held-out folds.  The search itself is `_grid_search` over one
+    squared-distance matrix of all rows of X.
+    """
+    sq = _row_distances(X, labels)
+    labels = np.asarray(labels)
+    return _grid_search(sq, labels, np.arange(len(labels)), c_grid, gamma_grid, folds, seed)
 
-    One squared-distance matrix D over all rows of X gives one kernel
-    K = exp(-gamma * D) per gamma, diagonal 1.  All folds x C fits of a
-    gamma train their pairs together on K itself, indexed by the fold's
-    training rows, in lockstep calls of at most LOCKSTEP_SLOTS padded
-    slots; each fit then scores its held-out rows with
-    K[held][:, train] @ coef + bias.  Every pair gets the iterates it
+
+def _grid_search(sq, labels, rows, c_grid, gamma_grid, folds, seed):
+    """grid_search on the rows `rows` of a squared-distance matrix `sq`.
+
+    `sq` may cover more rows than it searches, such as a whole cell's
+    rows with `rows` its training rows: the folds split `rows`, and each
+    kernel K = exp(-gamma * sq), diagonal 1, is indexed by global row
+    ids.  All folds x C fits of a gamma train their pairs together on K,
+    in lockstep calls of at most LOCKSTEP_SLOTS padded slots; each call
+    then scores its fits fold by fold with `_held_out`, one gather
+    K[held][:, train] per fold and call.  Every pair gets the iterates it
     would get alone, so the table is that of train_multiclass and
     classify on each fold's rows.
     """
-    X, labels = _training_rows(X, labels)
     if len(c_grid) == 0 or len(gamma_grid) == 0:
         raise ValueError("parameter grids must be non-empty")
     if folds < 2:
         raise ValueError("folds must be >= 2")
-    if len(labels) == 0:
+    if len(rows) == 0:
         raise InsufficientData("training set is empty")
-    _, counts = np.unique(labels, return_counts=True)
+    _, counts = np.unique(labels[rows], return_counts=True)
     min_count = int(counts.min())
     if min_count < 2:
         raise InsufficientData(f"smallest class has {min_count} sample(s); need at least 2 for CV")
     if min_count < folds:
         warnings.warn(
-            f"reducing folds from {folds} to {min_count} (smallest class size)", stacklevel=2
+            f"reducing folds from {folds} to {min_count} (smallest class size)", stacklevel=3
         )
         folds = min_count
 
     grid = [[KernelParams(c=c, gamma=g) for g in sorted(gamma_grid)] for c in sorted(c_grid)]
-    fold_of = stratified_folds(labels, folds, seed)
-    trains = [np.flatnonzero(fold_of != f) for f in range(folds)]
-    helds = [np.flatnonzero(fold_of == f) for f in range(folds)]
-    # Every (C, fold) fit of one gamma, grouped into lockstep calls of at
-    # most LOCKSTEP_SLOTS padded slots: pairs times the widest pair.
+    fold_of = stratified_folds(labels[rows], folds, seed)
+    trains = [rows[fold_of != f] for f in range(folds)]
+    helds = [rows[fold_of == f] for f in range(folds)]
+    fits = list(itertools.product(range(len(grid)), range(folds)))  # (C index, fold)
     shapes = [_pair_shape(labels[train]) for train in trains]
-    calls, pairs, width = [[]], 0, 0
-    for k, f in itertools.product(range(len(grid)), range(folds)):
-        fit_pairs, fit_width = shapes[f]
-        if calls[-1] and (pairs + fit_pairs) * max(width, fit_width) > LOCKSTEP_SLOTS:
-            calls.append([])
-            pairs = width = 0
-        calls[-1].append((k, f))
-        pairs, width = pairs + fit_pairs, max(width, fit_width)
+    calls = [[fits[i] for i in call] for call in _lockstep_calls([shapes[f] for _, f in fits])]
 
-    sq = _squared_distances(X, X)
     correct = np.zeros((len(grid), len(grid[0])), dtype=int)
     for g, gamma in enumerate(sorted(gamma_grid)):
         kernel = _training_kernel(sq, gamma)
@@ -393,17 +460,48 @@ def grid_search(X, labels, c_grid, gamma_grid, folds=10, seed=0):
             solved = _fit_pairs(
                 kernel, labels, [(trains[f], grid[k][g].c) for k, f in call], DEFAULT_MAX_ITER
             )
-            for (k, f), (coef, bias, _) in zip(call, solved):
-                train, held = trains[f], helds[f]
-                classes = _classes(labels[train])
-                held_kernel = kernel[held].take(train, axis=1)  # K[held][:, train]
-                _, _, winners = _vote(len(classes), held_kernel @ coef + bias)
-                correct[k, g] += int(np.sum(np.asarray(classes)[winners] == labels[held]))
+            for f in dict.fromkeys(f for _, f in call):
+                mine = [i for i, (_, fold) in enumerate(call) if fold == f]
+                scored = _held_out(kernel, labels, trains[f], helds[f], [solved[i] for i in mine])
+                for i, (predicted, _) in zip(mine, scored):
+                    correct[call[i][0], g] += int(np.sum(predicted == labels[helds[f]]))
+        del kernel  # one kernel alive at a time
 
     points = [params for row in grid for params in row]
-    accuracy = correct.ravel() / len(labels)
+    accuracy = correct.ravel() / len(rows)
     table = [{"c": p.c, "gamma": p.gamma, "accuracy": float(a)} for p, a in zip(points, accuracy)]
     return points[int(accuracy.argmax())], table  # the first best wins ties
+
+
+def _fit_and_predict(sq, labels, fits, max_iter):
+    """Train each fit (train, test, params) over one squared-distance
+    matrix `sq` and predict its test rows.
+
+    `train` and `test` are row ids into `sq`.  The fits of one gamma
+    share one kernel, built once, with one kernel alive at a time; their
+    pairs are solved together in lockstep calls of at most
+    LOCKSTEP_SLOTS padded slots, and each fit votes on its test rows with
+    `_held_out`, as a model from train_multiclass would with classify.
+    A fit with fewer than 2 classes raises SingleClassData.  Returns one
+    (predicted labels, winners' vote counts, every pair converged) per
+    fit, in order.
+    """
+    for train, _, _ in fits:
+        n_classes = len(np.unique(labels[train]))
+        if n_classes < 2:
+            raise SingleClassData(f"training needs at least 2 classes, got {n_classes}")
+    out = [None] * len(fits)
+    for gamma in sorted({params.gamma for _, _, params in fits}):
+        same = [i for i, (_, _, params) in enumerate(fits) if params.gamma == gamma]
+        kernel = _training_kernel(sq, gamma)
+        for call in _lockstep_calls([_pair_shape(labels[fits[i][0]]) for i in same]):
+            batch = [fits[same[i]] for i in call]
+            solved = _fit_pairs(kernel, labels, [(train, p.c) for train, _, p in batch], max_iter)
+            for i, (train, test, _), fit in zip(call, batch, solved):
+                [(predicted, votes_won)] = _held_out(kernel, labels, train, test, [fit])
+                out[same[i]] = (predicted, votes_won, bool(np.all(fit[2])))
+        del kernel  # one kernel alive at a time
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from gesturelab.data import split_indices
 from gesturelab.errors import ConfigError
 from gesturelab.harness import (
     ExperimentConfig,
@@ -13,12 +14,15 @@ from gesturelab.harness import (
     derive_seed,
     emit_report,
     experiment_cells,
+    fit_preprocessing,
     fusion_sweep,
     load_samples,
+    raw_features,
     run_experiment,
     write_confusion_csv,
     write_report_csv,
 )
+from gesturelab.svm import classify, grid_search, train_multiclass
 
 
 def small_config(**overrides):
@@ -43,6 +47,14 @@ def store():
     cfg = small_config(use_hog=True)  # build HOG once; cells may ignore it
     samples = load_samples(cfg)
     return build_feature_store(samples, cfg)
+
+
+@pytest.fixture(scope="module")
+def noisy_store():
+    # Off the accuracy ceiling: grid points and repetitions score differently.
+    spec = SyntheticSpec(subjects=3, reps=6, seed=21, pos_noise_mm=20.0, rot_noise_deg=30.0)
+    cfg = small_config(use_hog=True, synthetic=spec)
+    return build_feature_store(load_samples(cfg), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +198,119 @@ def test_pca_fitted_once_per_repetition(store, monkeypatch, grid_mode):
     report = run_experiment(cfg, store=store)
     assert len(report.cells) == 1
     assert calls["fit_pca"] == cfg.repetitions
-    # one fusion of the training rows and one of the test rows per repetition
-    assert calls["fuse_matrix"] == 2 * cfg.repetitions
+    # one fusion of all rows, training and test, per cell
+    assert calls["fuse_matrix"] == 1
+
+
+def reference_cell(store, cell, cfg):
+    """The protocol as a plain loop over repetitions: fit_preprocessing,
+    grid_search, train_multiclass and classify on each split's own rows.
+    Returns the CellResult fields it determines."""
+    labels = store.labels
+    raw, fusion = raw_features(store, cell.mask, cell.use_hog, cell.k)
+    classes = [int(c) for c in np.unique(labels)]
+    per_repetition = cfg.grid_mode == "per_repetition"
+    accuracies, predictions, converged = [], [], True
+    confusion = np.zeros((len(classes), len(classes)), dtype=int)
+    for r in range(cfg.repetitions):
+        train, test = split_indices(labels, cfg.train_fraction, derive_seed(cfg.seed, f"split:{r}"))
+        pre, rows = fit_preprocessing(raw[train], fusion, cell.retention)
+        if per_repetition or r == 0:
+            tag = f"grid:{cell.tag()}:{r}" if per_repetition else f"grid:{cell.tag()}"
+            params, cv_table = grid_search(
+                rows, labels[train], cfg.c_grid, cfg.gamma_grid,
+                folds=cfg.folds, seed=derive_seed(cfg.seed, tag),
+            )
+        model = train_multiclass(
+            rows, labels[train], params, max_iter=cfg.svm_max_iter, preprocessing=pre
+        )
+        converged &= model.all_converged()
+        predicted, won = classify(model, raw[test])
+        truth = labels[test]
+        accuracies.append(float(np.mean(predicted == truth)))
+        for t, p in zip(truth, predicted):
+            confusion[classes.index(t), classes.index(p)] += 1
+        ids = [store.sample_ids[t] for t in test]
+        predictions.append(list(zip(ids, truth.tolist(), predicted.tolist(), won.tolist())))
+    return dict(
+        params=params, cv_table=cv_table, classes=classes, accuracies=accuracies,
+        confusion=confusion, predictions=predictions, all_converged=converged,
+    )
+
+
+@pytest.mark.parametrize(
+    "retention, grid_mode, slots",
+    [
+        (None, "per_cell", None),
+        (None, "per_repetition", None),
+        (0.9, "per_cell", None),
+        (0.9, "per_repetition", None),
+        (None, "per_cell", 3000),
+    ],
+)
+def test_run_cell_equals_reference_loop(noisy_store, monkeypatch, retention, grid_mode, slots):
+    # _run_cell shares one distance matrix across a cell's repetitions (or
+    # builds one per repetition with PCA) and batches the final fits of a
+    # gamma into lockstep calls; its results must be the plain loop's.
+    from gesturelab import svm
+
+    if slots is not None:
+        # 140 training rows of 10 classes: 45 pairs of 28 rows, 1,260 slots a
+        # fit, so two repetition fits share a call and the third gets its own.
+        monkeypatch.setattr(svm, "LOCKSTEP_SLOTS", slots)
+    final_calls = []
+    fit_pairs = svm._fit_pairs
+
+    def counted(kernel, labels, fits, max_iter):
+        sizes = [len(rows) for rows, _ in fits]
+        if max(sizes) == 140:  # a final fit; a grid search fold trains on fewer
+            final_calls.append(len(fits))
+        return fit_pairs(kernel, labels, fits, max_iter)
+
+    monkeypatch.setattr(svm, "_fit_pairs", counted)
+    cfg = small_config(
+        use_hog=retention is not None, retentions=(retention,), grid_mode=grid_mode,
+        c_grid=(0.1, 100.0), gamma_grid=(0.02, 0.5) if retention is None else (0.002, 0.02),
+        repetitions=3,
+    )
+    [result] = run_experiment(cfg, store=noisy_store).cells
+    monkeypatch.setattr(svm, "_fit_pairs", fit_pairs)
+    expected = reference_cell(noisy_store, result.cell, cfg)
+    assert len({row["accuracy"] for row in expected["cv_table"]}) > 1  # the grid points differ
+    for name, value in expected.items():
+        got = getattr(result, name)
+        assert np.array_equal(got, value) if name == "confusion" else got == value, name
+    if slots is not None:
+        assert final_calls == [2, 1]
+    elif retention is None and grid_mode == "per_cell":
+        assert final_calls == [3]  # every repetition fit in one lockstep call
+    elif retention is not None:
+        assert final_calls == [1, 1, 1]  # one matrix, and one fit, per repetition
+
+
+@pytest.mark.parametrize("grid_mode", ["per_cell", "per_repetition"])
+def test_distances_built_once_per_cell_or_repetition(store, monkeypatch, grid_mode):
+    # No repetition builds its own distances without PCA: the grid search
+    # and the final fits of every repetition index one matrix over all
+    # rows of the cell.  With PCA the rows change per repetition.
+    from gesturelab import svm
+
+    shapes = []
+    squared_distances = svm._squared_distances
+
+    def counted(X, Y, *args):
+        shapes.append((len(X), len(Y)))
+        return squared_distances(X, Y, *args)
+
+    monkeypatch.setattr(svm, "_squared_distances", counted)
+    n = len(store.labels)
+    cfg = small_config(repetitions=3, grid_mode=grid_mode)
+    ablation_table(cfg, ("ang+dist+tip", "dist+elev+tip"), store=store)
+    assert shapes == [(n, n)] * 2  # one per cell
+    shapes.clear()
+    cfg = small_config(use_hog=True, retentions=(0.9,), repetitions=3, grid_mode=grid_mode)
+    run_experiment(cfg, store=store)
+    assert shapes == [(n, n)] * 3  # one per repetition
 
 
 def test_errors_carry_cell_context():

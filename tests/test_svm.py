@@ -544,6 +544,34 @@ def test_decision_table_rejects_non_finite_rows(rng):
                 predict(model, rows)
 
 
+def test_one_row_alone_gets_its_batch_values_bit_for_bit(rng):
+    # A single (n, d) product may round a row differently with n; every
+    # product decision_table forms (PCA projection, kernel, coef) is one
+    # product per row, so a row alone and in a batch get the same bits.
+    mask = FeatureMask.parse("ang+dist+tip")
+    hog_dim = 48
+    centers = rng.normal(0.0, 1.0, size=(5, mask.dims() + hog_dim))
+    raw = np.vstack([rng.normal(center, 0.8, size=(30, len(center))) for center in centers])
+    labels = np.repeat(np.arange(5), 30)
+    fusion = FusionConfig(mask=mask, hog_weight=0.5, hog_dim=hog_dim)
+    pca = fit_pca(Preprocessing(fusion=fusion).apply(raw), retained_fraction=0.95)
+    pre = Preprocessing(fusion=fusion, pca=pca)
+    plain = train_multiclass(raw, labels, KernelParams(10.0, 0.02))
+    fused = train_multiclass(pre.apply(raw), labels, KernelParams(10.0, 0.05), preprocessing=pre)
+    probes = rng.normal(0.0, 1.2, size=(80, raw.shape[1]))
+    for model in (plain, fused):
+        values = decision_table(model, probes)
+        predicted, won = classify(model, probes)
+        votes, margins = vote_table(model, probes)
+        for i, row in enumerate(probes):
+            assert decision_table(model, row).tobytes() == values[i].tobytes(), i
+            row_label, row_won = classify(model, row)
+            assert (row_label[0], row_won[0]) == (predicted[i], won[i]), i
+            row_votes, row_margins = vote_table(model, row)
+            assert np.array_equal(row_votes[0], votes[i]), i
+            assert row_margins.tobytes() == margins[i].tobytes(), i
+
+
 def test_cyclic_tie_broken_by_margin_sum():
     # decision ~= bias everywhere near the origin: the one support vector
     # is far away, so its kernel contribution vanishes
