@@ -94,7 +94,11 @@ def fuse_matrix(tracking, hog, cfg):
             f"segments {t.shape[-1]}+{h.shape[-1]} do not match layout "
             f"{cfg.tracking_dim}+{cfg.hog_dim}"
         )
-    return np.concatenate([t, cfg.hog_weight * h], axis=-1)
+    # One allocation: fusing a store is the largest transient of an experiment.
+    out = np.empty(t.shape[:-1] + (t.shape[-1] + h.shape[-1],))
+    out[..., : t.shape[-1]] = t
+    np.multiply(cfg.hog_weight, h, out=out[..., t.shape[-1] :])
+    return out
 
 
 # ---------------------------------------------------------------------------

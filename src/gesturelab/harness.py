@@ -9,12 +9,12 @@ Reports are written as CSV (one accuracy row per repetition plus an
 aggregate, a summed confusion matrix per cell, and per-sample
 prediction logs); plotting is left to external tools.
 
-A cell works over one squared-distance matrix of all its rows, training
-and test: one per cell without PCA, whose rows do not change between
-repetitions, and one per repetition with PCA.  Grid searches and final
-fits index its kernels by row id, the final fits of one gamma are
-batched into lockstep calls, and each votes on its test rows from the
-same kernel (`svm._grid_search`, `svm._fit_and_predict`).
+Cells run in batches of units, each one squared-distance matrix over
+all rows of a cell, training and test: one per cell without PCA, and
+one per repetition with PCA.  A batch stacks its units' matrices, then
+runs all its grid searches and then all its final fits, each stage in
+shared lockstep calls over per-gamma kernel stacks
+(`svm._grid_searches`, `svm._final_fits`).
 """
 
 import hashlib
@@ -30,7 +30,8 @@ from .data import default_templates, generate_synthetic, load_dataset, split_ind
 from .errors import ConfigError, GestureLabError
 from .fusion import FusionConfig, fit_pca
 from .image import ImagePipelineConfig, UndistortionMap, extract_image_features
-from .svm import KernelParams, Preprocessing, _fit_and_predict, _grid_search, _row_distances
+from .svm import STACK_ENTRIES, KernelParams, Preprocessing, _blame, _final_fits, _grid_searches
+from .svm import _slab, _squared_distances, _training_rows
 from .tracking import FULL_MASK, FeatureMask, extract_tracking_features
 
 def derive_seed(master_seed, tag):
@@ -345,71 +346,6 @@ def _fit_pca(weighted, retention):
     return fit_pca(weighted, retained_fraction=float(retention))
 
 
-def _run_cell(store, cell, cfg):
-    """The repeated 80/20 protocol on one cell, over one distance matrix.
-
-    All rows of the cell, training and test, are fused once.  Without
-    PCA they are the same in every repetition, so one squared-distance
-    matrix over all of them serves every grid search and every final
-    fit, and the final fits of one gamma share lockstep calls.  With
-    PCA, each repetition fits PCA on its training rows, projects all
-    rows and builds its own matrix.  The results are those of
-    grid_search, train_multiclass and classify per repetition.
-    """
-    labels = store.labels
-    raw, fusion_cfg = raw_features(store, cell.mask, cell.use_hog, cell.k)
-    fused = Preprocessing(fusion=fusion_cfg).apply(raw)
-    del raw  # only the fused rows are used from here on
-    classes = [int(c) for c in np.unique(labels)]
-    splits = [
-        split_indices(labels, cfg.train_fraction, derive_seed(cfg.seed, f"split:{r}"))
-        for r in range(cfg.repetitions)
-    ]
-    per_repetition = cfg.grid_mode == "per_repetition"
-    if cell.retention is None:
-        groups = [range(cfg.repetitions)]  # repetitions that share their rows
-    else:
-        groups = [[r] for r in range(cfg.repetitions)]
-
-    searches, outcomes = {}, []
-    for group in groups:
-        rows = fused
-        if cell.retention is not None:
-            rows = _fit_pca(fused[splits[group[0]][0]], cell.retention).transform(fused)
-        sq = _row_distances(rows, labels)
-        for r in group:
-            if per_repetition or r == 0:
-                tag = f"grid:{cell.tag()}:{r}" if per_repetition else f"grid:{cell.tag()}"
-                searches[r] = _grid_search(
-                    sq, labels, splits[r][0], cfg.c_grid, cfg.gamma_grid,
-                    cfg.folds, derive_seed(cfg.seed, tag),
-                )
-        fits = [(*splits[r], searches[r if per_repetition else 0][0]) for r in group]
-        outcomes += _fit_and_predict(sq, labels, fits, cfg.svm_max_iter)
-        del sq
-
-    accuracies = []
-    confusion = np.zeros((len(classes), len(classes)), dtype=int)
-    predictions = []
-    for (_, test_idx), (predicted, votes_won, _) in zip(splits, outcomes):
-        truth = labels[test_idx]
-        accuracies.append(float(np.mean(predicted == truth)))
-        np.add.at(confusion, tuple(np.searchsorted(classes, [truth, predicted])), 1)
-        ids = [store.sample_ids[t] for t in test_idx]
-        predictions.append(list(zip(ids, truth.tolist(), predicted.tolist(), votes_won.tolist())))
-    params, cv_table = searches[max(searches)]  # the last repetition's search
-    return CellResult(
-        cell=cell,
-        params=params,
-        cv_table=cv_table,
-        classes=classes,
-        accuracies=accuracies,
-        confusion=confusion,
-        predictions=predictions,
-        all_converged=all(converged for _, _, converged in outcomes),
-    )
-
-
 def experiment_cells(cfg):
     """The (fusion weight x retention) cell grid an experiment will run."""
     mask = FeatureMask.parse(cfg.features)
@@ -422,13 +358,115 @@ def experiment_cells(cfg):
 
 
 def _run_cells(store, cells, cfg):
-    results = []
-    for cell in cells:
+    """The repeated 80/20 protocol on every cell, in batches of units.
+
+    A unit is one squared-distance matrix over all rows of a cell: one per
+    cell without PCA, and one per repetition with PCA, fitted on that
+    repetition's training rows.  Consecutive units form a batch while they
+    fit in STACK_ENTRIES (a larger unit runs alone), written into one
+    stack; the batch runs all its grid searches, then all its final fits.
+    Every cell shares the splits.  The results are those of grid_search,
+    train_multiclass and classify per repetition; a failure raises with
+    the tag of its cell.
+    """
+    labels, n, reps = store.labels, len(store.labels), range(cfg.repetitions)
+    splits = [
+        split_indices(labels, cfg.train_fraction, derive_seed(cfg.seed, f"split:{r}"))
+        for r in reps
+    ]
+    per_repetition = cfg.grid_mode == "per_repetition"
+    units = [  # (cell index, the repetitions that share the unit's rows)
+        (c, group) for c, cell in enumerate(cells)
+        for group in ([reps] if cell.retention is None else [[r] for r in reps])
+    ]
+    searches, outcomes = {}, {}  # by (cell index, repetition)
+    fused = (None, None)  # (cell index, fused rows) of the PCA cell in progress
+    size = max(1, STACK_ENTRIES // n**2)  # units per batch
+    for start in range(0, len(units), size):
+        batch = units[start : start + size]
         try:
-            results.append(_run_cell(store, cell, cfg))
+            # Fusing and PCA fits hold the most memory, so they run before
+            # the stack exists: first every PCA unit's fit and projection,
+            # then each unit's rows, with the stack made after the first.
+            projected = {}
+            for u, (c, group) in enumerate(batch):
+                if cells[c].retention is not None:
+                    with _blame(u):
+                        if fused[0] != c:
+                            fused = (c, None)  # the last cell's rows go before this cell's come
+                            fused = (c, _fused_rows(store, cells[c]))
+                        pca = _fit_pca(fused[1][splits[group[0]][0]], cells[c].retention)
+                        projected[u] = pca.transform(fused[1])
+            if start + size >= len(units) or units[start + size][0] != fused[0]:
+                fused = (None, None)  # no later unit needs these rows
+            sq = None
+            for u, (c, _) in enumerate(batch):
+                with _blame(u):
+                    rows = projected.pop(u) if u in projected else _fused_rows(store, cells[c])
+                    rows, _ = _training_rows(rows, labels)
+                    if sq is None:
+                        sq = np.empty((len(batch) * n, n))
+                    _squared_distances(rows, rows, out=_slab(sq, u))
+                    del rows
+
+            # Stage 1: every grid search, then stage 2: every final fit.
+            wanted = [(u, c, r) for u, (c, group) in enumerate(batch) for r in group
+                      if per_repetition or r == 0]
+            tags = [f"grid:{cells[c].tag()}" for _, c, _ in wanted]
+            seeds = [
+                derive_seed(cfg.seed, f"{tag}:{r}" if per_repetition else tag)
+                for tag, (_, _, r) in zip(tags, wanted)
+            ]
+            found = _grid_searches(sq, labels, [
+                (u, splits[r][0], seed) for (u, _, r), seed in zip(wanted, seeds)
+            ], cfg.c_grid, cfg.gamma_grid, cfg.folds)
+            searches.update(((c, r), result) for (_, c, r), result in zip(wanted, found))
+            fits = [(u, c, r) for u, (c, group) in enumerate(batch) for r in group]
+            done = _final_fits(sq, labels, [
+                (u, *splits[r], searches[c, r if per_repetition else 0][0]) for u, c, r in fits
+            ], cfg.svm_max_iter)
+            outcomes.update(((c, r), outcome) for (_, c, r), outcome in zip(fits, done))
         except GestureLabError as exc:
-            raise type(exc)(f"[cell {cell.tag()}] {exc}") from exc
-    return results
+            raise type(exc)(f"[cell {cells[batch[exc.unit][0]].tag()}] {exc}") from exc
+        del sq
+    last = reps[-1] if per_repetition else 0  # the repetition whose search a cell reports
+    return [
+        _cell_result(store, cell, splits, [outcomes[c, r] for r in reps], searches[c, last])
+        for c, cell in enumerate(cells)
+    ]
+
+
+def _fused_rows(store, cell):
+    """All rows of the store, fused for the cell."""
+    raw, fusion_cfg = raw_features(store, cell.mask, cell.use_hog, cell.k)
+    return Preprocessing(fusion=fusion_cfg).apply(raw)
+
+
+def _cell_result(store, cell, splits, outcomes, search):
+    """CellResult of a cell's (predicted, votes won, converged) outcome per
+    repetition and the (params, CV table) of its reported grid search."""
+    labels = store.labels
+    classes = [int(c) for c in np.unique(labels)]
+    accuracies = []
+    confusion = np.zeros((len(classes), len(classes)), dtype=int)
+    predictions = []
+    for (_, test_idx), (predicted, votes_won, _) in zip(splits, outcomes):
+        truth = labels[test_idx]
+        accuracies.append(float(np.mean(predicted == truth)))
+        np.add.at(confusion, tuple(np.searchsorted(classes, [truth, predicted])), 1)
+        ids = [store.sample_ids[t] for t in test_idx]
+        predictions.append(list(zip(ids, truth.tolist(), predicted.tolist(), votes_won.tolist())))
+    params, cv_table = search
+    return CellResult(
+        cell=cell,
+        params=params,
+        cv_table=cv_table,
+        classes=classes,
+        accuracies=accuracies,
+        confusion=confusion,
+        predictions=predictions,
+        all_converged=all(converged for _, _, converged in outcomes),
+    )
 
 
 def _store_for(cfg, store):

@@ -7,15 +7,16 @@ Each problem is the standard dual
 
 solved by sequential minimal optimization with second-order working set
 selection (Fan, Chen & Lin, 2005), LIBSVM's default.  Several problems
-over one kernel, such as the class pairs of every fold and C of a grid
-search, each with its own C, are solved in lockstep over their padded
-(problems, width) state: each iteration, and the epilogue (gap, bias
-and feasibility checks), is one set of array operations over every
-problem, with the kernel rows gathered from the shared matrix.  A
-problem that stops stays frozen in the state until half of them have
-stopped, so the state is compacted a few times per call, not at every
-stop.  Each problem gets exactly the steps and result it would get
-alone; `smo_solve` runs the same code on a single problem.
+over one kernel, or over a stack of square kernels of equal size, such
+as the class pairs of every fold and C of the grid searches of several
+feature sets, each with its own C, are solved in lockstep over their
+padded (problems, width) state: each iteration, and the epilogue (gap,
+bias and feasibility checks), is one set of array operations over every
+problem, with the kernel rows gathered from the stack.  A problem that
+stops stays frozen in the state until half of them have stopped, so the
+state is compacted a few times per call, not at every stop.  Each
+problem gets exactly the steps and result it would get alone;
+`smo_solve` runs the same code on a single problem.
 """
 
 from dataclasses import dataclass
@@ -73,12 +74,15 @@ def smo_solve(kernel, y, c, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
 
 
 def _smo_lockstep(kernel, index, labels, c, tol, max_iter):
-    """SMO on several duals over one kernel, every problem advanced together.
+    """SMO on several duals over a stack of kernels, every problem advanced together.
 
-    Problem p solves the dual over the rows `index[p]` of `kernel` with
-    the labels `labels[p]` in {-1, +1} and the box bound `c`, a scalar or
-    one C per problem; slots labelled 0 are padding.  With
-    v = -y * gradient, each update picks its pair by second-order
+    `kernel` is one (n, n) kernel or k of them stacked as (k * n, n):
+    row `u * n + r` is row r of kernel u.  Problem p solves the dual over
+    the rows `index[p]` of `kernel`, all in one kernel u, whose columns
+    are `index[p] % n`, with the labels `labels[p]` in {-1, +1} and the
+    box bound `c`, a scalar or one C per problem; slots labelled 0 are
+    padding, and index a row of the same kernel (its diagonal is read).
+    With v = -y * gradient, each update picks its pair by second-order
     working set selection (Fan, Chen & Lin, JMLR 6, 2005; LIBSVM's
     default): i maximises v over the rows whose alpha may move up along
     y, and j is the row t that may move down with b_t = v_i - v_t > 0
@@ -98,10 +102,13 @@ def _smo_lockstep(kernel, index, labels, c, tol, max_iter):
     neither set; with a finite kernel and C their v stays finite, so they
     are never picked.  Every element-wise operation is the one a solve
     of that problem alone would do, in the same order, so its iterates do
-    not depend on the other problems.  Returns `_smo_results`.
+    not depend on the other problems.  Returns `_smo_results`; its
+    NumericalError carries `unit`, the kernel of the first failed problem.
     """
     kernel = np.ascontiguousarray(kernel)
-    n = len(kernel)
+    n = kernel.shape[1]
+    cols = index % n
+    units = index.max(axis=1, initial=0) // n
     c = np.broadcast_to(np.asarray(c, dtype=float), len(labels))
     # v = -y * gradient of the dual objective, which is -1 at alpha = 0.
     # Penalties marking the slots whose alpha may move up / down along y:
@@ -109,7 +116,7 @@ def _smo_lockstep(kernel, index, labels, c, tol, max_iter):
     # and the negatives down.  Only slots i and j change per update.
     blocked = -np.inf
     state = np.stack((
-        labels, kernel.diagonal()[index], np.zeros_like(labels), labels,
+        labels, kernel.take(index * n + cols), np.zeros_like(labels), labels,
         np.where(labels > 0, 0.0, blocked), np.where(labels < 0, 0.0, blocked),
     ))
     penalty = np.array([blocked, 0.0])  # indexed by set membership
@@ -146,7 +153,7 @@ def _smo_lockstep(kernel, index, labels, c, tol, max_iter):
                 if 2 * stopped.sum() >= m:
                     break
             # Curvatures a_it of row i against every slot.
-            kernel_i = kernel.take(index + (n * index.take(fi))[:, None])
+            kernel_i = kernel.take(cols + (n * index.take(fi))[:, None])
             curv = diag.take(fi)[:, None] + diag
             curv -= 2.0 * kernel_i
             np.maximum(curv, 1e-12, out=curv)
@@ -173,7 +180,7 @@ def _smo_lockstep(kernel, index, labels, c, tol, max_iter):
             np.copyto(a, 0.0, where=0.0 > a)
             np.copyto(a, box, where=box < a)
             alpha.put(fk, a)  # j last: it wins if i == j
-            v -= step[:, None] * (kernel_i - kernel.take(index + (n * index.take(fj))[:, None]))
+            v -= step[:, None] * (kernel_i - kernel.take(cols + (n * index.take(fj))[:, None]))
             below, above = a < box, a > 0.0
             up.put(fk, penalty.take(np.where(pos_k, below, above)))
             low.put(fk, penalty.take(np.where(pos_k, above, below)))
@@ -183,13 +190,14 @@ def _smo_lockstep(kernel, index, labels, c, tol, max_iter):
             final[:, live[~stopped]] = state[2:, ~stopped]
             steps[live[~stopped]] = iterations
             break
-        state, index, live = state[:, ~stopped], index[~stopped], live[~stopped]
-    return _smo_results(labels, c, *final, converged, steps)
+        state, live = state[:, ~stopped], live[~stopped]
+        index, cols = index[~stopped], cols[~stopped]
+    return _smo_results(labels, c, *final, converged, steps, units)
 
 
-def _smo_results(y, c, alpha, v, up, low, converged, iterations):
+def _smo_results(y, c, alpha, v, up, low, converged, iterations, units):
     """SmoResult of all problems' final states (rows) and their (problems,)
-    C, checked for feasibility.
+    C and kernels, checked for feasibility.
 
     A padded or segmented sum rounds differently from np.mean(v[free]),
     so the bias is one row-wise mean per count of free rows.
@@ -215,5 +223,9 @@ def _smo_results(y, c, alpha, v, up, low, converged, iterations):
     )
     for bad, what in ((~finite, "a non-finite"), (infeasible, "an infeasible dual")):
         if bad.any():
-            raise NumericalError(f"SMO produced {what} solution after {iterations[bad][0]} updates")
+            error = NumericalError(
+                f"SMO produced {what} solution after {iterations[bad][0]} updates"
+            )
+            error.unit = int(units[bad][0])
+            raise error
     return SmoResult(alpha=alpha, bias=bias, converged=converged, iterations=iterations, gap=gap)

@@ -1,9 +1,9 @@
 """Soft-margin one-vs-one RBF support-vector machines.
 
 Each unordered class pair solves the binary SVM dual by SMO (`smo.py`);
-the pairs of one fit, or of many fits over one kernel, are solved there
-together, in lockstep.  The pairs
-form one model table, as in LIBSVM: each support vector stored once and
+the pairs of one fit, or of many fits over one kernel or a stack of
+them, are solved there together, in lockstep.  The pairs form one model
+table, as in LIBSVM: each support vector stored once and
 one coefficient column per pair, so the decision values of all pairs are
 `K @ coef + bias`; the class list fixes the pairs, (classes[i],
 classes[j]) for i < j in that order, as in LIBSVM.  Prediction is by
@@ -15,19 +15,19 @@ cross-validation.
 Training is kernel-first, as in LIBSVM's precomputed-kernel mode: a
 multi-class fit builds one Gram matrix over its rows and a grid search
 one squared-distance matrix over its rows, then one kernel per gamma.
-Every pair of every fold and C indexes that kernel by global row ids,
-with no per-fold copy, and all of one gamma's fits are solved in a few
-lockstep calls.  The experiment harness takes this from one grid
-search up to a whole cell: one distance matrix over all rows of a cell,
-or of a repetition when PCA changes the rows, serves its grid searches
-(`_grid_search`) and its final fits (`_fit_and_predict`).  The final
-fits of one gamma are batched into lockstep calls, and each votes on
-its test rows from the same kernel.
+Every pair of every fold and C indexes that kernel by row id, with no
+per-fold copy.  The experiment harness stacks the distance matrices of
+several units (a cell, or a PCA repetition) as one (units x n, n)
+array; all their grid searches (`_grid_searches`), then all their final
+fits (`_final_fits`), go through `_train_and_vote`, which solves the
+fits of one gamma in a few lockstep calls over one kernel stack and
+votes each from its unit's kernel.
 
 Prediction forms every product one row at a time (`_row_products`), so
 a row gets the same decision values, bit for bit, alone or in a batch.
 """
 
+import contextlib
 import itertools
 import warnings
 from dataclasses import dataclass
@@ -36,8 +36,8 @@ import numpy as np
 
 from . import jsonio
 from .data import stratified_folds
-from .errors import DataError, DimensionMismatch, InsufficientData, NumericalError, ParseError
-from .errors import SchemaVersionMismatch, SingleClassData
+from .errors import DataError, DimensionMismatch, GestureLabError, InsufficientData, NumericalError
+from .errors import ParseError, SchemaVersionMismatch, SingleClassData
 from .fusion import FusionConfig, PcaModel, fuse_matrix
 from .smo import DEFAULT_MAX_ITER, DEFAULT_TOL, _smo_lockstep, smo_solve  # noqa: F401  (API)
 
@@ -45,6 +45,9 @@ SV_EPS = 1e-8
 # Largest lockstep call of a grid search, in padded slots (pairs x width):
 # a much wider state falls out of cache and costs more per iteration.
 LOCKSTEP_SLOTS = 65_536
+# Largest stack of unit kernels one batch holds, in entries (units x n x n);
+# a larger unit runs alone.
+STACK_ENTRIES = 2**21
 
 
 @dataclass(frozen=True)
@@ -73,21 +76,19 @@ def rbf_kernel(x, y, gamma):
     return float(np.exp(-gamma * np.dot(diff, diff)))
 
 
-def _squared_distances(X, Y, product=np.matmul):
+def _squared_distances(X, Y, product=np.matmul, out=None):
     """|x|^2 + |y|^2 - 2 x.y between the rows of X and Y, clipped at 0.
 
     `product(X, Y.T)` forms the dot products: one matrix product by
     default, `_row_products` for values that do not depend on the batch.
+    The result is written to `out` when given, such as a slab of a stack.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if X.shape[1] != Y.shape[1]:
         raise DimensionMismatch(f"row dims differ: {X.shape[1]} vs {Y.shape[1]}")
-    sq = (
-        (X * X).sum(axis=1)[:, None]
-        + (Y * Y).sum(axis=1)[None, :]
-        - 2.0 * product(X, Y.T)
-    )
+    sq = np.add((X * X).sum(axis=1)[:, None], (Y * Y).sum(axis=1)[None, :], out=out)
+    sq -= 2.0 * product(X, Y.T)
     np.clip(sq, 0.0, None, out=sq)
     return sq
 
@@ -107,13 +108,14 @@ def rbf_kernel_matrix(X, Y, gamma):
     return np.exp(-gamma * _squared_distances(X, Y))
 
 
-def _training_kernel(sq, gamma):
-    """exp(-gamma * sq) of square distances, with its diagonal set to exactly 1.
+def _training_kernel(sq, gamma, out=None):
+    """exp(-gamma * sq) of square distances, with its diagonal set to exactly 1,
+    written to `out` when given.
 
     Entries lie in [0, 1], so a NaN sum means a NaN entry (from a row
     holding NaN or inf): NumericalError, before any SMO update.
     """
-    kernel = np.multiply(sq, -gamma)
+    kernel = np.multiply(sq, -gamma, out=out)
     np.exp(kernel, out=kernel)
     if not np.isfinite(kernel.sum()):
         raise NumericalError("training kernel holds a non-finite value")
@@ -193,22 +195,24 @@ def _classes(labels):
 
 
 def _fit_pairs(kernel, labels, fits, max_iter):
-    """SMO on every class pair of several fits over one kernel, in one lockstep call.
+    """SMO on every class pair of several fits over a kernel stack, in one lockstep call.
 
-    `kernel` is the (n, n) Gram matrix of the rows that `labels` labels,
-    and each fit is (rows, c): the rows of `kernel` it trains on and its
-    C.  A fit's pairs are those of its classes, in class-pair order; a
-    pair trains on its rows with y = +1 for its first class.  One
-    (pairs, rows) membership mask per fit gives the padded pair rows and
-    labels, as global row ids, and `_smo_lockstep` solves the pairs of
-    all fits together, each with its fit's C.  A pair's support vectors
+    `kernel` stacks (n, n) Gram matrices of the n rows that `labels`
+    labels, one per unit (`_slab`), and each fit is (unit, rows, c): its
+    unit, the rows of that unit's kernel it trains on and its C.  A fit's
+    pairs are those of its classes, in class-pair order; a pair trains
+    on its rows with y = +1 for its first class.  One (pairs, rows)
+    membership mask per fit gives the padded pair rows and labels, as
+    row ids of the stack (padding is the unit's row 0), and
+    `_smo_lockstep` solves the pairs of all fits together, each with its
+    fit's C.  A pair's support vectors
     are the rows with alpha > SV_EPS, or with alpha > 0 if none exceeds
     SV_EPS.  Returns one (coef, bias, converged) per fit: the
     (len(rows), pairs) matrix of alpha_i * y_i of each pair's support
     vectors, zero elsewhere, and (pairs,) biases and convergence flags.
     """
     blocks = []
-    for rows, _ in fits:
+    for _, rows, _ in fits:
         fit_labels = labels[rows]
         onehot = fit_labels == np.asarray(_classes(fit_labels))[:, None]
         first, second = np.triu_indices(len(onehot), 1)  # class_pairs order
@@ -223,19 +227,19 @@ def _fit_pairs(kernel, labels, fits, max_iter):
         y.put(slot, np.where(onehot[first].ravel()[flat], 1.0, -1.0))
         blocks.append((local, y))
 
-    width = max(local.shape[1] for local, _ in blocks)
+    width, n = max(local.shape[1] for local, _ in blocks), kernel.shape[1]
     index = np.vstack([
-        np.pad(rows[local], ((0, 0), (0, width - local.shape[1])))
-        for (rows, _), (local, _) in zip(fits, blocks)
+        unit * n + np.pad(rows[local], ((0, 0), (0, width - local.shape[1])))
+        for (unit, rows, _), (local, _) in zip(fits, blocks)
     ])
     y = np.vstack([np.pad(fit_y, ((0, 0), (0, width - fit_y.shape[1]))) for _, fit_y in blocks])
-    c = np.repeat([c for _, c in fits], [len(local) for local, _ in blocks])
+    c = np.repeat([c for _, _, c in fits], [len(local) for local, _ in blocks])
     result = _smo_lockstep(kernel, index, y, c, DEFAULT_TOL, max_iter)
     sv = result.alpha > SV_EPS
     sv |= (result.alpha > 0.0) & ~sv.any(axis=1, keepdims=True)
 
     out, start = [], 0
-    for (rows, _), (local, fit_y) in zip(fits, blocks):
+    for (_, rows, _), (local, fit_y) in zip(fits, blocks):
         end = start + len(local)
         pp, kk = np.nonzero(sv[start:end, : local.shape[1]])
         coef = np.zeros((len(rows), len(local)))
@@ -277,7 +281,7 @@ def train_multiclass(X, labels, params, max_iter=DEFAULT_MAX_ITER, preprocessing
     if len(classes) < 2:
         raise SingleClassData(f"training needs at least 2 classes, got {len(classes)}")
     kernel = _training_kernel(_squared_distances(X, X), params.gamma)
-    fit = (np.arange(len(X)), params.c)
+    fit = (0, np.arange(len(X)), params.c)
     [(coef, bias, converged)] = _fit_pairs(kernel, labels, [fit], max_iter)
     keep = coef.any(axis=1)
     return MulticlassSvm(
@@ -356,14 +360,32 @@ def classify(model, X):
 
 
 # ---------------------------------------------------------------------------
-# Grid search and fits over one shared kernel
+# Grid searches and fits over a stack of unit kernels
 
 
-def _row_distances(X, labels):
-    """Squared distances between all rows of X, once _training_rows has
-    checked X and labels."""
-    X, labels = _training_rows(X, labels)
-    return _squared_distances(X, X)
+def _slab(stack, unit):
+    """The (n, n) matrix of `unit` in a (units * n, n) stack: rows unit * n onwards."""
+    n = stack.shape[1]
+    return stack[unit * n : (unit + 1) * n]
+
+
+@contextlib.contextmanager
+def _blame(unit):
+    """Mark a GestureLabError raised inside with the `unit` it concerns."""
+    try:
+        yield
+    except GestureLabError as exc:
+        exc.unit = unit
+        raise
+
+
+def _kernel_stack(sq, units, gamma):
+    """`_training_kernel` of the slabs `units` of a distance stack; other slabs unwritten."""
+    kernel = np.empty_like(sq)
+    for unit in units:
+        with _blame(unit):
+            _training_kernel(_slab(sq, unit), gamma, out=_slab(kernel, unit))
+    return kernel
 
 
 def _lockstep_calls(shapes):
@@ -382,20 +404,36 @@ def _lockstep_calls(shapes):
     return calls
 
 
-def _held_out(kernel, labels, train, held, solved):
-    """Predicted labels and winners' vote counts of the rows `held`, for
-    each (coef, bias, converged) of `solved` trained on the rows `train`.
+def _train_and_vote(sq, labels, fits, max_iter):
+    """Train each fit (unit, train, held, params), with train and held rows
+    of its unit's slab of a squared-distance stack, and predict its rows held.
 
-    One gather K[held][:, train] serves every fit: its decision values
-    are K[held][:, train] @ coef + bias, voted as `classify` votes.
+    The fits of one gamma share one kernel stack (one alive at a time) and
+    lockstep calls of at most LOCKSTEP_SLOTS padded slots.  Each fit votes
+    with K[held][:, train] @ coef + bias, as train_multiclass and classify
+    would; consecutive fits on the same unit, train and held rows share the
+    gather.  Returns (predicted labels, winners' votes, every pair converged)
+    per fit, in order.
     """
-    classes = np.asarray(_classes(labels[train]))
-    held_kernel = kernel[held].take(train, axis=1)  # K[held][:, train]
-    scored = []
-    for coef, bias, _ in solved:
-        votes, _, winners = _vote(len(classes), held_kernel @ coef + bias)
-        scored.append((classes[winners], votes[np.arange(len(held)), winners]))
-    return scored
+    out = [None] * len(fits)
+    for gamma in sorted({params.gamma for *_, params in fits}):
+        same = [i for i, (*_, params) in enumerate(fits) if params.gamma == gamma]
+        kernel = _kernel_stack(sq, {fits[i][0] for i in same}, gamma)
+        for call in _lockstep_calls([_pair_shape(labels[fits[i][1]]) for i in same]):
+            batch = [fits[same[i]] for i in call]
+            pairs = [(unit, train, params.c) for unit, train, _, params in batch]
+            solved = _fit_pairs(kernel, labels, pairs, max_iter)
+            key = None
+            for i, (unit, train, held, _), (coef, bias, converged) in zip(call, batch, solved):
+                if key != (unit, id(train), id(held)):
+                    key = (unit, id(train), id(held))
+                    classes = np.asarray(_classes(labels[train]))
+                    held_kernel = _slab(kernel, unit)[held].take(train, axis=1)  # K[held][:, train]
+                votes, _, winners = _vote(len(classes), held_kernel @ coef + bias)
+                won = votes[np.arange(len(held)), winners]
+                out[same[i]] = (classes[winners], won, bool(np.all(converged)))
+        del kernel  # one kernel stack alive at a time
+    return out
 
 
 def grid_search(X, labels, c_grid, gamma_grid, folds=10, seed=0):
@@ -408,100 +446,73 @@ def grid_search(X, labels, c_grid, gamma_grid, folds=10, seed=0):
     than 2 samples are an error.  Returns the winning params and the CV
     table: one {"c", "gamma", "accuracy"} dict per grid point, in
     ascending C then gamma order, with the accuracy pooled over all
-    held-out folds.  The search itself is `_grid_search` over one
-    squared-distance matrix of all rows of X.
+    held-out folds.  The search is `_grid_searches` of one unit, the
+    squared distances of all rows of X.
     """
-    sq = _row_distances(X, labels)
-    labels = np.asarray(labels)
-    return _grid_search(sq, labels, np.arange(len(labels)), c_grid, gamma_grid, folds, seed)
+    X, labels = _training_rows(X, labels)
+    search = (0, np.arange(len(X)), seed)
+    [found] = _grid_searches(_squared_distances(X, X), labels, [search], c_grid, gamma_grid, folds)
+    return found
 
 
-def _grid_search(sq, labels, rows, c_grid, gamma_grid, folds, seed):
-    """grid_search on the rows `rows` of a squared-distance matrix `sq`.
+def _grid_searches(sq, labels, searches, c_grid, gamma_grid, folds):
+    """grid_search for each (unit, rows, seed) of `searches`, on the rows
+    `rows` of the unit's slab of a squared-distance stack.
 
-    `sq` may cover more rows than it searches, such as a whole cell's
-    rows with `rows` its training rows: the folds split `rows`, and each
-    kernel K = exp(-gamma * sq), diagonal 1, is indexed by global row
-    ids.  All folds x C fits of a gamma train their pairs together on K,
-    in lockstep calls of at most LOCKSTEP_SLOTS padded slots; each call
-    then scores its fits fold by fold with `_held_out`, one gather
-    K[held][:, train] per fold and call.  Every pair gets the iterates it
-    would get alone, so the table is that of train_multiclass and
-    classify on each fold's rows.
+    The fold x C x gamma fits of all searches go through one
+    `_train_and_vote`, so each gamma's fits share a kernel stack and
+    lockstep calls; each table is that of train_multiclass and classify on
+    each fold's rows.  A GestureLabError of one search carries its `unit`.
     """
     if len(c_grid) == 0 or len(gamma_grid) == 0:
         raise ValueError("parameter grids must be non-empty")
     if folds < 2:
         raise ValueError("folds must be >= 2")
-    if len(rows) == 0:
-        raise InsufficientData("training set is empty")
-    _, counts = np.unique(labels[rows], return_counts=True)
-    min_count = int(counts.min())
-    if min_count < 2:
-        raise InsufficientData(f"smallest class has {min_count} sample(s); need at least 2 for CV")
-    if min_count < folds:
-        warnings.warn(
-            f"reducing folds from {folds} to {min_count} (smallest class size)", stacklevel=3
-        )
-        folds = min_count
-
-    grid = [[KernelParams(c=c, gamma=g) for g in sorted(gamma_grid)] for c in sorted(c_grid)]
-    fold_of = stratified_folds(labels[rows], folds, seed)
-    trains = [rows[fold_of != f] for f in range(folds)]
-    helds = [rows[fold_of == f] for f in range(folds)]
-    fits = list(itertools.product(range(len(grid)), range(folds)))  # (C index, fold)
-    shapes = [_pair_shape(labels[train]) for train in trains]
-    calls = [[fits[i] for i in call] for call in _lockstep_calls([shapes[f] for _, f in fits])]
-
-    correct = np.zeros((len(grid), len(grid[0])), dtype=int)
-    for g, gamma in enumerate(sorted(gamma_grid)):
-        kernel = _training_kernel(sq, gamma)
-        for call in calls:
-            solved = _fit_pairs(
-                kernel, labels, [(trains[f], grid[k][g].c) for k, f in call], DEFAULT_MAX_ITER
+    points = [KernelParams(c=c, gamma=g) for c in sorted(c_grid) for g in sorted(gamma_grid)]
+    parts = []  # the (train, held) rows of each search's folds
+    for unit, rows, seed in searches:
+        with _blame(unit):
+            if len(rows) == 0:
+                raise InsufficientData("training set is empty")
+            min_count = int(np.unique(labels[rows], return_counts=True)[1].min())
+            if min_count < 2:
+                raise InsufficientData(
+                    f"smallest class has {min_count} sample(s); need at least 2 for CV"
+                )
+        if min_count < folds:
+            warnings.warn(
+                f"reducing folds from {folds} to {min_count} (smallest class size)", stacklevel=3
             )
-            for f in dict.fromkeys(f for _, f in call):
-                mine = [i for i, (_, fold) in enumerate(call) if fold == f]
-                scored = _held_out(kernel, labels, trains[f], helds[f], [solved[i] for i in mine])
-                for i, (predicted, _) in zip(mine, scored):
-                    correct[call[i][0], g] += int(np.sum(predicted == labels[helds[f]]))
-        del kernel  # one kernel alive at a time
+        count = min(folds, min_count)
+        fold_of = stratified_folds(labels[rows], count, seed)
+        parts.append([(rows[fold_of != f], rows[fold_of == f]) for f in range(count)])
 
-    points = [params for row in grid for params in row]
-    accuracy = correct.ravel() / len(rows)
-    table = [{"c": p.c, "gamma": p.gamma, "accuracy": float(a)} for p, a in zip(points, accuracy)]
-    return points[int(accuracy.argmax())], table  # the first best wins ties
+    jobs = [(s, f, k) for s, split in enumerate(parts) for f in range(len(split))
+            for k in range(len(points))]
+    fits = [(searches[s][0], *parts[s][f], points[k]) for s, f, k in jobs]
+    scored = _train_and_vote(sq, labels, fits, DEFAULT_MAX_ITER)
+    correct = np.zeros((len(searches), len(points)), dtype=int)
+    for (s, f, k), (predicted, _, _) in zip(jobs, scored):
+        correct[s, k] += int(np.sum(predicted == labels[parts[s][f][1]]))
+    found = []
+    for s, (_, rows, _) in enumerate(searches):
+        accuracy = correct[s] / len(rows)
+        table = [
+            {"c": p.c, "gamma": p.gamma, "accuracy": float(a)} for p, a in zip(points, accuracy)
+        ]
+        found.append((points[int(accuracy.argmax())], table))  # the first best wins ties
+    return found
 
 
-def _fit_and_predict(sq, labels, fits, max_iter):
-    """Train each fit (train, test, params) over one squared-distance
-    matrix `sq` and predict its test rows.
-
-    `train` and `test` are row ids into `sq`.  The fits of one gamma
-    share one kernel, built once, with one kernel alive at a time; their
-    pairs are solved together in lockstep calls of at most
-    LOCKSTEP_SLOTS padded slots, and each fit votes on its test rows with
-    `_held_out`, as a model from train_multiclass would with classify.
-    A fit with fewer than 2 classes raises SingleClassData.  Returns one
-    (predicted labels, winners' vote counts, every pair converged) per
-    fit, in order.
-    """
-    for train, _, _ in fits:
-        n_classes = len(np.unique(labels[train]))
-        if n_classes < 2:
-            raise SingleClassData(f"training needs at least 2 classes, got {n_classes}")
-    out = [None] * len(fits)
-    for gamma in sorted({params.gamma for _, _, params in fits}):
-        same = [i for i, (_, _, params) in enumerate(fits) if params.gamma == gamma]
-        kernel = _training_kernel(sq, gamma)
-        for call in _lockstep_calls([_pair_shape(labels[fits[i][0]]) for i in same]):
-            batch = [fits[same[i]] for i in call]
-            solved = _fit_pairs(kernel, labels, [(train, p.c) for train, _, p in batch], max_iter)
-            for i, (train, test, _), fit in zip(call, batch, solved):
-                [(predicted, votes_won)] = _held_out(kernel, labels, train, test, [fit])
-                out[same[i]] = (predicted, votes_won, bool(np.all(fit[2])))
-        del kernel  # one kernel alive at a time
-    return out
+def _final_fits(sq, labels, fits, max_iter):
+    """`_train_and_vote` of final fits (unit, train, test, params); a fit
+    with fewer than 2 classes raises SingleClassData carrying its `unit`."""
+    for unit, train, _, _ in fits:
+        with _blame(unit):
+            n_classes = len(np.unique(labels[train]))
+            if n_classes < 2:
+                raise SingleClassData(f"training needs at least 2 classes, got {n_classes}")
+    return _train_and_vote(sq, labels, fits, max_iter)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from gesturelab.data import split_indices
 from gesturelab.errors import ConfigError
 from gesturelab.harness import (
+    DEFAULT_ABLATION_COMBOS,
     ExperimentConfig,
     SyntheticSpec,
     ablation_table,
@@ -23,6 +25,7 @@ from gesturelab.harness import (
     write_report_csv,
 )
 from gesturelab.svm import classify, grid_search, train_multiclass
+from gesturelab.tracking import FeatureMask
 
 
 def small_config(**overrides):
@@ -238,6 +241,16 @@ def reference_cell(store, cell, cfg):
     )
 
 
+def assert_cells_equal_reference(report, store, cfg):
+    """Asserts every cell of the report equals reference_cell; returns the references."""
+    references = [reference_cell(store, result.cell, cfg) for result in report.cells]
+    for result, expected in zip(report.cells, references):
+        for name, value in expected.items():
+            got = getattr(result, name)
+            assert np.array_equal(got, value) if name == "confusion" else got == value, name
+    return references
+
+
 @pytest.mark.parametrize(
     "retention, grid_mode, slots",
     [
@@ -249,9 +262,10 @@ def reference_cell(store, cell, cfg):
     ],
 )
 def test_run_cell_equals_reference_loop(noisy_store, monkeypatch, retention, grid_mode, slots):
-    # _run_cell shares one distance matrix across a cell's repetitions (or
-    # builds one per repetition with PCA) and batches the final fits of a
-    # gamma into lockstep calls; its results must be the plain loop's.
+    # A cell shares one distance matrix across its repetitions (or builds
+    # one per repetition with PCA, all in one stack) and batches the final
+    # fits of a gamma into lockstep calls; its results must be the plain
+    # loop's.
     from gesturelab import svm
 
     if slots is not None:
@@ -262,7 +276,7 @@ def test_run_cell_equals_reference_loop(noisy_store, monkeypatch, retention, gri
     fit_pairs = svm._fit_pairs
 
     def counted(kernel, labels, fits, max_iter):
-        sizes = [len(rows) for rows, _ in fits]
+        sizes = [len(rows) for _, rows, _ in fits]
         if max(sizes) == 140:  # a final fit; a grid search fold trains on fewer
             final_calls.append(len(fits))
         return fit_pairs(kernel, labels, fits, max_iter)
@@ -273,19 +287,94 @@ def test_run_cell_equals_reference_loop(noisy_store, monkeypatch, retention, gri
         c_grid=(0.1, 100.0), gamma_grid=(0.02, 0.5) if retention is None else (0.002, 0.02),
         repetitions=3,
     )
-    [result] = run_experiment(cfg, store=noisy_store).cells
+    report = run_experiment(cfg, store=noisy_store)
     monkeypatch.setattr(svm, "_fit_pairs", fit_pairs)
-    expected = reference_cell(noisy_store, result.cell, cfg)
+    [expected] = assert_cells_equal_reference(report, noisy_store, cfg)
     assert len({row["accuracy"] for row in expected["cv_table"]}) > 1  # the grid points differ
-    for name, value in expected.items():
-        got = getattr(result, name)
-        assert np.array_equal(got, value) if name == "confusion" else got == value, name
     if slots is not None:
         assert final_calls == [2, 1]
-    elif retention is None and grid_mode == "per_cell":
-        assert final_calls == [3]  # every repetition fit in one lockstep call
-    elif retention is not None:
-        assert final_calls == [1, 1, 1]  # one matrix, and one fit, per repetition
+    elif grid_mode == "per_cell":
+        assert final_calls == [3]  # every repetition fit in one lockstep call, PCA or not
+    else:  # one call per gamma the repetitions' searches chose
+        assert sum(final_calls) == 3 and len(final_calls) <= len(cfg.gamma_grid)
+
+
+@pytest.mark.parametrize(
+    "experiment, grid_mode, units_per_batch",
+    [
+        ("ablation", "per_cell", None),
+        ("ablation", "per_repetition", None),
+        ("ablation", "per_cell", 2),
+        ("sweep", "per_cell", None),
+        ("sweep", "per_repetition", None),
+        ("sweep", "per_cell", 3),
+    ],
+)
+def test_experiments_equal_reference_loop(noisy_store, monkeypatch, experiment, grid_mode,
+                                          units_per_batch):
+    # Every cell of a multi-cell experiment equals the plain per-repetition
+    # loop, whether its units share a batch with other cells' or a batch
+    # boundary falls between them: 3 ablation cells in batches of 2 units,
+    # and the no-PCA cell plus 3 PCA repetitions of a sweep in batches of 3.
+    from gesturelab import harness
+
+    n = len(noisy_store.labels)
+    if units_per_batch is not None:
+        monkeypatch.setattr(harness, "STACK_ENTRIES", units_per_batch * n * n)
+    cfg = small_config(grid_mode=grid_mode, c_grid=(0.1, 100.0), repetitions=3)
+    if experiment == "ablation":
+        cfg = replace(cfg, gamma_grid=(0.02, 0.5))
+        combos = ("ang+dist+tip", "dist+elev+tip", "ang+elev")
+        report = ablation_table(cfg, combos, store=noisy_store)
+    else:
+        cfg = replace(cfg, use_hog=True, gamma_grid=(0.002, 0.02))
+        report = fusion_sweep(cfg, k_values=(1.0,), retentions=(None, 0.9), store=noisy_store)
+    assert len(report.cells) == (3 if experiment == "ablation" else 2)
+    assert_cells_equal_reference(report, noisy_store, cfg)
+
+
+def lockstep_calls(monkeypatch):
+    """The list that collects the problem count of each svm._smo_lockstep call."""
+    from gesturelab import svm
+
+    calls, solve = [], svm._smo_lockstep
+
+    def counted(kernel, index, *args):
+        calls.append(len(index))
+        return solve(kernel, index, *args)
+
+    monkeypatch.setattr(svm, "_smo_lockstep", counted)
+    return calls
+
+
+def test_experiment_makes_one_lockstep_call_per_stage(store, monkeypatch):
+    # All grid searches of a batch share a call per gamma, and all its final
+    # fits a call per chosen gamma: five one-gamma cells make two calls.
+    calls = lockstep_calls(monkeypatch)
+    cfg = small_config(c_grid=(1.0, 1000.0), folds=2)
+    ablation_table(cfg, DEFAULT_ABLATION_COMBOS, store=store)
+    # 45 pairs per fit: 5 cells x 2 C x 2 folds, then 5 cells x 2 repetitions
+    assert calls == [45 * 20, 45 * 10]
+    calls.clear()
+    cfg = small_config(grid_mode="per_repetition", gamma_grid=(0.1, 0.5), repetitions=3)
+    run_experiment(cfg, store=store)
+    # one grid call per gamma serves all 3 repetitions' searches (3 folds each)
+    assert calls[:2] == [45 * 9, 45 * 9] and sum(calls[2:]) == 45 * 3
+
+
+def test_splits_computed_once_per_experiment(store, monkeypatch):
+    from gesturelab import harness
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return split_indices(*args)
+
+    monkeypatch.setattr(harness, "split_indices", counted)
+    cfg = small_config(repetitions=3)
+    ablation_table(cfg, DEFAULT_ABLATION_COMBOS, store=store)
+    assert len(calls) == cfg.repetitions
 
 
 @pytest.mark.parametrize("grid_mode", ["per_cell", "per_repetition"])
@@ -293,16 +382,17 @@ def test_distances_built_once_per_cell_or_repetition(store, monkeypatch, grid_mo
     # No repetition builds its own distances without PCA: the grid search
     # and the final fits of every repetition index one matrix over all
     # rows of the cell.  With PCA the rows change per repetition.
-    from gesturelab import svm
+    from gesturelab import harness, svm
 
     shapes = []
     squared_distances = svm._squared_distances
 
-    def counted(X, Y, *args):
+    def counted(X, Y, *args, **kwargs):
         shapes.append((len(X), len(Y)))
-        return squared_distances(X, Y, *args)
+        return squared_distances(X, Y, *args, **kwargs)
 
-    monkeypatch.setattr(svm, "_squared_distances", counted)
+    for module in (svm, harness):
+        monkeypatch.setattr(module, "_squared_distances", counted)
     n = len(store.labels)
     cfg = small_config(repetitions=3, grid_mode=grid_mode)
     ablation_table(cfg, ("ang+dist+tip", "dist+elev+tip"), store=store)
@@ -313,13 +403,37 @@ def test_distances_built_once_per_cell_or_repetition(store, monkeypatch, grid_mo
     assert shapes == [(n, n)] * 3  # one per repetition
 
 
-def test_errors_carry_cell_context():
-    from gesturelab.errors import InsufficientData
+def test_errors_carry_cell_context(store, monkeypatch):
+    from gesturelab import smo
+    from gesturelab.errors import InsufficientData, NumericalError
 
     # one sample per class: the 80% split leaves an empty training set
     cfg = small_config(synthetic=SyntheticSpec(subjects=1, reps=1, seed=1), repetitions=1)
     with pytest.raises(InsufficientData, match=r"\[cell ang\+dist\+tip"):
         run_experiment(cfg)
+
+    # Two cells in one batch, the second at fault; "elev" is only in the
+    # second: a NaN fails its row check, a huge value its kernel slab, and
+    # a corrupted multiplier its share of a merged SMO call.
+    cfg = small_config(repetitions=2)
+    combos = ("ang+dist+tip", "dist+elev+tip")
+    elev = FeatureMask.parse("elev").column_indices()
+    for bad, match in ((np.nan, "training rows"), (1e200, "training kernel")):
+        tracking = store.tracking.copy()
+        tracking[3, elev[0]] = bad
+        bad_store = replace(store, tracking=tracking)
+        failure = pytest.raises(NumericalError, match=rf"\[cell dist\+elev\+tip_.*{match}")
+        with np.errstate(all="ignore"), failure:  # 1e200 squared overflows
+            ablation_table(cfg, combos, store=bad_store)
+    results = smo._smo_results
+
+    def corrupted(y, c, alpha, v, up, low, converged, iterations, units):
+        alpha[units == 1] = -1.0  # every problem over the second kernel
+        return results(y, c, alpha, v, up, low, converged, iterations, units)
+
+    monkeypatch.setattr(smo, "_smo_results", corrupted)
+    with pytest.raises(NumericalError, match=r"\[cell dist\+elev\+tip_.*infeasible"):
+        ablation_table(cfg, combos, store=store)
 
 
 # ---------------------------------------------------------------------------

@@ -313,7 +313,7 @@ def test_lockstep_pairs_equal_reference_per_pair():
         for max_iter in (DEFAULT_MAX_ITER, counts[len(counts) // 2], 0, -1):
             result = _smo_lockstep(K, *padded(rows, signs), c, DEFAULT_TOL, max_iter)
             [(coef, bias, converged)] = _fit_pairs(
-                K, labels, [(np.arange(len(labels)), c)], max_iter
+                K, labels, [(0, np.arange(len(labels)), c)], max_iter
             )
             for p, run in enumerate(reference(max_iter)):
                 alpha, b, conv, iterations, gap = run
@@ -380,6 +380,78 @@ def test_lockstep_raises_when_one_problem_is_infeasible():
         _smo_lockstep(K, *padded(rows, signs), 1.0, DEFAULT_TOL, 50)
     with pytest.raises(NumericalError):
         _smo_lockstep(K, *padded(rows[::-1], signs[::-1]), 1.0, DEFAULT_TOL, 50)
+
+
+def test_lockstep_over_a_kernel_stack_equals_each_kernel_alone():
+    # Problems over a (4n, n) stack of kernels, each on the rows of one of
+    # kernels 1-3 (row ids u * n + r, padded with u * n), solved in one
+    # call: each gets its solve over its own (n, n) kernel, bit for bit,
+    # also when the median budget stops about half of them.  Kernel 0 is
+    # unused and never read; a non-finite kernel in use fails the call,
+    # and the error names that kernel.
+    rng = np.random.default_rng(17)
+    n, kernels = 40, [np.full((40, 40), np.nan)]
+    for u in range(1, 4):
+        X = rng.normal(size=(n, 1 + u))
+        kernels.append(rbf_kernel_matrix(X, X, 0.3 * u))
+        np.fill_diagonal(kernels[-1], 1.0)
+    stack = np.vstack(kernels)
+    units, rows, signs = [], [], []
+    for p in range(24):
+        r = rng.choice(n, size=int(rng.integers(4, n)), replace=False)
+        s = np.where(rng.normal(size=len(r)) > 0, 1.0, -1.0)
+        s[:2] = (1.0, -1.0)
+        units.append(1 + p % 3)
+        rows.append(r)
+        signs.append(s)
+    c = np.array([(0.1, 1.0, 10.0, 100.0, 1000.0)[p % 5] for p in range(len(rows))])
+
+    def alone(max_iter):
+        return [
+            _smo_lockstep(kernels[u], *padded([r], [s]), cp, DEFAULT_TOL, max_iter)
+            for u, r, s, cp in zip(units, rows, signs, c)
+        ]
+
+    index, y = padded(rows, signs)
+    index += n * np.array(units)[:, None]
+    counts = sorted(int(run.iterations[0]) for run in alone(DEFAULT_MAX_ITER))
+    assert counts[-1] >= 10 * counts[0] > 0
+    unconverged = 0
+    for max_iter in (DEFAULT_MAX_ITER, counts[len(counts) // 2]):
+        result = _smo_lockstep(stack, index, y, c, DEFAULT_TOL, max_iter)
+        for p, run in enumerate(alone(max_iter)):
+            assert result.alpha[p, : len(rows[p])].tobytes() == run.alpha[0].tobytes(), p
+            got = (result.bias[p], result.converged[p], result.iterations[p], result.gap[p])
+            assert got == (run.bias[0], run.converged[0], run.iterations[0], run.gap[0]), p
+            unconverged += not run.converged[0]
+    assert unconverged >= 5
+    stack[2 * n : 3 * n] = np.nan
+    with pytest.raises(NumericalError) as failure:
+        _smo_lockstep(stack, index, y, c, DEFAULT_TOL, 50)
+    assert failure.value.unit == 2
+
+
+def test_distance_and_kernel_slabs_equal_fresh_matrices(rng):
+    # The harness writes each unit's squared distances, and each gamma's
+    # kernel, into a slab of a preallocated stack.  Each slab must hold the
+    # matrix a fresh |x|^2 + |y|^2 - 2 x.y, and a fresh exp(-gamma * sq)
+    # with diagonal 1, would give, bit for bit.
+    from gesturelab.svm import _kernel_stack, _slab, _squared_distances
+
+    n = 30
+    units = [rng.normal(size=(n, d)) * 10.0 for d in (2, 5, 40)]
+    sq = np.empty((len(units) * n, n))
+    for u, X in enumerate(units):
+        _squared_distances(X, X, out=_slab(sq, u))
+        norms = (X * X).sum(axis=1)
+        fresh = norms[:, None] + norms[None, :] - 2.0 * (X @ X.T)
+        np.clip(fresh, 0.0, None, out=fresh)
+        assert _slab(sq, u).tobytes() == fresh.tobytes() == _squared_distances(X, X).tobytes()
+    kernel = _kernel_stack(sq, [0, 2], 0.3)
+    for u in (0, 2):
+        fresh = np.exp(-0.3 * _slab(sq, u))
+        np.fill_diagonal(fresh, 1.0)
+        assert _slab(kernel, u).tobytes() == fresh.tobytes()
 
 
 def test_smo_curvature_edge_cases_match_projected_gradient_oracle(rng):
@@ -686,7 +758,7 @@ def reference_grid_search(X, y, c_grid, gamma_grid, folds, seed):
                 train, held = np.flatnonzero(fold_of != f), np.flatnonzero(fold_of == f)
                 classes = np.unique(y[train])
                 [(coef, bias, _)] = _fit_pairs(
-                    K[np.ix_(train, train)], y[train], [(np.arange(len(train)), c)],
+                    K[np.ix_(train, train)], y[train], [(0, np.arange(len(train)), c)],
                     DEFAULT_MAX_ITER,
                 )
                 _, _, winners = _vote(len(classes), K[np.ix_(held, train)] @ coef + bias)
