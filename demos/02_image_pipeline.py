@@ -12,6 +12,7 @@ from gesturelab import (
     binarize,
     compute_hog,
     crop_to_foreground,
+    hog_length,
     otsu_threshold,
     resize_bilinear,
     undistort,
@@ -39,14 +40,14 @@ cropped = crop_to_foreground(binary, margin=4)
 print("cropped to:", cropped.shape)
 square = resize_bilinear(cropped, (64, 64))
 
-descriptor = compute_hog(square, HogParams())
-print("descriptor length:", len(descriptor.values))
-print("geometry (cells_x, cells_y, blocks_x, blocks_y, bins):", descriptor.geometry)
-print("value range: [%.3f, %.3f]" % (descriptor.values.min(), descriptor.values.max()))
+params = HogParams()
+descriptor = compute_hog(square, params)
+print("descriptor length:", len(descriptor), "closed form:", hog_length(64, 64, params))
+print("value range: [%.3f, %.3f]" % (descriptor.min(), descriptor.max()))
 
 # Orientation energy per bin, summed over all blocks: silhouette edges
 # spread over many orientations, unlike e.g. a pure vertical step edge.
-per_bin = descriptor.values.reshape(-1, 9).sum(axis=0)
+per_bin = descriptor.reshape(-1, 9).sum(axis=0)
 for b, v in enumerate(per_bin):
     bar = "#" * int(40 * v / per_bin.max())
     print(f"bin {b} ({b * 20:3d} deg): {bar}")
@@ -56,5 +57,5 @@ for b, v in enumerate(per_bin):
 half = (binary // 2).astype(np.uint8)
 print(
     "max HOG change at 50%% contrast: %.1e"
-    % np.abs(compute_hog(half).values - compute_hog(binary).values).max()
+    % np.abs(compute_hog(half) - compute_hog(binary)).max()
 )

@@ -47,7 +47,6 @@ from .harness import (
     run_experiment,
 )
 from .image import (
-    HogDescriptor,
     HogParams,
     ImagePipelineConfig,
     UndistortionMap,

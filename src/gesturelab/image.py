@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GeometryError, MapSizeMismatch, MissingFile, ParseError
+from .errors import DataError, GeometryError, MapSizeMismatch, MissingFile, ParseError
 
 MAP_MAGIC = b"LMUM"
 
@@ -202,27 +202,32 @@ def _undistort_taps(sample_bytes, grid_shape, out_size, src_shape):
     return _bilinear_taps(src_shape, xs, ys), invalid
 
 
+def _axis_taps(n, coords):
+    """Lower and upper neighbour indices and the upper weight of a linear
+    lookup at float `coords` along an axis of `n` samples, clamped to it."""
+    coords = np.clip(coords, 0.0, n - 1.0)
+    lower = np.minimum(coords.astype(int), n - 1)
+    return lower, np.minimum(lower + 1, n - 1), coords - lower
+
+
 def _bilinear_taps(shape, xs, ys):
-    """Flat indices of the 4 neighbours and the weights (fx, fy) of a
-    bilinear lookup at float coordinates, clamped to an image of `shape`."""
+    """Flat indices of the 4 neighbours and the weight pairs (fx, 1 - fx)
+    and (fy, 1 - fy) of a bilinear lookup at float coordinates, clamped
+    to an image of `shape`."""
     h, w = shape
-    xs = np.clip(xs, 0.0, w - 1.0)
-    ys = np.clip(ys, 0.0, h - 1.0)
-    x0 = np.minimum(xs.astype(int), w - 1)
-    y0 = np.minimum(ys.astype(int), h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
+    x0, x1, fx = _axis_taps(w, xs)
+    y0, y1, fy = _axis_taps(h, ys)
     corners = (y0 * w + x0, y0 * w + x1, y1 * w + x0, y1 * w + x1)
-    return corners, xs - x0, ys - y0
+    return corners, (fx, 1 - fx), (fy, 1 - fy)
 
 
 def _apply_taps(img, taps):
     """Bilinear values of `img` at the taps of `_bilinear_taps`, as floats."""
-    (i00, i01, i10, i11), fx, fy = taps
-    flat = img.ravel()
-    top = flat[i00] * (1 - fx) + flat[i01] * fx
-    bot = flat[i10] * (1 - fx) + flat[i11] * fx
-    return top * (1 - fy) + bot * fy
+    (i00, i01, i10, i11), (fx1, fx0), (fy1, fy0) = taps
+    flat = img.astype(float).ravel()
+    top = flat[i00] * fx0 + flat[i01] * fx1
+    bot = flat[i10] * fx0 + flat[i11] * fx1
+    return top * fy0 + bot * fy1
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +263,7 @@ def binarize(img, threshold=None):
     img = _as_image(img)
     if threshold is None:
         threshold = otsu_threshold(img)
-    return np.where(img >= threshold, 255, 0).astype(np.uint8)
+    return (img >= threshold).view(np.uint8) * np.uint8(255)
 
 
 def crop_to_foreground(img, margin=0):
@@ -296,8 +301,13 @@ def resize_bilinear(img, out_size):
         ys = np.arange(out_h) * (in_h - 1) / (out_h - 1) if out_h > 1 else np.full(1, (in_h - 1) / 2)
     else:
         ys = np.zeros(out_h)
-    grid_x, grid_y = np.meshgrid(xs, ys)
-    out = _apply_taps(img, _bilinear_taps(img.shape, grid_x, grid_y))
+    # Separable: every source row along x, then rows y0 and y1 of that
+    # along y, so each pixel gets the products and sums of a 4-tap lookup.
+    x0, x1, fx = _axis_taps(in_w, xs)
+    y0, y1, fy = _axis_taps(in_h, ys)
+    src = img.astype(float)
+    across = src[:, x0] * (1 - fx) + src[:, x1] * fx
+    out = across[y0] * (1 - fy)[:, np.newaxis] + across[y1] * fy[:, np.newaxis]
     return np.rint(out).astype(np.uint8)
 
 
@@ -322,20 +332,6 @@ class HogParams:
             raise ValueError("cell_size, block_cells, block_stride and bins must be >= 1")
         if not self.clip > 0:
             raise ValueError("clip must be > 0")
-
-
-@dataclass
-class HogDescriptor:
-    values: np.ndarray
-    cells_x: int
-    cells_y: int
-    blocks_x: int
-    blocks_y: int
-    bins: int
-
-    @property
-    def geometry(self):
-        return (self.cells_x, self.cells_y, self.blocks_x, self.blocks_y, self.bins)
 
 
 def hog_length(width, height, params=HogParams()):
@@ -368,13 +364,17 @@ def compute_hog(img, params=HogParams()):
     orientations over [0, 180) vote into the two nearest of `bins`
     equally spaced bins (circular), weighted by gradient magnitude.
     Cell histograms are grouped into sliding blocks and L2-Hys
-    normalized, so every output value lies in [0, 1].
+    normalized, so every output value lies in [0, 1].  Returns the 1-D
+    descriptor, `hog_length(w, h, params)` values long.  An image with a
+    NaN or infinite pixel raises DataError.
     """
     img = np.asarray(img, dtype=float)
     if img.ndim != 2:
         raise ValueError("image must be 2-D")
+    if not np.isfinite(img).all():
+        raise DataError("HOG of an image with a non-finite pixel")
     h, w = img.shape
-    cells_x, cells_y, blocks_x, blocks_y = _hog_geometry(w, h, params)
+    cells_x, cells_y, _, _ = _hog_geometry(w, h, params)
 
     gx = np.empty_like(img)
     gx[:, 1:-1] = img[:, 2:] - img[:, :-2]
@@ -385,6 +385,10 @@ def compute_hog(img, params=HogParams()):
     gy[0, :] = img[1, :] - img[0, :] if h > 1 else 0.0
     gy[-1, :] = img[-1, :] - img[-2, :] if h > 1 else 0.0
 
+    # A pixel with no gradient votes +0.0 into bin 0 (arctan2(+0, +0) is
+    # +0), which leaves the cell sums as they are: only the others vote.
+    voting = np.flatnonzero((gx != 0) | (gy != 0))
+    gx, gy = gx.ravel()[voting], gy.ravel()[voting]
     magnitude = np.hypot(gx, gy)
     orientation = np.mod(np.arctan2(gy, gx), np.pi)  # unsigned, [0, pi)
 
@@ -395,21 +399,30 @@ def compute_hog(img, params=HogParams()):
     lower %= params.bins
     upper = (lower + 1) % params.bins
 
+    cell_bases, block_entries = _hog_layout(h, w, params)
+    base = cell_bases[voting]
+    hist = np.zeros(cells_x * cells_y * params.bins)
+    hist += np.bincount(base + lower, weights=magnitude * (1 - w_upper), minlength=len(hist))
+    hist += np.bincount(base + upper, weights=magnitude * w_upper, minlength=len(hist))
+    return _l2_hys(hist[block_entries], params.clip).ravel()
+
+
+@functools.lru_cache(maxsize=4)
+def _hog_layout(h, w, params):
+    """Read-only (cell bases, block entries) of `compute_hog` on h x w
+    images: the flat index of bin 0 of each pixel's cell histogram, and
+    per block its cells' histogram entries, row by row, bin after bin."""
+    cells_x, cells_y, _, _ = _hog_geometry(w, h, params)
     cell_col = np.arange(w) // params.cell_size
     cell_row = np.arange(h) // params.cell_size
-    cell_index = cell_row[:, None] * cells_x + cell_col[None, :]
-    flat_lower = (cell_index * params.bins + lower).ravel()
-    flat_upper = (cell_index * params.bins + upper).ravel()
-    n_hist = cells_x * cells_y * params.bins
-    hist = np.bincount(flat_lower, weights=(magnitude * (1 - w_upper)).ravel(), minlength=n_hist)
-    hist += np.bincount(flat_upper, weights=(magnitude * w_upper).ravel(), minlength=n_hist)
-    cells = hist.reshape(cells_y, cells_x, params.bins)
-
+    bases = ((cell_row[:, None] * cells_x + cell_col[None, :]) * params.bins).ravel()
+    cells = np.arange(cells_y * cells_x * params.bins).reshape(cells_y, cells_x, params.bins)
     bc, stride = params.block_cells, params.block_stride
     windows = np.lib.stride_tricks.sliding_window_view(cells, (bc, bc), axis=(0, 1))
-    blocks = windows[::stride, ::stride].transpose(0, 1, 3, 4, 2).reshape(blocks_y * blocks_x, -1)
-    out = _l2_hys(blocks, params.clip).ravel()
-    return HogDescriptor(out, cells_x, cells_y, blocks_x, blocks_y, params.bins)
+    entries = windows[::stride, ::stride].transpose(0, 1, 3, 4, 2).reshape(-1, bc * bc * params.bins)
+    for index in (bases, entries):
+        index.flags.writeable = False
+    return bases, entries
 
 
 def _l2_hys(rows, clip):
@@ -478,5 +491,5 @@ def extract_image_features(images, cfg=None, umap=None):
         img = binarize(img, cfg.threshold)
         img = crop_to_foreground(img, cfg.crop_margin)
         img = resize_bilinear(img, cfg.hog_size)
-        parts.append(compute_hog(img, cfg.hog).values)
+        parts.append(compute_hog(img, cfg.hog))
     return np.concatenate(parts)

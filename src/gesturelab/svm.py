@@ -28,6 +28,7 @@ a row gets the same decision values, bit for bit, alone or in a batch.
 """
 
 import contextlib
+import functools
 import itertools
 import warnings
 from dataclasses import dataclass
@@ -190,6 +191,16 @@ def class_pairs(classes):
     return list(itertools.combinations(classes, 2))
 
 
+@functools.lru_cache(maxsize=8)
+def _pair_index(m):
+    """Read-only (first, second) class indices of the pairs of m classes,
+    in `class_pairs` order."""
+    pairs = np.triu_indices(m, 1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
 def _classes(labels):
     return [c.item() if hasattr(c, "item") else c for c in np.unique(labels)]
 
@@ -215,7 +226,7 @@ def _fit_pairs(kernel, labels, fits, max_iter):
     for _, rows, _ in fits:
         fit_labels = labels[rows]
         onehot = fit_labels == np.asarray(_classes(fit_labels))[:, None]
-        first, second = np.triu_indices(len(onehot), 1)  # class_pairs order
+        first, second = _pair_index(len(onehot))
         flat = np.flatnonzero(onehot[first] | onehot[second])
         pp, kk = np.divmod(flat, len(rows))
         sizes = np.bincount(pp, minlength=len(first))
@@ -301,7 +312,7 @@ def _vote(m, values):
     the (m, m, n) win and |margin| tables is class c against class j, so
     the sum over j adds c's pairs one by one in pair order, as a loop would.
     """
-    first, second = np.triu_indices(m, 1)
+    first, second = _pair_index(m)
     wins = np.zeros((m, m, len(values)), dtype=bool)
     wins[second, first] = values.T >= 0.0
     wins[first, second] = values.T < 0.0

@@ -215,7 +215,10 @@ def signed_inplane_angle(point, frame):
     if np.linalg.norm(u) < DEGENERACY_TOL:
         raise DegenerateHand("fingertip projects onto the palm center")
     h = frame.hand_direction
-    ang = math.atan2(np.dot(frame.palm_normal, np.cross(h, u)), np.dot(h, u))
+    # np.cross's products and differences, without its per-call axis handling.
+    (h0, h1, h2), (u0, u1, u2) = h.tolist(), u.tolist()
+    cross = np.array([h1 * u2 - h2 * u1, h2 * u0 - h0 * u2, h0 * u1 - h1 * u0])
+    ang = math.atan2(np.dot(frame.palm_normal, cross), np.dot(h, u))
     return math.pi if ang == -math.pi else ang
 
 

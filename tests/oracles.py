@@ -297,6 +297,42 @@ def undistort_loops(raw, samples, out_size):
 
 
 # ---------------------------------------------------------------------------
+# Per-pixel bilinear resize
+
+
+def resize_loops(img, out_size):
+    """Bilinear resize of `img` to `out_size` = (w, h), pixel by pixel.
+
+    Output pixel (x, y) samples the source at x * (in_w - 1) / (out_w - 1)
+    (the source center for a 1-pixel output, 0 for a 1-pixel source) and
+    likewise in y: the clamped 2x2 neighbourhood is blended along x, then
+    along y, and rounded half to even.
+    """
+    src = np.asarray(img, dtype=float)
+    in_h, in_w = src.shape
+    out_w, out_h = out_size
+
+    def coordinate(i, n_in, n_out):
+        if n_in == 1:
+            return 0.0
+        return i * (n_in - 1) / (n_out - 1) if n_out > 1 else (n_in - 1) / 2
+
+    out = np.zeros((out_h, out_w), dtype=np.uint8)
+    for y in range(out_h):
+        sy = coordinate(y, in_h, out_h)
+        y0 = min(int(sy), in_h - 1)
+        y1, ay = min(y0 + 1, in_h - 1), sy - y0
+        for x in range(out_w):
+            sx = coordinate(x, in_w, out_w)
+            x0 = min(int(sx), in_w - 1)
+            x1, ax = min(x0 + 1, in_w - 1), sx - x0
+            top = src[y0, x0] * (1 - ax) + src[y0, x1] * ax
+            bottom = src[y1, x0] * (1 - ax) + src[y1, x1] * ax
+            out[y, x] = np.rint(top * (1 - ay) + bottom * ay)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Per-pixel votes and per-block L2-Hys HOG
 
 

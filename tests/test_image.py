@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gesturelab.errors import GeometryError, MapSizeMismatch, ParseError
+from gesturelab import image
+from gesturelab.data import generate_synthetic
+from gesturelab.errors import DataError, GeometryError, MapSizeMismatch, ParseError
 from gesturelab.image import (
     HogParams,
     ImagePipelineConfig,
@@ -21,7 +23,8 @@ from gesturelab.image import (
     undistort,
     write_pgm,
 )
-from oracles import hog_loops, otsu_bruteforce, undistort_loops
+from gesturelab.image import _hog_geometry
+from oracles import hog_loops, otsu_bruteforce, resize_loops, undistort_loops
 
 
 # ---------------------------------------------------------------------------
@@ -301,21 +304,30 @@ def test_resize_monotone_row():
     assert np.all(np.diff(out[0].astype(int)) >= 0)
 
 
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(
+    in_shape=st.tuples(st.integers(1, 300), st.integers(1, 300)),
+    out_size=st.tuples(st.integers(1, 100), st.integers(1, 100)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_resize_matches_per_pixel_oracle(in_shape, out_size, seed):
+    img = np.random.default_rng(seed).integers(0, 256, size=in_shape).astype(np.uint8)
+    assert resize_bilinear(img, out_size).tobytes() == resize_loops(img, out_size).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # HOG
 
 
 def test_hog_constant_image_is_zero():
     img = np.full((64, 64), 200, np.uint8)
-    desc = compute_hog(img)
-    assert np.array_equal(desc.values, np.zeros(1764))
+    assert np.array_equal(compute_hog(img), np.zeros(1764))
 
 
 def test_hog_default_length():
     img = np.zeros((64, 64), np.uint8)
-    desc = compute_hog(img)
-    assert len(desc.values) == 7 * 7 * 2 * 2 * 9 == 1764
-    assert desc.geometry == (8, 8, 7, 7, 9)
+    assert len(compute_hog(img)) == 7 * 7 * 2 * 2 * 9 == 1764
+    assert _hog_geometry(64, 64, HogParams()) == (8, 8, 7, 7)
 
 
 @pytest.mark.parametrize(
@@ -332,8 +344,9 @@ def test_hog_length_formula(size, params, rng):
     w, h = size
     img = rng.integers(0, 256, size=(h, w)).astype(np.uint8)
     desc = compute_hog(img, params)
-    assert len(desc.values) == hog_length(w, h, params)
-    assert len(desc.values) == desc.blocks_x * desc.blocks_y * params.block_cells**2 * params.bins
+    _, _, blocks_x, blocks_y = _hog_geometry(w, h, params)
+    assert len(desc) == hog_length(w, h, params)
+    assert len(desc) == blocks_x * blocks_y * params.block_cells**2 * params.bins
 
 
 def test_hog_geometry_error():
@@ -348,7 +361,7 @@ def test_hog_step_edge_votes_horizontal_bin():
     img = np.zeros((16, 16), np.uint8)
     img[:, 8:] = 255
     desc = compute_hog(img, HogParams(cell_size=8, block_cells=2))
-    block = desc.values.reshape(2, 2, 9)  # one block of 2x2 cells
+    block = desc.reshape(2, 2, 9)  # one block of 2x2 cells
     for cy in range(2):
         for cx in range(2):
             assert block[cy, cx, 0] == pytest.approx(0.5, abs=1e-12)
@@ -360,9 +373,9 @@ def test_hog_values_in_unit_interval_and_block_norms(rng):
     for _ in range(10):
         img = rng.integers(0, 256, size=(64, 64)).astype(np.uint8)
         desc = compute_hog(img, params)
-        assert desc.values.min() >= 0.0
-        assert desc.values.max() <= 1.0
-        per_block = desc.values.reshape(-1, params.block_cells**2 * params.bins)
+        assert desc.min() >= 0.0
+        assert desc.max() <= 1.0
+        per_block = desc.reshape(-1, params.block_cells**2 * params.bins)
         norms = np.linalg.norm(per_block, axis=1)
         assert norms.max() <= 1.0 + 1e-6
 
@@ -373,15 +386,31 @@ def test_hog_values_in_unit_interval_and_block_norms(rng):
 def test_hog_matches_per_block_oracle(rng, params):
     images = [rng.integers(0, 256, size=(64, 64)).astype(np.uint8) for _ in range(3)]
     images += [np.zeros((64, 64), np.uint8), np.full((64, 64), 200, np.uint8)]
+    # Binarized, cropped and resized silhouettes: most gradients are zero.
+    for sample in generate_synthetic(subjects=1, reps=1, seed=3)[:4]:
+        cropped = crop_to_foreground(binarize(sample.images[0]), 4)
+        images.append(resize_bilinear(cropped, (64, 64)))
+    # The only nonzero gradients sit on the columns either side of a cell border.
+    border = np.zeros((64, 64), np.uint8)
+    border[:, 24:] = 90
+    images.append(border)
     for img in images:
-        assert compute_hog(img, params).values.tobytes() == hog_loops(img, params).tobytes()
+        assert compute_hog(img, params).tobytes() == hog_loops(img, params).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_hog_rejects_non_finite_pixels(bad):
+    img = np.zeros((64, 64))
+    img[10, 20] = bad
+    with pytest.raises(DataError):
+        compute_hog(img)
 
 
 def test_hog_contrast_invariance(rng):
     img = (2 * rng.integers(0, 128, size=(64, 64))).astype(np.uint8)  # even values
     half = (img // 2).astype(np.uint8)
-    a = compute_hog(img).values
-    b = compute_hog(half).values
+    a = compute_hog(img)
+    b = compute_hog(half)
     assert np.abs(a - b).max() < 1e-6
 
 
@@ -408,3 +437,20 @@ def test_extract_image_features_with_map(rng):
     with_map = extract_image_features([img], cfg, umap)
     without = extract_image_features([img], cfg)
     assert np.array_equal(with_map, without)  # identity map is a no-op
+
+
+def test_pipeline_calls_each_stage_by_module_attribute(monkeypatch, rng):
+    """The benchmark's tracer times the image stages by swapping these
+    module attributes, so the pipeline must call each stage through them."""
+    stages = ("undistort", "binarize", "crop_to_foreground", "resize_bilinear", "compute_hog")
+    calls = dict.fromkeys(stages, 0)
+    for name in stages:
+        def counted(*args, _name=name, _stage=getattr(image, name), **kwargs):
+            calls[_name] += 1
+            return _stage(*args, **kwargs)
+
+        monkeypatch.setattr(image, name, counted)
+    imgs = [rng.integers(0, 256, size=(60, 60)).astype(np.uint8) for _ in range(2)]
+    cfg = ImagePipelineConfig(undistort_size=(60, 60), use_both_images=True)
+    extract_image_features(imgs, cfg, UndistortionMap.identity(6, 6))
+    assert calls == dict.fromkeys(stages, 2)

@@ -18,7 +18,9 @@ from gesturelab.tracking import (
     frame_from_dict,
     frame_to_dict,
     load_frame,
+    project_to_palm_plane,
     save_frame,
+    signed_inplane_angle,
 )
 
 
@@ -151,6 +153,19 @@ def test_angle_custom_range():
     frame = flat_frame([[0.0, 80.0, 0.0]])
     angles, _ = compute_angle_features(frame, angle_range=(-math.pi, math.pi))
     assert angles[0] == pytest.approx(0.75, abs=1e-12)
+
+
+def test_signed_angle_equals_np_cross_formulation(rng):
+    got, expected = [], []
+    for _ in range(1000):
+        frame = make_random_frame(rng)
+        h = frame.hand_direction
+        for tip in frame.fingertips:
+            u = project_to_palm_plane(tip, frame) - frame.palm_center
+            ang = math.atan2(np.dot(frame.palm_normal, np.cross(h, u)), np.dot(h, u))
+            expected.append(math.pi if ang == -math.pi else ang)
+            got.append(signed_inplane_angle(tip, frame))
+    assert np.array(got).tobytes() == np.array(expected).tobytes()
 
 
 # ---------------------------------------------------------------------------
