@@ -6,7 +6,7 @@ variance-based retention picks the component count.
 
 import numpy as np
 
-from gesturelab import FeatureMask, FusionConfig, fit_pca, fuse_matrix, rbf_kernel
+from gesturelab import FeatureMask, FusionConfig, fit_pca, fuse_matrix, rbf_kernel_matrix
 from gesturelab.harness import ExperimentConfig, SyntheticSpec, build_feature_store, load_samples
 
 cfg = ExperimentConfig(synthetic=SyntheticSpec(subjects=2, reps=5, seed=15))
@@ -26,9 +26,8 @@ dh = np.sum((x0h - x1h) ** 2)
 print("\nsquared distances: tracking %.3f, hog %.3f" % (dt, dh))
 for k in (0.0, 1.0, 3.0, 5.0, 9.0):
     fused_cfg = FusionConfig(mask=mask, hog_weight=k, hog_dim=store.hog.shape[1])
-    fa = np.concatenate([x0t, k * x0h])
-    fb = np.concatenate([x1t, k * x1h])
-    value = rbf_kernel(fa, fb, gamma)
+    fused_pair = fuse_matrix([x0t, x1t], [x0h, x1h], fused_cfg)
+    value = rbf_kernel_matrix(fused_pair[:1], fused_pair[1:], gamma)[0, 0]
     predicted = np.exp(-gamma * (dt + k * k * dh))
     print(f"K={k}: kernel {value:.6f} (split-segment form {predicted:.6f})")
 

@@ -70,7 +70,6 @@ from .svm import (
     decision_table,
     grid_search,
     load_model,
-    rbf_kernel,
     rbf_kernel_matrix,
     save_model,
     train_multiclass,

@@ -53,16 +53,6 @@ class FusionConfig:
     def total_dim(self):
         return self.tracking_dim + self.hog_dim
 
-    def segments(self):
-        """(name, offset, length) triples of the fused layout."""
-        out = []
-        offset = 0
-        for name, length in self.mask.segments():
-            out.append((name, offset, length))
-            offset += length
-        out.append(("hog", offset, self.hog_dim))
-        return out
-
     def to_dict(self):
         return {
             "mask": self.mask.label(),
@@ -135,14 +125,6 @@ class PcaModel:
             )
         return product(x - self.mean, self.components.T)
 
-    def inverse_transform(self, z):
-        z = np.asarray(z, dtype=float)
-        if z.shape[-1] != self.n_components:
-            raise DimensionMismatch(
-                f"input has {z.shape[-1]} dims, model has {self.n_components} components"
-            )
-        return z @ self.components + self.mean
-
     def to_dict(self):
         return {
             "version": 1,
@@ -164,8 +146,12 @@ class PcaModel:
             variances=jsonio.numbers(data["variances"], 1),
             retained_fraction=jsonio.number(data["retained_fraction"]),
         )
-        if model.components.ndim != 2 or model.mean.shape != (model.input_dim,):
-            raise ValueError(f"PCA mean {model.mean.shape}, components {model.components.shape}")
+        if (model.components.ndim != 2 or model.mean.shape != (model.input_dim,)
+                or model.variances.shape != (model.n_components,)):
+            shapes = (model.mean.shape, model.components.shape, model.variances.shape)
+            raise ValueError(f"PCA mean, components and variances of shapes {shapes}")
+        if not 0.0 < model.retained_fraction <= 1.0:
+            raise ValueError(f"retained fraction {model.retained_fraction!r} is not in (0, 1]")
         numbers = (model.mean, model.components, model.variances, model.retained_fraction)
         if not all(np.isfinite(x).all() for x in numbers):
             raise ValueError("PCA model holds a non-finite number")

@@ -357,6 +357,8 @@ def _hog_geometry(width, height, params):
     return cells_x, cells_y, blocks_x, blocks_y
 
 
+# An overflow leaves an infinite or NaN block norm, which _unit_rows rejects.
+@np.errstate(over="ignore", invalid="ignore")
 def compute_hog(img, params=HogParams()):
     """Histogram-of-oriented-gradients descriptor of a grayscale image.
 
@@ -366,7 +368,8 @@ def compute_hog(img, params=HogParams()):
     Cell histograms are grouped into sliding blocks and L2-Hys
     normalized, so every output value lies in [0, 1].  Returns the 1-D
     descriptor, `hog_length(w, h, params)` values long.  An image with a
-    NaN or infinite pixel raises DataError.
+    NaN or infinite pixel, or with values so large that a gradient or a
+    block norm overflows, raises DataError.
     """
     img = np.asarray(img, dtype=float)
     if img.ndim != 2:
@@ -433,9 +436,12 @@ def _l2_hys(rows, clip):
 
 
 def _unit_rows(rows):
-    """Each row over its L2 norm; rows of norm below 1e-12 become 0."""
+    """Each row over its L2 norm; rows of norm below 1e-12 become 0, and a
+    norm that is not finite raises DataError."""
     # Stacked matmul sums like np.linalg.norm's dot, bit for bit; einsum does not.
     norm = np.sqrt(np.matmul(rows[:, np.newaxis, :], rows[:, :, np.newaxis])[:, 0])
+    if not np.isfinite(norm).all():
+        raise DataError("HOG of an image whose gradients overflow")
     return np.divide(rows, norm, out=np.zeros_like(rows), where=~(norm < 1e-12))
 
 

@@ -65,18 +65,6 @@ class KernelParams:
             raise ValueError(f"gamma must be finite and > 0, got {self.gamma!r}")
 
 
-def rbf_kernel(x, y, gamma):
-    """exp(-gamma * ||x - y||^2) for a single pair of vectors."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise DimensionMismatch(f"vector shapes differ: {x.shape} vs {y.shape}")
-    if not gamma > 0:
-        raise ValueError("gamma must be > 0")
-    diff = x - y
-    return float(np.exp(-gamma * np.dot(diff, diff)))
-
-
 def _squared_distances(X, Y, product=np.matmul, out=None):
     """|x|^2 + |y|^2 - 2 x.y between the rows of X and Y, clipped at 0.
 
@@ -348,17 +336,6 @@ def decision_table(model, X):
     return _row_products(kernel, model.coef) + model.bias
 
 
-def vote_table(model, X):
-    """Votes and absolute-margin sums per class for rows of X.
-
-    Returns (votes, margins): integer (n, m) vote counts summing to the
-    pair count per row, and float (n, m) sums of |decision value| over
-    the pairs involving each class.
-    """
-    votes, margins, _ = _vote(len(model.classes), decision_table(model, X))
-    return votes, margins
-
-
 def classify(model, X):
     """Predicted labels plus the winner's vote count for rows of X.
 
@@ -554,35 +531,6 @@ def model_to_dict(model):
     }
 
 
-def _v1_table(records):
-    """(pairs, support_vectors, coef, bias, params, converged) from version-1
-    per-pair records, each distinct support vector stored once.
-
-    Every pair must carry the same C and gamma.
-    """
-    pairs, blocks, columns, params = [], [], [], set()
-    for rec in records:
-        vectors = jsonio.numbers(rec["support_vectors"], 2)
-        coefs = jsonio.numbers(rec["dual_coefs"], 1)
-        if vectors.ndim != 2 or coefs.shape != (len(vectors),):
-            raise ValueError(f"pair record: {coefs.shape} coefficients, {vectors.shape} vectors")
-        pairs.append((jsonio.integer(rec["first"]), jsonio.integer(rec["second"])))
-        blocks.append(vectors)
-        columns.append(coefs)
-        params.add((jsonio.number(rec["c"]), jsonio.number(rec["gamma"])))
-    if len(params) != 1:
-        raise ValueError(f"pairs must share one C and gamma, got {sorted(params)}")
-    vectors, inverse = np.unique(np.vstack(blocks), axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    coef = np.zeros((len(vectors), len(pairs)))
-    pair_of = np.repeat(np.arange(len(pairs)), [len(b) for b in blocks])
-    np.add.at(coef, (inverse, pair_of), np.concatenate(columns))
-    c, gamma = params.pop()
-    bias = [jsonio.number(rec["bias"]) for rec in records]
-    converged = [_flag(rec["converged"]) for rec in records]
-    return pairs, vectors, coef, bias, KernelParams(c=c, gamma=gamma), converged
-
-
 def _flag(value):
     """A JSON boolean; any other value raises TypeError."""
     if not isinstance(value, bool):
@@ -591,30 +539,24 @@ def _flag(value):
 
 
 def model_from_dict(data):
-    """Multi-class model from its model.json record, version 2 or 1.
+    """Multi-class model from its version-2 model.json record.
 
     `classes` must be distinct integers, at least two, and the pairs
     exactly `class_pairs(classes)`.  A missing or mistyped field, any
     other pair list, arrays whose shapes disagree and any non-finite
-    number raise ParseError, as do version-1 pairs that disagree on C or
-    gamma; any other version raises SchemaVersionMismatch.
+    number raise ParseError; any other version raises SchemaVersionMismatch.
     """
     try:
         version = data.get("version")
-        if version not in (1, 2):
+        if version != 2:
             raise SchemaVersionMismatch(f"unsupported model version {version!r}")
         classes = [jsonio.integer(c) for c in data["classes"]]
-        if version == 1:
-            pairs, vectors, coef, bias, params, converged = _v1_table(data["pairs"])
-        else:
-            pairs = [tuple(map(jsonio.integer, pair)) for pair in data["pairs"]]
-            vectors = jsonio.numbers(data["support_vectors"], 2)
-            coef = jsonio.numbers(data["coef"], 2)
-            bias = jsonio.numbers(data["bias"], 1)
-            params = KernelParams(c=jsonio.number(data["c"]), gamma=jsonio.number(data["gamma"]))
-            converged = [_flag(flag) for flag in data["converged"]]
-        bias = np.asarray(bias, dtype=float)
-        converged = np.array(converged, dtype=bool)
+        pairs = [tuple(map(jsonio.integer, pair)) for pair in data["pairs"]]
+        vectors = jsonio.numbers(data["support_vectors"], 2)
+        coef = jsonio.numbers(data["coef"], 2)
+        bias = jsonio.numbers(data["bias"], 1)
+        params = KernelParams(c=jsonio.number(data["c"]), gamma=jsonio.number(data["gamma"]))
+        converged = np.array([_flag(flag) for flag in data["converged"]], dtype=bool)
         if len(set(classes)) < max(len(classes), 2) or pairs != class_pairs(classes):
             raise ValueError(f"pairs must be those of >= 2 distinct classes in order: {classes}")
         pre = None

@@ -33,7 +33,6 @@ from gesturelab.image import (
 from gesturelab.svm import (
     KernelParams,
     classify,
-    rbf_kernel,
     rbf_kernel_matrix,
     smo_solve,
     train_multiclass,
@@ -224,9 +223,9 @@ def test_criterion_5_kernel_weighting_identity():
         cfg = FusionConfig(mask=ADT, hog_weight=k, hog_dim=50)
         t1, t2 = rng.normal(size=(2, 20))
         h1, h2 = rng.normal(size=(2, 50))
-        lhs = rbf_kernel(
-            np.concatenate([t1, k * h1]), np.concatenate([t2, k * h2]), gamma
-        )
+        lhs = rbf_kernel_matrix(
+            [np.concatenate([t1, k * h1])], [np.concatenate([t2, k * h2])], gamma
+        )[0, 0]
         rhs = float(
             np.exp(-gamma * (np.sum((t1 - t2) ** 2) + k * k * np.sum((h1 - h2) ** 2)))
         )

@@ -405,6 +405,8 @@ def test_exit_code_data_error(tmp_path, dataset_dir):
         "bool_pca_mean.json": edited(lambda r: pca(r)["mean"].__setitem__(0, True)),
         "string_pca_component.json": edited(lambda r: pca(r)["components"][0].__setitem__(0, "0.1")),
         "bool_pca_variance.json": edited(lambda r: pca(r)["variances"].__setitem__(0, False)),
+        "long_pca_variances.json": edited(lambda r: pca(r)["variances"].extend([1.0, 1.0])),
+        "big_retained.json": edited(lambda r: pca(r).update(retained_fraction=7.5)),
     }
     for name, content in bad_models.items():
         (tmp_path / name).write_text(json.dumps(content))

@@ -406,6 +406,18 @@ def test_hog_rejects_non_finite_pixels(bad):
         compute_hog(img)
 
 
+def test_hog_rejects_overflowing_pixel_values():
+    # Finite values whose block norm (a 1e300 square) or whose gradients
+    # (halves of +-1e308) overflow: no descriptor, and no RuntimeWarning.
+    square = np.zeros((64, 64))
+    square[20:40, 20:40] = 1e300
+    halves = np.full((64, 64), 1e308)
+    halves[:, 32:] = -1e308
+    for img in (square, halves):
+        with pytest.raises(DataError):
+            compute_hog(img)
+
+
 def test_hog_contrast_invariance(rng):
     img = (2 * rng.integers(0, 128, size=(64, 64))).astype(np.uint8)  # even values
     half = (img // 2).astype(np.uint8)

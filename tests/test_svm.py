@@ -1,4 +1,6 @@
-import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,7 +15,7 @@ from gesturelab.errors import (
     DimensionMismatch,
     InsufficientData,
     NumericalError,
-    ParseError,
+    SchemaVersionMismatch,
     SingleClassData,
 )
 from gesturelab.fusion import FusionConfig, fit_pca
@@ -34,12 +36,10 @@ from gesturelab.svm import (
     load_model,
     model_from_dict,
     model_to_dict,
-    rbf_kernel,
     rbf_kernel_matrix,
     save_model,
     smo_solve,
     train_multiclass,
-    vote_table,
 )
 from gesturelab.tracking import FeatureMask
 from oracles import (
@@ -83,20 +83,25 @@ def solve_binary(X, y, c, gamma, tol):
 # Kernel
 
 
+def kernel_value(x, y, gamma):
+    """The kernel between two single vectors, as one entry of rbf_kernel_matrix."""
+    return float(rbf_kernel_matrix([x], [y], gamma)[0, 0])
+
+
 def test_rbf_kernel_identical_points():
-    assert rbf_kernel([1.0, 2.0], [1.0, 2.0], 0.5) == 1.0
+    assert kernel_value([1.0, 2.0], [1.0, 2.0], 0.5) == 1.0
 
 
 def test_rbf_kernel_unit_exponent():
     gamma = 0.25
     x = np.zeros(3)
     y = np.array([2.0, 0.0, 0.0])  # ||x-y||^2 = 4 = 1/gamma
-    assert rbf_kernel(x, y, gamma) == pytest.approx(np.exp(-1.0), abs=1e-15)
+    assert kernel_value(x, y, gamma) == pytest.approx(np.exp(-1.0), abs=1e-15)
 
 
 def test_rbf_kernel_small_gamma_limit():
     x, y = np.zeros(2), np.ones(2)
-    values = [rbf_kernel(x, y, g) for g in (1.0, 0.1, 0.01, 0.001)]
+    values = [kernel_value(x, y, g) for g in (1.0, 0.1, 0.01, 0.001)]
     assert np.all(np.diff(values) > 0)
     assert values[-1] > 0.99
 
@@ -105,14 +110,14 @@ def test_rbf_kernel_symmetry_and_range(rng):
     for _ in range(20):
         x, y = rng.normal(size=(2, 5))
         g = rng.uniform(0.01, 2.0)
-        k = rbf_kernel(x, y, g)
+        k = kernel_value(x, y, g)
         assert 0.0 < k <= 1.0
-        assert k == rbf_kernel(y, x, g)
+        assert k == kernel_value(y, x, g)
 
 
 def test_rbf_kernel_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        rbf_kernel(np.zeros(3), np.zeros(4), 1.0)
+        kernel_value(np.zeros(3), np.zeros(4), 1.0)
 
 
 def test_kernel_matrix_is_psd(rng):
@@ -511,7 +516,7 @@ def test_decision_matches_bruteforce_resummation(rng):
     for row, values in zip(probes, table):
         for p, expected in enumerate(values):
             brute = sum(
-                coef * rbf_kernel(sv, row, model.params.gamma)
+                coef * np.exp(-model.params.gamma * np.dot(sv - row, sv - row))
                 for coef, sv in zip(model.coef[:, p], model.support_vectors)
                 if coef != 0.0
             )
@@ -582,7 +587,7 @@ def test_deep_blob_point_gets_two_votes(rng):
 def test_vote_totals_sum_to_pair_count(rng):
     X, y = make_blobs(rng, [(2 * k, 0.0) for k in range(5)], per_class=8)
     model = train_multiclass(X, y, KernelParams(c=10.0, gamma=0.5))
-    votes, _ = vote_table(model, rng.normal(size=(30, 2)) * 4)
+    votes, _, _ = _vote(len(model.classes), decision_table(model, rng.normal(size=(30, 2)) * 4))
     assert np.all(votes.sum(axis=1) == 10)  # 5*4/2
 
 
@@ -611,7 +616,7 @@ def test_decision_table_rejects_non_finite_rows(rng):
     model = train_multiclass(X, y, KernelParams(c=10.0, gamma=0.5))
     for bad in (np.nan, np.inf, -np.inf):
         rows = np.array([[1.0, 1.0], [bad, 0.0]])
-        for predict in (decision_table, classify, vote_table):
+        for predict in (decision_table, classify):
             with pytest.raises(DataError):
                 predict(model, rows)
 
@@ -634,12 +639,12 @@ def test_one_row_alone_gets_its_batch_values_bit_for_bit(rng):
     for model in (plain, fused):
         values = decision_table(model, probes)
         predicted, won = classify(model, probes)
-        votes, margins = vote_table(model, probes)
+        votes, margins, _ = _vote(len(model.classes), values)
         for i, row in enumerate(probes):
             assert decision_table(model, row).tobytes() == values[i].tobytes(), i
             row_label, row_won = classify(model, row)
             assert (row_label[0], row_won[0]) == (predicted[i], won[i]), i
-            row_votes, row_margins = vote_table(model, row)
+            row_votes, row_margins, _ = _vote(len(model.classes), decision_table(model, row))
             assert np.array_equal(row_votes[0], votes[i]), i
             assert row_margins.tobytes() == margins[i].tobytes(), i
 
@@ -656,7 +661,7 @@ def test_cyclic_tie_broken_by_margin_sum():
         converged=np.ones(3, dtype=bool),
     )
     x = np.array([0.0])
-    votes, margins = vote_table(model, x)
+    votes, margins, _ = _vote(3, decision_table(model, x))
     assert np.array_equal(votes[0], [1, 1, 1])
     # margin sums: class0 = 1.2, class1 = 1.4, class2 = 1.6
     assert classify(model, x)[0][0] == 2
@@ -898,15 +903,6 @@ def test_model_json_resave_is_byte_identical(tmp_path, rng):
     save_model(load_model(first), second)
     assert first.read_bytes() == second.read_bytes()
 
-    # Version 1 loads into the version-2 table, and re-saves byte for byte.
-    save_model(load_model(MODEL_V1), first)
-    save_model(load_model(first), second)
-    assert first.read_bytes() == second.read_bytes()
-    record = json.loads(first.read_text())
-    assert record["version"] == 2
-    vectors = np.array(record["support_vectors"])
-    assert len(np.unique(vectors, axis=0)) == len(vectors)  # each vector stored once
-
 
 def test_model_without_support_vectors_loads_back(tmp_path, rng):
     # A zero budget keeps no support vector, and model.json stores "[]" for
@@ -937,35 +933,22 @@ def test_model_without_support_vectors_loads_back(tmp_path, rng):
 MODEL_V1 = Path(__file__).parent / "data" / "model_v1.json"
 
 
-def test_version_1_model_file_classifies_as_written():
-    # Written by the per-pair model code: 3 classes, fusion weight 2.0 on
-    # 2 HOG columns, no PCA, C 10, gamma 0.5; 28 per-pair support vectors
-    # over 14 distinct rows.  The labels and votes are those that code gave.
-    model = load_model(MODEL_V1)
-    assert model.pairs == [(0, 1), (0, 2), (1, 2)]
-    assert model.params == KernelParams(c=10.0, gamma=0.5)
-    assert model.support_vectors.shape == (14, 7) and model.coef.shape == (14, 3)
-    assert np.count_nonzero(model.coef) == 28
-    probes = np.random.default_rng(0).normal(0.5, 0.6, size=(12, 7))
-    labels, votes = classify(model, probes)
-    assert labels.tolist() == [1, 0, 2, 2, 2, 0, 1, 0, 0, 2, 0, 2]
-    assert votes.tolist() == [2] * 12
-
-
-def test_version_1_pairs_must_share_c_and_gamma():
-    record = json.loads(MODEL_V1.read_text())
-    record["pairs"][1]["gamma"] = 0.25
-    with pytest.raises(ParseError):
-        model_from_dict(record)
-
-
-def test_version_1_scalars_must_be_typed():
-    # Version-2 records get the same checks (tests/test_cli.py, test_exit_code_data_error).
-    v1 = json.loads(MODEL_V1.read_text())
-    for field, value in (("c", "10"), ("gamma", False), ("converged", "true"), ("converged", 1)):
-        record = dict(v1, pairs=[dict(v1["pairs"][0], **{field: value}), *v1["pairs"][1:]])
-        with pytest.raises(ParseError):
-            model_from_dict(record)
+def test_version_1_model_file_is_rejected(tmp_path):
+    # Written by the per-pair model code before the one-table layout: one
+    # record of support vectors and coefficients per pair.  Version 1 is an
+    # unsupported version like any other; the CLI reports it in one line.
+    with pytest.raises(SchemaVersionMismatch):
+        load_model(MODEL_V1)
+    features = tmp_path / "features.npz"
+    np.savez(features, tracking=np.zeros((2, 25)), labels=[0, 1], sample_ids=["a", "b"])
+    result = subprocess.run(
+        [sys.executable, "-m", "gesturelab.cli", "predict", "--model", str(MODEL_V1),
+         "--features-file", str(features), "--out", str(tmp_path / "p.csv")],
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 2, result.stderr
+    assert result.stderr == "data error: unsupported model version 1\n"
 
 
 def test_preprocessing_applies_to_one_row_or_many(rng):
@@ -985,7 +968,5 @@ def test_model_version_check(rng):
     model = train_multiclass(X, y, KernelParams(1.0, 0.5))
     data = model_to_dict(model)
     data["version"] = 99
-    from gesturelab.errors import SchemaVersionMismatch
-
     with pytest.raises(SchemaVersionMismatch):
         model_from_dict(data)
