@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jsonio
-from .errors import MissingFile, ParseError, SchemaVersionMismatch
+from .errors import DataError, MissingFile, ParseError, SchemaVersionMismatch
 from .geometry import random_rotation
 from .image import read_pgm, write_pgm
 from .tracking import HandFrame, load_frame, save_frame
@@ -138,21 +138,43 @@ def render_silhouette(palm_center, fingertips, palm_radius_mm, finger_radius_mm,
 
     World coordinates in [-window, window] mm map onto a size x size
     canvas; the palm is a filled disc and each fingertip a capsule from
-    the palm center.
+    the palm center.  Pixel (row i, column j) is tested at its center
+    (j + 0.5, i + 0.5), and each shape only on the pixels of its
+    bounding box widened by one pixel, since no pixel outside that box
+    can pass the shape's test.  A non-finite coordinate or a negative
+    or non-finite radius raises DataError.
     """
+    palm_center = np.asarray(palm_center, dtype=float)
+    fingertips = np.asarray(fingertips, dtype=float)
+    radii = (palm_radius_mm, finger_radius_mm)
+    if not (np.isfinite(palm_center).all() and np.isfinite(fingertips).all()
+            and all(0.0 <= r < math.inf for r in radii)):
+        raise DataError(
+            f"render geometry must be finite with radii >= 0: palm {palm_center.tolist()}, "
+            f"tips {fingertips.tolist()}, radii {radii}"
+        )
     scale = size / (2.0 * window_mm)
 
     def to_px(p):
         return np.array([(p[0] + window_mm) * scale, (p[1] + window_mm) * scale])
 
-    ys, xs = np.mgrid[0:size, 0:size]
-    xs = xs + 0.5
-    ys = ys + 0.5
+    def window(lo, hi):
+        """Canvas pixels k whose centers k + 0.5 lie in [lo, hi], widened by one."""
+        return slice(max(math.ceil(lo - 0.5) - 1, 0), min(math.floor(hi - 0.5) + 2, size))
+
+    def paint(lo, hi, inside):
+        """OR `inside(xs, ys)` into the mask over the window of the box lo..hi."""
+        cols, rows = window(lo[0], hi[0]), window(lo[1], hi[1])
+        if cols.start < cols.stop and rows.start < rows.stop:
+            xs = np.arange(cols.start, cols.stop) + 0.5
+            ys = np.arange(rows.start, rows.stop)[:, None] + 0.5
+            mask[rows, cols] |= inside(xs, ys)
+
     mask = np.zeros((size, size), dtype=bool)
 
     c = to_px(palm_center)
     r = palm_radius_mm * scale
-    mask |= (xs - c[0]) ** 2 + (ys - c[1]) ** 2 <= r * r
+    paint(c - r, c + r, lambda xs, ys: (xs - c[0]) ** 2 + (ys - c[1]) ** 2 <= r * r)
 
     fr = finger_radius_mm * scale
     for tip in fingertips:
@@ -161,11 +183,15 @@ def render_silhouette(palm_center, fingertips, palm_radius_mm, finger_radius_mm,
         seg_len2 = float(seg @ seg)
         if seg_len2 < 1e-12:
             continue
-        u = np.clip(((xs - c[0]) * seg[0] + (ys - c[1]) * seg[1]) / seg_len2, 0.0, 1.0)
-        dx = xs - (c[0] + u * seg[0])
-        dy = ys - (c[1] + u * seg[1])
-        mask |= dx * dx + dy * dy <= fr * fr
-    return np.where(mask, 255, 0).astype(np.uint8)
+
+        def capsule(xs, ys):
+            u = np.clip(((xs - c[0]) * seg[0] + (ys - c[1]) * seg[1]) / seg_len2, 0.0, 1.0)
+            dx = xs - (c[0] + u * seg[0])
+            dy = ys - (c[1] + u * seg[1])
+            return dx * dx + dy * dy <= fr * fr
+
+        paint(np.minimum(c, t) - fr, np.maximum(c, t) + fr, capsule)
+    return mask.view(np.uint8) * np.uint8(255)
 
 
 def generate_synthetic(
@@ -184,8 +210,8 @@ def generate_synthetic(
     """
     if templates is None:
         templates = default_templates()
-    if subjects < 1 or reps < 1:
-        raise ValueError("subjects and reps must be >= 1")
+    if min(subjects, reps, image_size) < 1:
+        raise ValueError("subjects, reps and image_size must be >= 1")
     rng = np.random.default_rng(seed)
     samples = []
     for s in range(subjects):

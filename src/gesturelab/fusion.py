@@ -155,6 +155,22 @@ class PcaModel:
         numbers = (model.mean, model.components, model.variances, model.retained_fraction)
         if not all(np.isfinite(x).all() for x in numbers):
             raise ValueError("PCA model holds a non-finite number")
+        # fit_pca keeps only variances of at least RANK_TOL * the largest, in
+        # descending order.  Its rows are unit and orthogonal to d * eps, but
+        # the Gram route's map-back loses orthogonality in proportion to
+        # largest / sqrt(v_i * v_j): the tolerance scales with both.
+        v = model.variances
+        if not ((v > 0.0).all() and (np.diff(v) <= 0.0).all() and v[-1] >= v[0] * RANK_TOL):
+            raise ValueError(
+                f"PCA variances must be positive, non-increasing and at least {RANK_TOL:g} "
+                f"of the largest: {v.tolist()}"
+            )
+        spread = np.sqrt(v[0] / v)
+        tol = 64 * model.input_dim * np.finfo(float).eps * np.outer(spread, spread)
+        with np.errstate(over="ignore", invalid="ignore"):
+            error = np.abs(model.components @ model.components.T - np.eye(len(v)))
+        if not (error <= tol).all():
+            raise ValueError(f"PCA components are not row-orthonormal (error {error.max():.3g})")
         return model
 
 

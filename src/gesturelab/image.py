@@ -175,7 +175,7 @@ def undistort(raw, umap, out_size):
     taps, invalid = _undistort_taps(samples.tobytes(), samples.shape, (out_w, out_h), raw.shape)
     out = _apply_taps(raw, taps)
     out[invalid] = 0.0
-    return np.rint(out).astype(np.uint8)
+    return np.rint(out, out=out).astype(np.uint8)
 
 
 @functools.lru_cache(maxsize=4)
@@ -222,12 +222,24 @@ def _bilinear_taps(shape, xs, ys):
 
 
 def _apply_taps(img, taps):
-    """Bilinear values of `img` at the taps of `_bilinear_taps`, as floats."""
+    """Bilinear values of `img` at the taps of `_bilinear_taps`, as floats:
+    (v00 * fx0 + v01 * fx1) * fy0 + (v10 * fx0 + v11 * fx1) * fy1.
+
+    The sums accumulate in place, so at most three output-sized float
+    arrays are alive at once instead of six.  With six, glibc's allocator
+    could return the freed memory to the OS after each image and fault it
+    back in for the next one.
+    """
     (i00, i01, i10, i11), (fx1, fx0), (fy1, fy0) = taps
-    flat = img.astype(float).ravel()
-    top = flat[i00] * fx0 + flat[i01] * fx1
-    bot = flat[i10] * fx0 + flat[i11] * fx1
-    return top * fy0 + bot * fy1
+    flat = img.ravel()
+    top = flat[i00] * fx0
+    top += flat[i01] * fx1
+    top *= fy0
+    bot = flat[i10] * fx0
+    bot += flat[i11] * fx1
+    bot *= fy1
+    top += bot
+    return top
 
 
 # ---------------------------------------------------------------------------

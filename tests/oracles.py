@@ -251,6 +251,56 @@ def otsu_bruteforce(img):
 
 
 # ---------------------------------------------------------------------------
+# Per-pixel silhouette
+
+
+def render_loops(palm_center, fingertips, palm_radius_mm, finger_radius_mm,
+                 size=240, window_mm=250.0):
+    """The silhouette of `data.render_silhouette`, every pixel of the canvas
+    tested against every shape.
+
+    Pixel (i, j) is 255 when its center (j + 0.5, i + 0.5) lies within
+    the palm disc or within a capsule from the palm center to a
+    fingertip (fingertips closer than 1e-6 px to the center draw
+    nothing).  Each test is the library's float expression on Python
+    floats, so the two agree bit for bit.
+    """
+    scale = size / (2.0 * window_mm)
+
+    def to_px(p):
+        return (p[0] + window_mm) * scale, (p[1] + window_mm) * scale
+
+    cx, cy = to_px(palm_center)
+    r = palm_radius_mm * scale
+    fr = finger_radius_mm * scale
+    segments = []
+    for tip in fingertips:
+        tx, ty = to_px(tip)
+        seg = np.array([tx - cx, ty - cy])
+        seg_len2 = float(seg @ seg)
+        if seg_len2 >= 1e-12:
+            segments.append((float(seg[0]), float(seg[1]), seg_len2))
+
+    def inside(x, y):
+        if (x - cx) * (x - cx) + (y - cy) * (y - cy) <= r * r:
+            return True
+        for sx, sy, seg_len2 in segments:
+            u = min(max(((x - cx) * sx + (y - cy) * sy) / seg_len2, 0.0), 1.0)
+            dx = x - (cx + u * sx)
+            dy = y - (cy + u * sy)
+            if dx * dx + dy * dy <= fr * fr:
+                return True
+        return False
+
+    out = np.zeros((size, size), dtype=np.uint8)
+    for i in range(size):
+        for j in range(size):
+            if inside(j + 0.5, i + 0.5):
+                out[i, j] = 255
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Per-pixel undistortion
 
 

@@ -407,6 +407,10 @@ def test_exit_code_data_error(tmp_path, dataset_dir):
         "bool_pca_variance.json": edited(lambda r: pca(r)["variances"].__setitem__(0, False)),
         "long_pca_variances.json": edited(lambda r: pca(r)["variances"].extend([1.0, 1.0])),
         "big_retained.json": edited(lambda r: pca(r).update(retained_fraction=7.5)),
+        "negative_pca_variance.json": edited(lambda r: pca(r)["variances"].__setitem__(-1, -1.0)),
+        "scaled_pca_component.json": edited(
+            lambda r: pca(r)["components"].__setitem__(0, [10.0 * x for x in pca(r)["components"][0]])
+        ),
     }
     for name, content in bad_models.items():
         (tmp_path / name).write_text(json.dumps(content))

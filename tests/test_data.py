@@ -1,6 +1,10 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import synth_digests
 from gesturelab.data import (
     GestureTemplate,
     Sample,
@@ -8,12 +12,14 @@ from gesturelab.data import (
     default_templates,
     generate_synthetic,
     load_dataset,
+    render_silhouette,
     save_dataset,
     split_indices,
 )
-from gesturelab.errors import MissingFile, ParseError, SchemaVersionMismatch
+from gesturelab.errors import DataError, MissingFile, ParseError, SchemaVersionMismatch
 from gesturelab.jsonio import dump_path
 from gesturelab.tracking import FeatureMask, extract_tracking_features
+from oracles import render_loops
 
 ADT = FeatureMask.parse("ang+dist+tip")
 
@@ -89,6 +95,93 @@ def test_images_consistent_with_frames():
         # gesture is smaller than the open palm
     area = {s.gesture: (s.images[0] > 0).sum() for s in samples}
     assert area[0] < area[4]
+
+
+def test_generation_rejects_empty_images():
+    for size in (0, -3):
+        with pytest.raises(ValueError):
+            generate_synthetic(subjects=1, reps=1, image_size=size)
+
+
+def test_synthesis_matches_committed_digests():
+    record = json.loads(synth_digests.DIGEST_PATH.read_text())
+    assert synth_digests.compute() == record["cases"], (
+        f"synthesized bytes differ from {synth_digests.DIGEST_PATH.name}, written with numpy "
+        f"{record['numpy']} (this is numpy {np.__version__}); if the change is intended, "
+        "regenerate it with `PYTHONPATH=src python tests/synth_digests.py`"
+    )
+
+
+# ---------------------------------------------------------------------------
+# Silhouette rendering
+
+# Canvas coordinates in mm: the default window is [-250, 250], so these
+# reach off the canvas and straddle its edges.
+COORD = st.one_of(
+    st.floats(-400.0, 400.0),
+    st.sampled_from([-250.0, 250.0]).flatmap(lambda edge: st.floats(edge - 60.0, edge + 60.0)),
+)
+RADIUS = st.one_of(st.just(0.0), st.floats(0.0, 150.0))
+
+
+@st.composite
+def hands(draw):
+    """(palm center, fingertips, palm radius, finger radius) in mm, with
+    free, axis-parallel and zero-length fingers."""
+    center = [draw(COORD), draw(COORD), draw(COORD)]
+    tips = []
+    for _ in range(draw(st.integers(0, 5))):
+        tip = [draw(COORD), draw(COORD), draw(COORD)]
+        kind = draw(st.sampled_from(["free", "along x", "along y", "zero length"]))
+        if kind == "along x":
+            tip[1] = center[1]
+        elif kind == "along y":
+            tip[0] = center[0]
+        elif kind == "zero length":
+            tip[:2] = center[:2]
+        tips.append(tip)
+    return np.array(center), np.array(tips).reshape(-1, 3), draw(RADIUS), draw(RADIUS)
+
+
+def _hand(center, tips, palm_radius, finger_radius):
+    return np.array(center, float), np.array(tips, float).reshape(-1, 3), palm_radius, finger_radius
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(hand=hands(), size=st.integers(1, 64))
+@example(  # a synthetic-sized hand near the middle
+    hand=_hand([12.0, -30.0, 4.0], [[-40, 20, 9], [-10, 60, 0], [12, 66, -5], [40, 50, 2]], 38.0, 9.5),
+    size=240,
+)
+@example(  # straddling a corner, with an axis-parallel and a zero-length finger
+    hand=_hand([244.0, -247.5, 0.0], [[300, -247.5, 0], [244, -180, 0], [244, -247.5, 9]], 30.0, 8.0),
+    size=240,
+)
+@example(  # palm off the canvas, fingers reaching onto it
+    hand=_hand([-300.0, 120.0, 0.0], [[-200, 140, 0], [-260, 260, 0]], 45.0, 12.0),
+    size=240,
+)
+@example(hand=_hand([0.0, 0.0, 0.0], [[0, 80, 0], [80, 0, 0]], 0.0, 0.0), size=240)
+def test_render_matches_per_pixel_oracle(hand, size):
+    assert render_silhouette(*hand, size=size).tobytes() == render_loops(*hand, size=size).tobytes()
+
+
+def test_render_rejects_bad_geometry():
+    good = (np.zeros(3), np.array([[0.0, 80.0, 0.0]]), 38.0, 9.5)
+    cases = {
+        "nan palm center": (np.array([np.nan, 0.0, 0.0]),) + good[1:],
+        "infinite fingertip": (good[0], np.array([[np.inf, 80.0, 0.0]]), 38.0, 9.5),
+        "nan fingertip depth": (good[0], np.array([[0.0, 80.0, np.nan]]), 38.0, 9.5),
+        "negative palm radius": good[:2] + (-38.0, 9.5),
+        "negative finger radius": good[:2] + (38.0, -1.0),
+        "nan finger radius": good[:2] + (38.0, np.nan),
+        "infinite palm radius": good[:2] + (np.inf, 9.5),
+    }
+    for name, args in cases.items():
+        with pytest.raises(DataError):
+            render_silhouette(*args, size=32)
+            pytest.fail(f"{name}: no DataError")
+    assert render_silhouette(*good, size=32).any()
 
 
 def test_nearest_centroid_baseline_separates_classes():

@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
 
-from gesturelab.errors import DegenerateData, DimensionMismatch, LayoutMismatch
-from gesturelab.fusion import FusionConfig, PcaModel, fit_pca, fuse_matrix
+from gesturelab.errors import DegenerateData, DimensionMismatch, LayoutMismatch, ParseError
+from gesturelab.fusion import RANK_TOL, FusionConfig, PcaModel, fit_pca, fuse_matrix
 from gesturelab.jsonio import dump_path, load_path
-from gesturelab.svm import rbf_kernel_matrix
+from gesturelab.svm import (
+    KernelParams,
+    Preprocessing,
+    model_from_dict,
+    model_to_dict,
+    rbf_kernel_matrix,
+    train_multiclass,
+)
 from gesturelab.tracking import FeatureMask
 from oracles import jacobi_eigh
 
@@ -258,3 +265,64 @@ def test_pca_serialization_version_check(tmp_path, rng):
     data["version"] = 2
     with pytest.raises(SchemaVersionMismatch):
         PcaModel.from_dict(data)
+
+
+def _pca_model_record(rng):
+    """model.json record of an SVM trained on the PCA coordinates of fused rows."""
+    mask = FeatureMask.parse("ang+tip")
+    raw = rng.normal(size=(20, mask.dims() + 4))
+    layout = FusionConfig(mask=mask, hog_weight=1.0, hog_dim=4)
+    pre = Preprocessing(fusion=layout, pca=fit_pca(raw, retained_fraction=1.0))
+    labels = np.repeat([0, 1], 10)
+    model = train_multiclass(pre.apply(raw), labels, KernelParams(1.0, 0.1), preprocessing=pre)
+    return model_to_dict(model)
+
+
+def test_model_rejects_pca_variances_fit_pca_cannot_produce(rng):
+    def set_last(v, value):
+        v[-1] = value
+
+    edits = {
+        "negative": lambda v: set_last(v, -1.0),
+        "zero": lambda v: set_last(v, 0.0),
+        "increasing": lambda v: set_last(v, 2.0 * v[0]),
+        "below the rank tolerance": lambda v: set_last(v, 0.1 * RANK_TOL * v[0]),
+    }
+    assert model_from_dict(_pca_model_record(rng))  # the unedited record loads
+    for name, edit in edits.items():
+        record = _pca_model_record(rng)
+        edit(record["preprocessing"]["pca"]["variances"])
+        with pytest.raises(ParseError, match="variances"):
+            model_from_dict(record)
+            pytest.fail(f"{name}: no ParseError")
+
+
+def test_model_rejects_non_orthonormal_pca_components(rng):
+    def scale_first(c, factor):
+        c[0] = [factor * x for x in c[0]]
+
+    def copy_first(c):
+        c[1] = list(c[0])
+
+    edits = {
+        "row scaled by 10": lambda c: scale_first(c, 10.0),
+        "row scaled by 1 + 1e-9": lambda c: scale_first(c, 1.0 + 1e-9),
+        "two equal rows": copy_first,
+    }
+    for name, edit in edits.items():
+        record = _pca_model_record(rng)
+        edit(record["preprocessing"]["pca"]["components"])
+        with pytest.raises(ParseError, match="orthonormal"):
+            model_from_dict(record)
+            pytest.fail(f"{name}: no ParseError")
+
+
+def test_gram_route_pca_with_a_wide_spectrum_loads():
+    # d > n takes the Gram route, whose components lose orthogonality as
+    # the kept variances spread: here by far more than d * eps.
+    data = np.random.default_rng(4).normal(size=(30, 40)) * np.logspace(0, -6, 40)
+    model = fit_pca(data, retained_fraction=1.0)
+    error = np.abs(model.components @ model.components.T - np.eye(model.n_components)).max()
+    assert model.variances[-1] < 1e-8 * model.variances[0] and error > 1e-10
+    loaded = PcaModel.from_dict(model.to_dict())
+    assert np.array_equal(loaded.components, model.components)
