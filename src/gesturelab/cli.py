@@ -233,6 +233,7 @@ def _cmd_train(args):
             cfg.gamma_grid,
             folds=cfg.folds,
             seed=harness.derive_seed(cfg.seed, "grid:train"),
+            max_iter=cfg.svm_max_iter,
         )
         print(f"grid search selected C={params.c} gamma={params.gamma}")
     model = train_multiclass(
@@ -285,6 +286,7 @@ def _cmd_grid_search(args):
         cfg.gamma_grid,
         folds=cfg.folds,
         seed=harness.derive_seed(cfg.seed, "grid:cli"),
+        max_iter=cfg.svm_max_iter,
     )
     if args.out:
         write_cv_table_csv(table, args.out)

@@ -31,6 +31,7 @@ NUM_GESTURES = 10
 MANIFEST_NAME = "dataset.json"
 # Each synthetic subject's hand size is drawn uniformly from this range.
 SUBJECT_SCALE_RANGE = (0.9, 1.1)
+WINDOW_MM = 250.0  # a silhouette shows world x and y in [-WINDOW_MM, WINDOW_MM]
 
 
 @dataclass
@@ -132,11 +133,10 @@ def default_templates(pos_noise_mm=3.0, rot_noise_deg=10.0):
     return templates
 
 
-def render_silhouette(palm_center, fingertips, palm_radius_mm, finger_radius_mm,
-                      size=240, window_mm=250.0):
+def render_silhouette(palm_center, fingertips, palm_radius_mm, finger_radius_mm, size=240):
     """Binary hand silhouette: orthographic projection onto the x-y plane.
 
-    World coordinates in [-window, window] mm map onto a size x size
+    World coordinates in [-WINDOW_MM, WINDOW_MM] mm map onto a size x size
     canvas; the palm is a filled disc and each fingertip a capsule from
     the palm center.  Pixel (row i, column j) is tested at its center
     (j + 0.5, i + 0.5), and each shape only on the pixels of its
@@ -153,10 +153,10 @@ def render_silhouette(palm_center, fingertips, palm_radius_mm, finger_radius_mm,
             f"render geometry must be finite with radii >= 0: palm {palm_center.tolist()}, "
             f"tips {fingertips.tolist()}, radii {radii}"
         )
-    scale = size / (2.0 * window_mm)
+    scale = size / (2.0 * WINDOW_MM)
 
     def to_px(p):
-        return np.array([(p[0] + window_mm) * scale, (p[1] + window_mm) * scale])
+        return np.array([(p[0] + WINDOW_MM) * scale, (p[1] + WINDOW_MM) * scale])
 
     def window(lo, hi):
         """Canvas pixels k whose centers k + 0.5 lie in [lo, hi], widened by one."""

@@ -72,11 +72,10 @@ class FusionConfig:
 def fuse_matrix(tracking, hog, cfg):
     """Fused rows [selected tracking segments, hog_weight * HOG].
 
-    `tracking` and `hog` are one vector each or stacks with the same
-    leading shape; `hog` None stands for an all-zero HOG segment.
+    `tracking` and `hog` are one vector each or stacks with equal leading shapes.
     """
     t = np.asarray(tracking, dtype=float)
-    h = np.zeros(t.shape[:-1] + (cfg.hog_dim,)) if hog is None else np.asarray(hog, dtype=float)
+    h = np.asarray(hog, dtype=float)
     if min(t.ndim, h.ndim) == 0 or t.shape[:-1] != h.shape[:-1]:
         raise LayoutMismatch("tracking and hog must have matching rows")
     if t.shape[-1] != cfg.tracking_dim or h.shape[-1] != cfg.hog_dim:
@@ -112,18 +111,18 @@ class PcaModel:
     def input_dim(self):
         return self.components.shape[1]
 
-    def transform(self, x, product=np.matmul):
-        """Coordinates of x on the components: product(x - mean, components.T).
+    def transform(self, x):
+        """Coordinates of x on the components: (x - mean) @ components.T.
 
-        The default is one matrix product; a product that works row by row
-        gives each row the same bits alone or in a stack.
+        An (n, 1, d) stack is projected one row at a time, so each row
+        gets the same bits alone or in any batch.
         """
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.input_dim:
             raise DimensionMismatch(
                 f"input has {x.shape[-1]} dims, model expects {self.input_dim}"
             )
-        return product(x - self.mean, self.components.T)
+        return (x - self.mean) @ self.components.T
 
     def to_dict(self):
         return {

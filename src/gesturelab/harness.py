@@ -419,7 +419,7 @@ def _run_cells(store, cells, cfg):
             ]
             found = _grid_searches(sq, labels, [
                 (u, splits[r][0], seed) for (u, _, r), seed in zip(wanted, seeds)
-            ], cfg.c_grid, cfg.gamma_grid, cfg.folds)
+            ], cfg.c_grid, cfg.gamma_grid, cfg.folds, cfg.svm_max_iter)
             searches.update(((c, r), result) for (_, c, r), result in zip(wanted, found))
             fits = [(u, c, r) for u, (c, group) in enumerate(batch) for r in group]
             done = _final_fits(sq, labels, [
@@ -429,11 +429,9 @@ def _run_cells(store, cells, cfg):
         except GestureLabError as exc:
             raise type(exc)(f"[cell {cells[batch[exc.unit][0]].tag()}] {exc}") from exc
         del sq
-    last = reps[-1] if per_repetition else 0  # the repetition whose search a cell reports
-    return [
-        _cell_result(store, cell, splits, [outcomes[c, r] for r in reps], searches[c, last])
-        for c, cell in enumerate(cells)
-    ]
+    searched = reps if per_repetition else [0]
+    return [_cell_result(store, cell, splits, [outcomes[c, r] for r in reps],
+                         [searches[c, r] for r in searched]) for c, cell in enumerate(cells)]
 
 
 def _fused_rows(store, cell):
@@ -442,9 +440,10 @@ def _fused_rows(store, cell):
     return Preprocessing(fusion=fusion_cfg).apply(raw)
 
 
-def _cell_result(store, cell, splits, outcomes, search):
+def _cell_result(store, cell, splits, outcomes, searches):
     """CellResult of a cell's (predicted, votes won, converged) outcome per
-    repetition and the (params, CV table) of its reported grid search."""
+    repetition and (params, CV table, converged) grid searches; it reports
+    the last search, and converged only if every fit and search did."""
     labels = store.labels
     classes = [int(c) for c in np.unique(labels)]
     accuracies = []
@@ -456,7 +455,7 @@ def _cell_result(store, cell, splits, outcomes, search):
         np.add.at(confusion, tuple(np.searchsorted(classes, [truth, predicted])), 1)
         ids = [store.sample_ids[t] for t in test_idx]
         predictions.append(list(zip(ids, truth.tolist(), predicted.tolist(), votes_won.tolist())))
-    params, cv_table = search
+    params, cv_table, _ = searches[-1]
     return CellResult(
         cell=cell,
         params=params,
@@ -465,7 +464,7 @@ def _cell_result(store, cell, splits, outcomes, search):
         accuracies=accuracies,
         confusion=confusion,
         predictions=predictions,
-        all_converged=all(converged for _, _, converged in outcomes),
+        all_converged=all(converged for *_, converged in outcomes + searches),
     )
 
 

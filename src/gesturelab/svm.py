@@ -23,8 +23,8 @@ fits (`_final_fits`), go through `_train_and_vote`, which solves the
 fits of one gamma in a few lockstep calls over one kernel stack and
 votes each from its unit's kernel.
 
-Prediction forms every product one row at a time (`_row_products`), so
-a row gets the same decision values, bit for bit, alone or in a batch.
+Prediction runs training's code on its rows as an (n, 1, d) stack, so a
+row gets the same decision values, bit for bit, alone or in a batch.
 """
 
 import contextlib
@@ -65,31 +65,21 @@ class KernelParams:
             raise ValueError(f"gamma must be finite and > 0, got {self.gamma!r}")
 
 
-def _squared_distances(X, Y, product=np.matmul, out=None):
+def _squared_distances(X, Y, out=None):
     """|x|^2 + |y|^2 - 2 x.y between the rows of X and Y, clipped at 0.
 
-    `product(X, Y.T)` forms the dot products: one matrix product by
-    default, `_row_products` for values that do not depend on the batch.
+    Rows lie along the last axis, so X may be a stack: an (n, 1, d) X
+    gives (n, 1, m) values, each row's products formed as if alone.
     The result is written to `out` when given, such as a slab of a stack.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    if X.shape[1] != Y.shape[1]:
-        raise DimensionMismatch(f"row dims differ: {X.shape[1]} vs {Y.shape[1]}")
-    sq = np.add((X * X).sum(axis=1)[:, None], (Y * Y).sum(axis=1)[None, :], out=out)
-    sq -= 2.0 * product(X, Y.T)
+    if X.shape[-1] != Y.shape[-1]:
+        raise DimensionMismatch(f"row dims differ: {X.shape[-1]} vs {Y.shape[-1]}")
+    sq = np.add((X * X).sum(axis=-1)[..., None], (Y * Y).sum(axis=-1), out=out)
+    sq -= 2.0 * (X @ Y.T)
     np.clip(sq, 0.0, None, out=sq)
     return sq
-
-
-def _row_products(rows, matrix):
-    """rows @ matrix as one product per row, over the last axis of `rows`.
-
-    A single (n, d) product may round a row differently with the batch
-    size (BLAS picks its kernel and blocking by shape); an (n, 1, d)
-    matmul stack rounds each row as it would be rounded alone.
-    """
-    return np.matmul(rows[..., None, :], matrix)[..., 0, :]
 
 
 def rbf_kernel_matrix(X, Y, gamma):
@@ -123,13 +113,13 @@ class Preprocessing:
     Input vectors are the unweighted concatenation [tracking segments,
     raw HOG]; apply() splits one vector or a stack of them at the layout's
     tracking width, weights them with fuse_matrix and projects through
-    PCA when fitted, with `product` as PcaModel.transform takes it.
+    PCA when fitted, each step along the last axis.
     """
 
     fusion: FusionConfig
     pca: PcaModel | None = None
 
-    def apply(self, X, product=np.matmul):
+    def apply(self, X):
         X = np.asarray(X, dtype=float)
         if X.shape[-1] != self.fusion.total_dim:
             raise DimensionMismatch(
@@ -138,7 +128,7 @@ class Preprocessing:
         td = self.fusion.tracking_dim
         out = fuse_matrix(X[..., :td], X[..., td:], self.fusion)
         if self.pca is not None:
-            out = self.pca.transform(out, product)
+            out = self.pca.transform(out)
         return out
 
 
@@ -313,27 +303,27 @@ def _vote(m, values):
 
 
 def decision_table(model, X):
-    """(n, pairs) decision values for one row or a stack of rows.
+    """(n, pairs) decision values for one row or an (n, d) matrix of rows.
 
-    Rows pass through the model's preprocessing first.  An input width
-    other than the preprocessing's (without preprocessing, the support
-    vectors', if there are any) raises DimensionMismatch, and a NaN or
-    infinite input DataError.  A model with no support vectors decides
-    by its biases alone.  Every product is one product per row
-    (`_row_products`), so a row gets the same values, bit for bit,
-    alone or in any batch.
+    Rows pass through the model's preprocessing first.  Any other shape,
+    or an input width other than the preprocessing's (without
+    preprocessing, the support vectors', if there are any), raises
+    DimensionMismatch, and a NaN or infinite input DataError.  A model
+    with no support vectors decides by its biases alone.  The rows run
+    through training's code as an (n, 1, d) stack, one product per row, so
+    a row gets the same values, bit for bit, alone or in any batch.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.ndim != 2:
+        raise DimensionMismatch(f"input is {X.shape}; need one row or an (n, d) matrix")
     if not np.isfinite(X).all():
         raise DataError("input rows hold a non-finite value")
+    X = X[:, None, :]
     if model.preprocessing is not None:
-        X = model.preprocessing.apply(X, _row_products)
+        X = model.preprocessing.apply(X)
     sv = model.support_vectors
-    if len(sv):
-        kernel = np.exp(-model.params.gamma * _squared_distances(X, sv, _row_products))
-    else:
-        kernel = np.empty((len(X), 0))
-    return _row_products(kernel, model.coef) + model.bias
+    kernel = rbf_kernel_matrix(X, sv, model.params.gamma) if len(sv) else np.empty((len(X), 1, 0))
+    return (kernel @ model.coef + model.bias)[:, 0]
 
 
 def classify(model, X):
@@ -424,10 +414,10 @@ def _train_and_vote(sq, labels, fits, max_iter):
     return out
 
 
-def grid_search(X, labels, c_grid, gamma_grid, folds=10, seed=0):
+def grid_search(X, labels, c_grid, gamma_grid, folds=10, seed=0, max_iter=DEFAULT_MAX_ITER):
     """Pick (C, gamma) by stratified k-fold cross-validated accuracy.
 
-    X must be (n, d) with n labels, as for train_multiclass.  Ties go
+    X, labels and max_iter are as for train_multiclass.  Ties go
     to the smaller C, then the smaller gamma.  Classes with fewer
     samples than `folds` degrade the fold count to the smallest class
     size (leave-one-out per class) with a warning; classes with fewer
@@ -439,18 +429,19 @@ def grid_search(X, labels, c_grid, gamma_grid, folds=10, seed=0):
     """
     X, labels = _training_rows(X, labels)
     search = (0, np.arange(len(X)), seed)
-    [found] = _grid_searches(_squared_distances(X, X), labels, [search], c_grid, gamma_grid, folds)
-    return found
+    sq = _squared_distances(X, X)
+    return _grid_searches(sq, labels, [search], c_grid, gamma_grid, folds, max_iter)[0][:2]
 
 
-def _grid_searches(sq, labels, searches, c_grid, gamma_grid, folds):
+def _grid_searches(sq, labels, searches, c_grid, gamma_grid, folds, max_iter):
     """grid_search for each (unit, rows, seed) of `searches`, on the rows
     `rows` of the unit's slab of a squared-distance stack.
 
     The fold x C x gamma fits of all searches go through one
     `_train_and_vote`, so each gamma's fits share a kernel stack and
     lockstep calls; each table is that of train_multiclass and classify on
-    each fold's rows.  A GestureLabError of one search carries its `unit`.
+    each fold's rows, and each also says if all its fits converged.  A
+    GestureLabError of one search carries its `unit`.
     """
     if len(c_grid) == 0 or len(gamma_grid) == 0:
         raise ValueError("parameter grids must be non-empty")
@@ -478,17 +469,20 @@ def _grid_searches(sq, labels, searches, c_grid, gamma_grid, folds):
     jobs = [(s, f, k) for s, split in enumerate(parts) for f in range(len(split))
             for k in range(len(points))]
     fits = [(searches[s][0], *parts[s][f], points[k]) for s, f, k in jobs]
-    scored = _train_and_vote(sq, labels, fits, DEFAULT_MAX_ITER)
+    scored = _train_and_vote(sq, labels, fits, max_iter)
     correct = np.zeros((len(searches), len(points)), dtype=int)
-    for (s, f, k), (predicted, _, _) in zip(jobs, scored):
+    converged = np.ones(len(searches), dtype=bool)
+    for (s, f, k), (predicted, _, fit_converged) in zip(jobs, scored):
         correct[s, k] += int(np.sum(predicted == labels[parts[s][f][1]]))
+        converged[s] &= fit_converged
     found = []
     for s, (_, rows, _) in enumerate(searches):
         accuracy = correct[s] / len(rows)
         table = [
             {"c": p.c, "gamma": p.gamma, "accuracy": float(a)} for p, a in zip(points, accuracy)
         ]
-        found.append((points[int(accuracy.argmax())], table))  # the first best wins ties
+        best = points[int(accuracy.argmax())]  # the first best wins ties
+        found.append((best, table, bool(converged[s])))
     return found
 
 

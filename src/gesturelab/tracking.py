@@ -37,7 +37,7 @@ NUM_TIP_PAIRS = NUM_FINGERS * (NUM_FINGERS - 1) // 2
 # below the ~0.2 mm positional accuracy of short-range depth sensors.
 DEGENERACY_TOL = 1e-9
 
-# Default span of raw fingertip angles mapped linearly onto [0.5, 1].
+# Span of raw fingertip angles mapped linearly onto [0.5, 1].
 DEFAULT_ANGLE_RANGE = (-math.pi / 2, math.pi / 2)
 
 _UNIT_TOL = 1e-6
@@ -222,17 +222,15 @@ def signed_inplane_angle(point, frame):
     return math.pi if ang == -math.pi else ang
 
 
-def compute_angle_features(frame, angle_range=DEFAULT_ANGLE_RANGE):
+def compute_angle_features(frame):
     """Angle feature per slot plus the slot -> fingertip assignment.
 
     Detected fingertips are ordered by ascending signed in-plane angle
     and fill the leading slots; raw angles are mapped linearly from
-    `angle_range` onto [0.5, 1] and clamped.  Unassigned slots are 0 and
-    map to None in the assignment.
+    DEFAULT_ANGLE_RANGE onto [0.5, 1] and clamped.  Unassigned slots are
+    0 and map to None in the assignment.
     """
-    lo, hi = angle_range
-    if not lo < hi:
-        raise ValueError("angle_range must satisfy min < max")
+    lo, hi = DEFAULT_ANGLE_RANGE
     angles = np.zeros(NUM_FINGERS)
     assignment = [None] * NUM_FINGERS
     if len(frame.fingertips) == 0:
@@ -285,7 +283,7 @@ def compute_tip_distances(frame, scale):
     return values
 
 
-def extract_tracking_features(frame, angle_range=DEFAULT_ANGLE_RANGE):
+def extract_tracking_features(frame):
     """Compute every feature segment for one frame.
 
     A frame with no fingertips yields all-zero features (with a neutral
@@ -301,7 +299,7 @@ def extract_tracking_features(frame, angle_range=DEFAULT_ANGLE_RANGE):
             scale=1.0,
         )
     scale = compute_scale(frame)
-    angles, assignment = compute_angle_features(frame, angle_range)
+    angles, assignment = compute_angle_features(frame)
     return TrackingFeatures(
         angles=angles,
         distances=compute_distance_features(frame, assignment, scale),

@@ -205,6 +205,28 @@ def test_pca_fitted_once_per_repetition(store, monkeypatch, grid_mode):
     assert calls["fuse_matrix"] == 1
 
 
+def test_grid_search_fits_get_the_iteration_budget(store, monkeypatch):
+    # The 3-fold fits at C = 1000 need 22 SMO iterations, the final fits at
+    # the chosen C = 0.1 need 17: a budget of 20 stops only grid-search
+    # fits, and the cell is flagged as not converged all the same.
+    from gesturelab import svm
+
+    budgets = []
+    lockstep = svm._smo_lockstep
+
+    def spy(kernel, index, labels, c, tol, max_iter):
+        budgets.append(max_iter)
+        return lockstep(kernel, index, labels, c, tol, max_iter)
+
+    monkeypatch.setattr(svm, "_smo_lockstep", spy)
+    cfg = small_config(c_grid=(0.1, 1000.0), svm_max_iter=20)
+    report = run_experiment(cfg, store=store)
+    assert budgets == [20, 20]  # the grid search's call, then the final fits'
+    assert report.cells[0].params.c == 0.1
+    assert not report.all_converged()
+    assert run_experiment(replace(cfg, svm_max_iter=100), store=store).all_converged()
+
+
 def reference_cell(store, cell, cfg):
     """The protocol as a plain loop over repetitions: fit_preprocessing,
     grid_search, train_multiclass and classify on each split's own rows.
@@ -222,7 +244,7 @@ def reference_cell(store, cell, cfg):
             tag = f"grid:{cell.tag()}:{r}" if per_repetition else f"grid:{cell.tag()}"
             params, cv_table = grid_search(
                 rows, labels[train], cfg.c_grid, cfg.gamma_grid,
-                folds=cfg.folds, seed=derive_seed(cfg.seed, tag),
+                folds=cfg.folds, seed=derive_seed(cfg.seed, tag), max_iter=cfg.svm_max_iter,
             )
         model = train_multiclass(
             rows, labels[train], params, max_iter=cfg.svm_max_iter, preprocessing=pre

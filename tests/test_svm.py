@@ -649,6 +649,21 @@ def test_one_row_alone_gets_its_batch_values_bit_for_bit(rng):
             assert row_margins.tobytes() == margins[i].tobytes(), i
 
 
+def test_prediction_rejects_stacks_of_rows(rng):
+    # One row or an (n, d) matrix only: neither a (5, 6, d) nor a (30, 1, d)
+    # stack is read as rows, with or without preprocessing.
+    mask = FeatureMask.parse("ang+dist+tip")
+    X, y = make_blobs(rng, [np.zeros(mask.dims() + 4), np.full(mask.dims() + 4, 3.0)], per_class=8)
+    pre = Preprocessing(fusion=FusionConfig(mask=mask, hog_weight=0.5, hog_dim=4))
+    plain = train_multiclass(X, y, KernelParams(10.0, 0.1))
+    fused = train_multiclass(pre.apply(X), y, KernelParams(10.0, 0.1), preprocessing=pre)
+    for model in (plain, fused):
+        for shape in ((5, 6, X.shape[1]), (30, 1, X.shape[1])):
+            for predict in (decision_table, classify):
+                with pytest.raises(DimensionMismatch):
+                    predict(model, np.zeros(shape))
+
+
 def test_cyclic_tie_broken_by_margin_sum():
     # decision ~= bias everywhere near the origin: the one support vector
     # is far away, so its kernel contribution vanishes
@@ -694,6 +709,19 @@ def test_grid_search_single_cell(rng):
     params, table = grid_search(X, y, [7.0], [0.3], folds=2, seed=3)
     assert params == KernelParams(c=7.0, gamma=0.3)
     assert len(table) == 1
+
+
+def test_grid_search_gives_every_fit_its_budget(rng, monkeypatch):
+    X, y = make_blobs(rng, [(0.0, 0.0), (6.0, 0.0), (0.0, 6.0)], per_class=10)
+    budgets = []
+
+    def spy(kernel, index, labels, c, tol, max_iter):
+        budgets.append(max_iter)
+        return _smo_lockstep(kernel, index, labels, c, tol, max_iter)
+
+    monkeypatch.setattr(gesturelab.svm, "_smo_lockstep", spy)
+    grid_search(X, y, [1.0, 1000.0], [0.5, 2.0], folds=2, seed=3, max_iter=7)
+    assert len(budgets) == 2 and set(budgets) == {7}  # one lockstep call per gamma
 
 
 def test_grid_search_single_class_leaves_the_error_to_training(rng):

@@ -149,12 +149,6 @@ def test_angle_degenerate_projection():
         compute_angle_features(frame)
 
 
-def test_angle_custom_range():
-    frame = flat_frame([[0.0, 80.0, 0.0]])
-    angles, _ = compute_angle_features(frame, angle_range=(-math.pi, math.pi))
-    assert angles[0] == pytest.approx(0.75, abs=1e-12)
-
-
 def test_signed_angle_equals_np_cross_formulation(rng):
     got, expected = [], []
     for _ in range(1000):
