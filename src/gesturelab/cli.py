@@ -32,8 +32,10 @@ from .harness import (
 )
 from .svm import (
     KernelParams,
+    _grid_searches,
+    _squared_distances,
+    _training_rows,
     classify,
-    grid_search,
     load_model,
     save_model,
     train_multiclass,
@@ -225,16 +227,9 @@ def _cmd_train(args):
     store = _load_store(args, cfg)
     pre, projected = _preprocessing_from_args(cfg, store)
 
+    searched = True
     if params is None:
-        params, _ = grid_search(
-            projected,
-            store.labels,
-            cfg.c_grid,
-            cfg.gamma_grid,
-            folds=cfg.folds,
-            seed=harness.derive_seed(cfg.seed, "grid:train"),
-            max_iter=cfg.svm_max_iter,
-        )
+        params, _, searched = _grid_search(projected, store.labels, cfg, "grid:train")
         print(f"grid search selected C={params.c} gamma={params.gamma}")
     model = train_multiclass(
         projected,
@@ -248,7 +243,7 @@ def _cmd_train(args):
         f"trained {model.n_pairs} pair models on {len(store.labels)} samples "
         f"({len(model.support_vectors)} support vectors) -> {args.out}"
     )
-    if not model.all_converged():
+    if not (searched and model.all_converged()):
         print("warning: some pair models hit the iteration budget", file=sys.stderr)
         return 3
     return 0
@@ -279,21 +274,25 @@ def _cmd_grid_search(args):
     cfg = _build_config(args)
     store = _load_store(args, cfg)
     _, projected = _preprocessing_from_args(cfg, store)
-    params, table = grid_search(
-        projected,
-        store.labels,
-        cfg.c_grid,
-        cfg.gamma_grid,
-        folds=cfg.folds,
-        seed=harness.derive_seed(cfg.seed, "grid:cli"),
-        max_iter=cfg.svm_max_iter,
-    )
+    params, table, converged = _grid_search(projected, store.labels, cfg, "grid:cli")
     if args.out:
         write_cv_table_csv(table, args.out)
         print(f"cv table -> {args.out}")
     best = max(row["accuracy"] for row in table)
     print(f"best: C={params.c} gamma={params.gamma} cv-accuracy={best:.4f}")
+    if not converged:
+        print("warning: some models hit the iteration budget", file=sys.stderr)
+        return 3
     return 0
+
+
+def _grid_search(projected, labels, cfg, tag):
+    """`grid_search` of the rows over cfg's grids and folds, seeded by
+    `tag`, plus whether all its fits converged: (params, table, converged)."""
+    X, labels = _training_rows(projected, labels)
+    search = (0, np.arange(len(X)), harness.derive_seed(cfg.seed, tag))
+    sq = _squared_distances(X, X)
+    return _grid_searches(sq, labels, [search], cfg.c_grid, cfg.gamma_grid, cfg.folds, cfg.svm_max_iter)[0]
 
 
 def _finish_report(report, out_dir):

@@ -8,9 +8,11 @@ the feature pipeline is::
 
 Raw sensor images suffer barrel distortion; a device-provided
 calibration grid maps output pixels to normalized source coordinates
-and is applied with bilinear interpolation; its sampling taps (source
-indices and weights) are built once per (map contents, output size,
-source shape) and reused for every image.  The descriptor is a
+and is applied with bilinear interpolation.  Work that depends only on
+shapes is cached as read-only arrays: the undistortion taps (source
+indices and weights) per (map contents, output size, source shape),
+the resize taps per axis length pair and the HOG layout per image size
+and parameters.  The descriptor is a
 histogram of oriented gradients: unsigned orientations over [0, 180)
 with linear vote interpolation between adjacent bins, per-cell
 histograms, and L2-Hys normalization over sliding blocks, all blocks
@@ -172,15 +174,15 @@ def undistort(raw, umap, out_size):
             f"map grid {gw}x{gh} cannot cover a {out_w}x{out_h} output"
         )
     samples = np.ascontiguousarray(umap.samples, dtype=float)
-    taps, invalid = _undistort_taps(samples.tobytes(), samples.shape, (out_w, out_h), raw.shape)
+    taps = _undistort_taps(samples.tobytes(), samples.shape, (out_w, out_h), raw.shape)
     out = _apply_taps(raw, taps)
-    out[invalid] = 0.0
     return np.rint(out, out=out).astype(np.uint8)
 
 
 @functools.lru_cache(maxsize=4)
 def _undistort_taps(sample_bytes, grid_shape, out_size, src_shape):
-    """(source taps, invalid mask) of `undistort`, keyed by map content."""
+    """Source taps of `undistort`, keyed by map content.  The y weights
+    of pixels in an invalid grid cell are 0, so those pixels come out 0."""
     samples = np.frombuffer(sample_bytes).reshape(grid_shape)
     gh, gw = grid_shape[:2]
     out_w, out_h = out_size
@@ -199,7 +201,12 @@ def _undistort_taps(sample_bytes, grid_shape, out_size, src_shape):
     xs = _apply_taps(samples[..., 0], grid_taps) * (src_w - 1)
     ys = _apply_taps(samples[..., 1], grid_taps) * (src_h - 1)
     del grid_taps  # frees its full-size index arrays before the source taps are built
-    return _bilinear_taps(src_shape, xs, ys), invalid
+    corners, fx, fy = _bilinear_taps(src_shape, xs, ys)
+    for weight in fy:
+        weight[invalid] = 0.0
+    for tap in (*corners, *fx, *fy):
+        tap.flags.writeable = False
+    return corners, fx, fy
 
 
 def _axis_taps(n, coords):
@@ -225,18 +232,25 @@ def _apply_taps(img, taps):
     """Bilinear values of `img` at the taps of `_bilinear_taps`, as floats:
     (v00 * fx0 + v01 * fx1) * fy0 + (v10 * fx0 + v11 * fx1) * fy1.
 
-    The sums accumulate in place, so at most three output-sized float
-    arrays are alive at once instead of six.  With six, glibc's allocator
-    could return the freed memory to the OS after each image and fault it
-    back in for the next one.
+    Each gathered tap is converted to float once and weighted in place,
+    so at most three output-sized float arrays are alive at once.  With
+    more, glibc's allocator could return the freed memory to the OS after
+    each image and fault it back in for the next one.
     """
     (i00, i01, i10, i11), (fx1, fx0), (fy1, fy0) = taps
     flat = img.ravel()
-    top = flat[i00] * fx0
-    top += flat[i01] * fx1
+    top = flat.take(i00).astype(float)
+    top *= fx0
+    tap = flat.take(i01).astype(float)
+    tap *= fx1
+    top += tap
     top *= fy0
-    bot = flat[i10] * fx0
-    bot += flat[i11] * fx1
+    del tap
+    bot = flat.take(i10).astype(float)
+    bot *= fx0
+    tap = flat.take(i11).astype(float)
+    tap *= fx1
+    bot += tap
     bot *= fy1
     top += bot
     return top
@@ -244,6 +258,10 @@ def _apply_taps(img, taps):
 
 # ---------------------------------------------------------------------------
 # Binarization and framing
+
+
+_LEVELS = np.arange(256.0)
+_LEVELS.flags.writeable = False
 
 
 def otsu_threshold(img):
@@ -255,14 +273,14 @@ def otsu_threshold(img):
     """
     img = _as_image(img)
     hist = np.bincount(img.ravel(), minlength=256).astype(float)
-    total = hist.sum()
     weight0 = np.cumsum(hist)
-    mean0 = np.cumsum(hist * np.arange(256))
-    mean_total = mean0[-1]
-    weight1 = total - weight0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        between = (mean_total * weight0 - mean0 * total) ** 2 / (weight0 * weight1)
-    between[(weight0 == 0) | (weight1 == 0)] = 0.0
+    mean0 = np.cumsum(hist * _LEVELS)
+    total, mean_total = weight0[-1], mean0[-1]  # integers, so any summation order is exact
+    num = weight0 * mean_total
+    num -= mean0 * total
+    num *= num
+    den = weight0 * (total - weight0)
+    between = np.divide(num, den, out=np.zeros(256), where=den > 0)
     split = int(np.argmax(between))  # first maximum -> smallest split point
     return split + 1
 
@@ -279,17 +297,22 @@ def binarize(img, threshold=None):
 
 
 def crop_to_foreground(img, margin=0):
-    """Crop to the bounding box of nonzero pixels, padded by `margin`.
+    """Crop to the bounding box of nonzero pixels, padded by `margin` >= 0.
 
     An all-zero image is returned unchanged.
     """
     img = _as_image(img)
-    rows = np.flatnonzero(img.any(axis=1))
-    cols = np.flatnonzero(img.any(axis=0))
+    if margin < 0:
+        raise ValueError("margin must be >= 0")
+    # A row's bitwise OR is nonzero where the row holds a nonzero pixel;
+    # only the rows between the first and the last such row can hold one.
+    rows = np.flatnonzero(np.bitwise_or.reduce(img, axis=1))
     if rows.size == 0:
         return img
-    r0 = max(rows[0] - margin, 0)
-    r1 = min(rows[-1] + margin + 1, img.shape[0])
+    top, bottom = rows[0], rows[-1]
+    cols = np.flatnonzero(img[top : bottom + 1].any(axis=0))
+    r0 = max(top - margin, 0)
+    r1 = min(bottom + margin + 1, img.shape[0])
     c0 = max(cols[0] - margin, 0)
     c1 = min(cols[-1] + margin + 1, img.shape[1])
     return img[r0:r1, c0:c1].copy()
@@ -305,22 +328,34 @@ def resize_bilinear(img, out_size):
     if out_w < 1 or out_h < 1:
         raise ValueError("out_size must be at least 1x1")
     in_h, in_w = img.shape
-    if in_w > 1:
-        xs = np.arange(out_w) * (in_w - 1) / (out_w - 1) if out_w > 1 else np.full(1, (in_w - 1) / 2)
-    else:
-        xs = np.zeros(out_w)
-    if in_h > 1:
-        ys = np.arange(out_h) * (in_h - 1) / (out_h - 1) if out_h > 1 else np.full(1, (in_h - 1) / 2)
-    else:
-        ys = np.zeros(out_h)
     # Separable: every source row along x, then rows y0 and y1 of that
     # along y, so each pixel gets the products and sums of a 4-tap lookup.
-    x0, x1, fx = _axis_taps(in_w, xs)
-    y0, y1, fy = _axis_taps(in_h, ys)
-    src = img.astype(float)
-    across = src[:, x0] * (1 - fx) + src[:, x1] * fx
-    out = across[y0] * (1 - fy)[:, np.newaxis] + across[y1] * fy[:, np.newaxis]
-    return np.rint(out).astype(np.uint8)
+    x0, x1, wx0, wx1 = _resize_taps(in_w, out_w)
+    y0, y1, wy0, wy1 = _resize_taps(in_h, out_h)
+    across = img[:, x0] * wx0
+    across += img[:, x1] * wx1
+    out = across[y0] * wy0[:, np.newaxis]
+    out += across[y1] * wy1[:, np.newaxis]
+    return np.rint(out, out=out).astype(np.uint8)
+
+
+@functools.lru_cache(maxsize=256)
+def _resize_taps(n_in, n_out):
+    """Read-only (lower, upper, 1 - f, f) of `resize_bilinear` along an axis
+    of `n_in` samples resized to `n_out`: output i samples the input at
+    i * (n_in - 1) / (n_out - 1), the input's center for one output, 0 for
+    one input."""
+    if n_in == 1:
+        coords = np.zeros(n_out)
+    elif n_out == 1:
+        coords = np.full(1, (n_in - 1) / 2)
+    else:
+        coords = np.arange(n_out) * (n_in - 1) / (n_out - 1)
+    lower, upper, f = _axis_taps(n_in, coords)
+    taps = (lower, upper, 1 - f, f)
+    for tap in taps:
+        tap.flags.writeable = False
+    return taps
 
 
 # ---------------------------------------------------------------------------
@@ -389,44 +424,62 @@ def compute_hog(img, params=HogParams()):
     if not np.isfinite(img).all():
         raise DataError("HOG of an image with a non-finite pixel")
     h, w = img.shape
-    cells_x, cells_y, _, _ = _hog_geometry(w, h, params)
+    cell_bases, block_entries, bin_wrap, hist_len = _hog_layout(h, w, params)
 
-    gx = np.empty_like(img)
-    gx[:, 1:-1] = img[:, 2:] - img[:, :-2]
-    gx[:, 0] = img[:, 1] - img[:, 0] if w > 1 else 0.0
-    gx[:, -1] = img[:, -1] - img[:, -2] if w > 1 else 0.0
+    # Centered differences with edge replication.  Along x the flat pass's
+    # first and last columns mix rows; the edge differences overwrite them.
+    flat = img.ravel()
+    gx = np.empty_like(flat)
+    np.subtract(flat[2:], flat[:-2], out=gx[1:-1])
+    gx = gx.reshape(h, w)
     gy = np.empty_like(img)
-    gy[1:-1, :] = img[2:, :] - img[:-2, :]
-    gy[0, :] = img[1, :] - img[0, :] if h > 1 else 0.0
-    gy[-1, :] = img[-1, :] - img[-2, :] if h > 1 else 0.0
+    np.subtract(img[2:], img[:-2], out=gy[1:-1])
+    if w > 1:
+        np.subtract(img[:, 1], img[:, 0], out=gx[:, 0])
+        np.subtract(img[:, -1], img[:, -2], out=gx[:, -1])
+    else:
+        gx[:] = 0.0
+    if h > 1:
+        np.subtract(img[1], img[0], out=gy[0])
+        np.subtract(img[-1], img[-2], out=gy[-1])
+    else:
+        gy[:] = 0.0
 
     # A pixel with no gradient votes +0.0 into bin 0 (arctan2(+0, +0) is
     # +0), which leaves the cell sums as they are: only the others vote.
     voting = np.flatnonzero((gx != 0) | (gy != 0))
+    if not voting.size:  # a weighted bincount of nothing has an integer dtype
+        return np.zeros(block_entries.size)
     gx, gy = gx.ravel()[voting], gy.ravel()[voting]
     magnitude = np.hypot(gx, gy)
-    orientation = np.mod(np.arctan2(gy, gx), np.pi)  # unsigned, [0, pi)
-
-    bin_width = np.pi / params.bins
-    position = orientation / bin_width
-    lower = np.floor(position).astype(int)
-    w_upper = position - lower
-    lower %= params.bins
-    upper = (lower + 1) % params.bins
-
-    cell_bases, block_entries = _hog_layout(h, w, params)
+    # Unsigned orientation np.mod(arctan2, pi): pi becomes +0 and negative
+    # angles gain pi.  An arctan2 of -0.0 stays -0.0 here (np.mod gives
+    # +0.0); it votes -0.0 into the upper bin, which adds nothing.
+    position = np.arctan2(gy, gx)
+    position[position == np.pi] = 0.0
+    np.add(position, np.pi, out=position, where=position < 0)
+    position /= np.pi / params.bins
+    lower = position.astype(int)  # the floor, as positions are >= 0
+    position -= lower  # now the upper bin's share
     base = cell_bases[voting]
-    hist = np.zeros(cells_x * cells_y * params.bins)
-    hist += np.bincount(base + lower, weights=magnitude * (1 - w_upper), minlength=len(hist))
-    hist += np.bincount(base + upper, weights=magnitude * w_upper, minlength=len(hist))
+    upper = bin_wrap[lower + 1]
+    upper += base
+    lower = bin_wrap[lower]
+    lower += base
+    lower_share = 1 - position
+    lower_share *= magnitude
+    position *= magnitude
+    hist = np.bincount(lower, weights=lower_share, minlength=hist_len)
+    hist += np.bincount(upper, weights=position, minlength=hist_len)
     return _l2_hys(hist[block_entries], params.clip).ravel()
 
 
 @functools.lru_cache(maxsize=4)
 def _hog_layout(h, w, params):
-    """Read-only (cell bases, block entries) of `compute_hog` on h x w
-    images: the flat index of bin 0 of each pixel's cell histogram, and
-    per block its cells' histogram entries, row by row, bin after bin."""
+    """Read-only (cell bases, block entries, bin wrap) and the histogram
+    length of `compute_hog` on h x w images: the flat index of bin 0 of
+    each pixel's cell histogram; per block its cells' histogram entries,
+    row by row, bin after bin; and i % bins for i up to bins + 1."""
     cells_x, cells_y, _, _ = _hog_geometry(w, h, params)
     cell_col = np.arange(w) // params.cell_size
     cell_row = np.arange(h) // params.cell_size
@@ -435,26 +488,28 @@ def _hog_layout(h, w, params):
     bc, stride = params.block_cells, params.block_stride
     windows = np.lib.stride_tricks.sliding_window_view(cells, (bc, bc), axis=(0, 1))
     entries = windows[::stride, ::stride].transpose(0, 1, 3, 4, 2).reshape(-1, bc * bc * params.bins)
-    for index in (bases, entries):
+    wrap = np.arange(params.bins + 2) % params.bins
+    for index in (bases, entries, wrap):
         index.flags.writeable = False
-    return bases, entries
+    return bases, entries, wrap, cells.size
 
 
 def _l2_hys(rows, clip):
-    """L2-Hys of each row: to unit length, clipped at `clip`, to unit length."""
+    """L2-Hys of each row, in place: to unit length, clipped at `clip`, to unit length."""
     rows = _unit_rows(rows)
     np.minimum(rows, clip, out=rows)
     return _unit_rows(rows)
 
 
 def _unit_rows(rows):
-    """Each row over its L2 norm; rows of norm below 1e-12 become 0, and a
-    norm that is not finite raises DataError."""
+    """Each non-negative row over its L2 norm, in place; rows of norm below
+    1e-12 become 0, and a norm that is not finite raises DataError."""
     # Stacked matmul sums like np.linalg.norm's dot, bit for bit; einsum does not.
     norm = np.sqrt(np.matmul(rows[:, np.newaxis, :], rows[:, :, np.newaxis])[:, 0])
     if not np.isfinite(norm).all():
         raise DataError("HOG of an image whose gradients overflow")
-    return np.divide(rows, norm, out=np.zeros_like(rows), where=~(norm < 1e-12))
+    norm[norm < 1e-12] = np.inf  # x / inf is +0.0 for x >= 0
+    return np.divide(rows, norm, out=rows)
 
 
 # ---------------------------------------------------------------------------

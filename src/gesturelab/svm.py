@@ -77,9 +77,10 @@ def _squared_distances(X, Y, out=None):
     if X.shape[-1] != Y.shape[-1]:
         raise DimensionMismatch(f"row dims differ: {X.shape[-1]} vs {Y.shape[-1]}")
     sq = np.add((X * X).sum(axis=-1)[..., None], (Y * Y).sum(axis=-1), out=out)
-    sq -= 2.0 * (X @ Y.T)
-    np.clip(sq, 0.0, None, out=sq)
-    return sq
+    products = X @ Y.T
+    products *= 2.0
+    sq -= products
+    return np.maximum(sq, 0.0, out=sq)  # clipped at 0; sq is never -0.0
 
 
 def rbf_kernel_matrix(X, Y, gamma):

@@ -188,11 +188,17 @@ class FeatureMask:
 FULL_MASK = FeatureMask()
 
 
+def _norm(v):
+    """np.linalg.norm of a 1-D float array, bit for bit: the square root of
+    the same BLAS dot, without the dispatch around it."""
+    return math.sqrt(v.dot(v))
+
+
 def compute_scale(frame):
     """Hand scale: distance from palm center to the middle fingertip, mm."""
     if frame.middle_index is None:
         raise MissingMiddleFinger("frame has no identified middle fingertip")
-    s = float(np.linalg.norm(frame.fingertips[frame.middle_index] - frame.palm_center))
+    s = _norm(frame.fingertips[frame.middle_index] - frame.palm_center)
     if s < DEGENERACY_TOL:
         raise DegenerateHand("middle fingertip coincides with the palm center")
     return s
@@ -200,9 +206,12 @@ def compute_scale(frame):
 
 def project_to_palm_plane(point, frame):
     """Orthogonal projection of `point` onto the palm plane."""
-    p = np.asarray(point, dtype=float)
+    return _project(np.asarray(point, dtype=float), frame)
+
+
+def _project(p, frame):
     n = frame.palm_normal
-    return p - np.dot(p - frame.palm_center, n) * n
+    return p - (p - frame.palm_center).dot(n) * n
 
 
 def signed_inplane_angle(point, frame):
@@ -211,14 +220,18 @@ def signed_inplane_angle(point, frame):
     The sign comes from the cross-product component along the palm
     normal; the tie at exactly pi is resolved to +pi.
     """
-    u = project_to_palm_plane(point, frame) - frame.palm_center
-    if np.linalg.norm(u) < DEGENERACY_TOL:
+    return _signed_angle(np.asarray(point, dtype=float), frame)
+
+
+def _signed_angle(p, frame):
+    u = _project(p, frame) - frame.palm_center
+    if _norm(u) < DEGENERACY_TOL:
         raise DegenerateHand("fingertip projects onto the palm center")
     h = frame.hand_direction
     # np.cross's products and differences, without its per-call axis handling.
     (h0, h1, h2), (u0, u1, u2) = h.tolist(), u.tolist()
     cross = np.array([h1 * u2 - h2 * u1, h2 * u0 - h0 * u2, h0 * u1 - h1 * u0])
-    ang = math.atan2(np.dot(frame.palm_normal, cross), np.dot(h, u))
+    ang = math.atan2(frame.palm_normal.dot(cross), h.dot(u))
     return math.pi if ang == -math.pi else ang
 
 
@@ -232,16 +245,12 @@ def compute_angle_features(frame):
     """
     lo, hi = DEFAULT_ANGLE_RANGE
     angles = np.zeros(NUM_FINGERS)
-    assignment = [None] * NUM_FINGERS
-    if len(frame.fingertips) == 0:
-        return angles, assignment
-    raw = np.array([signed_inplane_angle(tip, frame) for tip in frame.fingertips])
-    order = np.argsort(raw, kind="stable")
+    raw = [_signed_angle(tip, frame) for tip in frame.fingertips]
+    order = np.argsort(raw, kind="stable").tolist()
     for slot, tip_index in enumerate(order):
         t = (raw[tip_index] - lo) / (hi - lo)
         angles[slot] = 0.5 + 0.5 * min(max(t, 0.0), 1.0)
-        assignment[slot] = int(tip_index)
-    return angles, assignment
+    return angles, order + [None] * (NUM_FINGERS - len(order))
 
 
 def compute_distance_features(frame, assignment, scale):
@@ -249,8 +258,7 @@ def compute_distance_features(frame, assignment, scale):
     distances = np.zeros(NUM_FINGERS)
     for slot, tip_index in enumerate(assignment):
         if tip_index is not None:
-            d = np.linalg.norm(frame.fingertips[tip_index] - frame.palm_center)
-            distances[slot] = d / scale
+            distances[slot] = _norm(frame.fingertips[tip_index] - frame.palm_center) / scale
     return distances
 
 
@@ -260,8 +268,8 @@ def compute_elevation_features(frame, assignment, scale):
     for slot, tip_index in enumerate(assignment):
         if tip_index is not None:
             tip = frame.fingertips[tip_index]
-            off = tip - project_to_palm_plane(tip, frame)
-            signed = np.sign(np.dot(off, frame.palm_normal)) * np.linalg.norm(off)
+            off = tip - _project(tip, frame)
+            signed = np.sign(off.dot(frame.palm_normal)) * _norm(off)
             elevations[slot] = signed / scale
     return elevations
 
@@ -277,7 +285,7 @@ def compute_tip_distances(frame, scale):
     pos = 0
     for i in range(len(tips)):
         for j in range(i + 1, len(tips)):
-            values[pos] = np.linalg.norm(tips[i] - tips[j]) / scale
+            values[pos] = _norm(tips[i] - tips[j]) / scale
             pos += 1
     values.sort()
     return values

@@ -5,7 +5,18 @@ eigensolver) so that each check compares two unrelated routes to the
 same quantity.
 """
 
+import math
+
 import numpy as np
+
+from gesturelab.errors import DegenerateHand, MissingMiddleFinger
+from gesturelab.tracking import (
+    DEFAULT_ANGLE_RANGE,
+    DEGENERACY_TOL,
+    NUM_FINGERS,
+    NUM_TIP_PAIRS,
+    TrackingFeatures,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -440,3 +451,136 @@ def _l2_hys(v, clip):
     if norm < 1e-12:
         return np.zeros_like(v)
     return v / norm
+
+
+# ---------------------------------------------------------------------------
+# Per-finger tracking features
+
+
+def tracking_loops(frame):
+    """The 25 tracking features of `frame`, by the per-finger code that
+    `gesturelab.tracking` used before its norms were written as dots:
+    one np.linalg.norm, projection and np.dot per fingertip and pair.
+    Degenerate frames raise the library's typed errors."""
+    return _tracking_extract_tracking_features(frame).vector()
+
+
+def _tracking_compute_scale(frame):
+    """Hand scale: distance from palm center to the middle fingertip, mm."""
+    if frame.middle_index is None:
+        raise MissingMiddleFinger("frame has no identified middle fingertip")
+    s = float(np.linalg.norm(frame.fingertips[frame.middle_index] - frame.palm_center))
+    if s < DEGENERACY_TOL:
+        raise DegenerateHand("middle fingertip coincides with the palm center")
+    return s
+
+
+def _tracking_project_to_palm_plane(point, frame):
+    """Orthogonal projection of `point` onto the palm plane."""
+    p = np.asarray(point, dtype=float)
+    n = frame.palm_normal
+    return p - np.dot(p - frame.palm_center, n) * n
+
+
+def _tracking_signed_inplane_angle(point, frame):
+    """Signed angle from the hand direction to the projected fingertip.
+
+    The sign comes from the cross-product component along the palm
+    normal; the tie at exactly pi is resolved to +pi.
+    """
+    u = _tracking_project_to_palm_plane(point, frame) - frame.palm_center
+    if np.linalg.norm(u) < DEGENERACY_TOL:
+        raise DegenerateHand("fingertip projects onto the palm center")
+    h = frame.hand_direction
+    # np.cross's products and differences, without its per-call axis handling.
+    (h0, h1, h2), (u0, u1, u2) = h.tolist(), u.tolist()
+    cross = np.array([h1 * u2 - h2 * u1, h2 * u0 - h0 * u2, h0 * u1 - h1 * u0])
+    ang = math.atan2(np.dot(frame.palm_normal, cross), np.dot(h, u))
+    return math.pi if ang == -math.pi else ang
+
+
+def _tracking_compute_angle_features(frame):
+    """Angle feature per slot plus the slot -> fingertip assignment.
+
+    Detected fingertips are ordered by ascending signed in-plane angle
+    and fill the leading slots; raw angles are mapped linearly from
+    DEFAULT_ANGLE_RANGE onto [0.5, 1] and clamped.  Unassigned slots are
+    0 and map to None in the assignment.
+    """
+    lo, hi = DEFAULT_ANGLE_RANGE
+    angles = np.zeros(NUM_FINGERS)
+    assignment = [None] * NUM_FINGERS
+    if len(frame.fingertips) == 0:
+        return angles, assignment
+    raw = np.array([_tracking_signed_inplane_angle(tip, frame) for tip in frame.fingertips])
+    order = np.argsort(raw, kind="stable")
+    for slot, tip_index in enumerate(order):
+        t = (raw[tip_index] - lo) / (hi - lo)
+        angles[slot] = 0.5 + 0.5 * min(max(t, 0.0), 1.0)
+        assignment[slot] = int(tip_index)
+    return angles, assignment
+
+
+def _tracking_compute_distance_features(frame, assignment, scale):
+    """Fingertip-to-palm-center distance over the hand scale, per slot."""
+    distances = np.zeros(NUM_FINGERS)
+    for slot, tip_index in enumerate(assignment):
+        if tip_index is not None:
+            d = np.linalg.norm(frame.fingertips[tip_index] - frame.palm_center)
+            distances[slot] = d / scale
+    return distances
+
+
+def _tracking_compute_elevation_features(frame, assignment, scale):
+    """Signed fingertip offset from the palm plane over the hand scale."""
+    elevations = np.zeros(NUM_FINGERS)
+    for slot, tip_index in enumerate(assignment):
+        if tip_index is not None:
+            tip = frame.fingertips[tip_index]
+            off = tip - _tracking_project_to_palm_plane(tip, frame)
+            signed = np.sign(np.dot(off, frame.palm_normal)) * np.linalg.norm(off)
+            elevations[slot] = signed / scale
+    return elevations
+
+
+def _tracking_compute_tip_distances(frame, scale):
+    """All 10 pairwise fingertip distances over the scale, ascending.
+
+    Pairs involving an undetected fingertip contribute 0, so the output
+    length is always 10 and the zeros sort to the front.
+    """
+    values = np.zeros(NUM_TIP_PAIRS)
+    tips = frame.fingertips
+    pos = 0
+    for i in range(len(tips)):
+        for j in range(i + 1, len(tips)):
+            values[pos] = np.linalg.norm(tips[i] - tips[j]) / scale
+            pos += 1
+    values.sort()
+    return values
+
+
+def _tracking_extract_tracking_features(frame):
+    """Compute every feature segment for one frame.
+
+    A frame with no fingertips yields all-zero features (with a neutral
+    scale of 1.0, since nothing is normalized); a frame with fingertips
+    but no identified middle finger raises MissingMiddleFinger.
+    """
+    if len(frame.fingertips) == 0:
+        return TrackingFeatures(
+            angles=np.zeros(NUM_FINGERS),
+            distances=np.zeros(NUM_FINGERS),
+            elevations=np.zeros(NUM_FINGERS),
+            tip_distances=np.zeros(NUM_TIP_PAIRS),
+            scale=1.0,
+        )
+    scale = _tracking_compute_scale(frame)
+    angles, assignment = _tracking_compute_angle_features(frame)
+    return TrackingFeatures(
+        angles=angles,
+        distances=_tracking_compute_distance_features(frame, assignment, scale),
+        elevations=_tracking_compute_elevation_features(frame, assignment, scale),
+        tip_distances=_tracking_compute_tip_distances(frame, scale),
+        scale=scale,
+    )

@@ -11,7 +11,11 @@ wrote it, the digest of:
 - the model.json that the CLI's `train` writes, with and without PCA,
   and the CSV that `predict` writes from each;
 - every file of the report tree of a 3-combo ablation, and of a
-  K 0/1 x retention none/0.8 sweep in each grid mode.
+  K 0/1 x retention none/0.8 sweep in each grid mode;
+- the tracking features of 20 synthetic captures at the default noise,
+  20 at 40 mm / 45 degrees and hand-built frames with 0 and 1
+  fingertips, and the image features of the 40 synthetic captures
+  without a map and through a barrel map with invalid corner points.
 
 `tests/test_output_digests.py` recomputes them.  A change that alters
 output bits on purpose regenerates the file with
@@ -31,6 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from gesturelab.cli import main as cli_main
+from gesturelab.data import default_templates, generate_synthetic
 from gesturelab.fusion import FusionConfig, fit_pca
 from gesturelab.harness import (
     ExperimentConfig,
@@ -41,6 +46,7 @@ from gesturelab.harness import (
     fusion_sweep,
     load_samples,
 )
+from gesturelab.image import UndistortionMap, extract_image_features
 from gesturelab.svm import (
     KernelParams,
     MulticlassSvm,
@@ -48,7 +54,7 @@ from gesturelab.svm import (
     decision_table,
     train_multiclass,
 )
-from gesturelab.tracking import FeatureMask
+from gesturelab.tracking import FeatureMask, HandFrame, extract_tracking_features
 
 DIGEST_PATH = Path(__file__).parent / "data" / "output_digests.json"
 
@@ -166,10 +172,54 @@ def report_digests(tmp):
     return out
 
 
+def _barrel_map(grid=16, strength=0.12):
+    """Barrel-style map with invalid points at the four corners."""
+    us = np.linspace(0.0, 1.0, grid)
+    uu, vv = np.meshgrid(us, us)
+    scale = 1.0 - strength * ((uu - 0.5) ** 2 + (vv - 0.5) ** 2)
+    samples = np.stack([0.5 + (uu - 0.5) * scale, 0.5 + (vv - 0.5) * scale], axis=2)
+    for y, x in ((0, 0), (0, grid - 1), (grid - 1, 0), (grid - 1, grid - 1)):
+        samples[y, x] = -1.0
+    return UndistortionMap(samples)
+
+
+def _hand_built_frames():
+    """Frames with no fingertip and with one (the middle one)."""
+    pose = dict(palm_center=[12.5, -40.0, 180.0], palm_normal=[0.0, 0.6, 0.8],
+                hand_direction=[0.0, 0.8, -0.6])
+    return [
+        HandFrame(fingertips=np.empty((0, 3)), **pose),
+        HandFrame(fingertips=[[20.0, 35.0, 150.0]], middle_index=0, **pose),
+    ]
+
+
+def capture_digests():
+    """Tracking and image features of single captures, one digest per set."""
+    captures = {
+        "default": generate_synthetic(subjects=1, reps=2, seed=17),
+        "noisy": generate_synthetic(default_templates(40.0, 45.0), subjects=1, reps=2, seed=18),
+    }
+    umap = _barrel_map()
+    out = {}
+    for name, samples in captures.items():
+        out[name] = {
+            "tracking": _sha(np.vstack([extract_tracking_features(s.frame).vector() for s in samples]).tobytes()),
+            "image": _sha(np.vstack([extract_image_features(s.images) for s in samples]).tobytes()),
+            "image_undistorted": _sha(
+                np.vstack([extract_image_features(s.images, umap=umap) for s in samples]).tobytes()
+            ),
+        }
+    out["hand_built"] = {
+        "tracking": _sha(np.vstack([extract_tracking_features(f).vector() for f in _hand_built_frames()]).tobytes()),
+    }
+    return out
+
+
 def compute():
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         return {
+            "capture": capture_digests(),
             "decision_table": decision_digests(),
             "cli": cli_digests(tmp),
             "reports": report_digests(tmp),

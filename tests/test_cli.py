@@ -1,5 +1,9 @@
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -484,6 +488,30 @@ def test_train_grid_on_single_class_is_a_data_error(tmp_path, capsys):
     )
     assert code == 2
     assert capsys.readouterr().err.startswith("data error:")
+
+
+@pytest.mark.parametrize("command", ["train", "grid-search"])
+def test_grid_search_budget_exits_3(tmp_path, command):
+    # At 20 iterations the C=1000 fits of the grid search stop unconverged,
+    # while the C=0.1 model that train fits afterwards converges.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "svm_max_iter": 20, "use_hog": False, "synthetic": {"subjects": 3, "reps": 6, "seed": 21},
+    }))
+    out = ["--out", str(tmp_path / "model.json")] if command == "train" else []
+    result = subprocess.run(
+        [sys.executable, "-m", "gesturelab.cli", command, "--config", str(cfg),
+         "--c-grid", "0.1,1000", "--gamma-grid", "0.5", "--folds", "3", *out],
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 3, result.stderr
+    assert result.stderr.splitlines() == [
+        "warning: some pair models hit the iteration budget" if command == "train"
+        else "warning: some models hit the iteration budget"
+    ]
+    if command == "train":
+        assert all(json.loads((tmp_path / "model.json").read_text())["converged"])
 
 
 def test_exit_code_nonconvergence(tmp_path, dataset_dir):

@@ -285,6 +285,29 @@ def test_crop_margin_window():
     assert np.array_equal(out, img[4:10, 1:6])
 
 
+def test_crop_rejects_negative_margin():
+    img = np.zeros((20, 20), np.uint8)
+    img[10, 10] = 255  # a margin of -1 would leave a 0 x 0 crop
+    with pytest.raises(ValueError, match="margin"):
+        crop_to_foreground(img, -1)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(
+    img=hnp.arrays(np.uint8, st.tuples(st.integers(1, 40), st.integers(1, 40)),
+                   elements=st.sampled_from([0, 0, 0, 1, 128, 255])),
+    margin=st.integers(0, 6),
+)
+def test_crop_matches_nonzero_bounding_box(img, margin):
+    rows, cols = np.nonzero(img)
+    if rows.size == 0:
+        expected = img
+    else:
+        expected = img[max(rows.min() - margin, 0) : rows.max() + margin + 1,
+                       max(cols.min() - margin, 0) : cols.max() + margin + 1]
+    assert np.array_equal(crop_to_foreground(img, margin), expected)
+
+
 def test_resize_identity_bit_exact(rng):
     img = rng.integers(0, 256, size=(15, 11)).astype(np.uint8)
     assert np.array_equal(resize_bilinear(img, (11, 15)), img)

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_random_frame
-from gesturelab.errors import DegenerateHand, MissingMiddleFinger
+from gesturelab.errors import DegenerateHand, GestureLabError, MissingMiddleFinger
 from gesturelab.geometry import rotation_matrix
 from gesturelab.tracking import (
     FeatureMask,
@@ -22,6 +23,7 @@ from gesturelab.tracking import (
     save_frame,
     signed_inplane_angle,
 )
+from oracles import tracking_loops
 
 
 def flat_frame(tips, middle=0):
@@ -336,6 +338,56 @@ def test_angle_slots_valid_or_exact_zero(rng):
                 assert feats.elevations[slot] == 0.0
             else:
                 assert 0.5 <= value <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# Per-finger oracle
+
+coordinates = st.floats(-150.0, 150.0, allow_nan=False)
+
+
+@st.composite
+def oracle_frames(draw):
+    """Rotated, shifted frames with 0-5 fingertips and any middle index.
+    A tip is free, exactly at the palm center, on the palm normal through
+    it, or a copy of the previous tip, so degenerate frames come up."""
+    rot = np.eye(3)
+    for axis in np.eye(3):
+        rot = rot @ rotation_matrix(axis, draw(st.floats(-math.pi, math.pi)))
+    center = np.array([draw(coordinates) for _ in range(3)]) * 2.0
+    normal = rot @ np.array([0.0, 0.0, 1.0])
+    tips = []
+    for _ in range(draw(st.sampled_from(range(6)))):
+        kind = draw(st.sampled_from(["free"] * 9 + ["center", "normal", "copy"]))
+        if kind == "center":
+            tips.append(center.copy())
+        elif kind == "normal":
+            tips.append(center + draw(coordinates) * normal)
+        elif kind == "copy" and tips:
+            tips.append(tips[-1].copy())
+        else:
+            tips.append(center + np.array([draw(coordinates) for _ in range(3)]))
+    middle = draw(st.integers(-1, len(tips) - 1))  # -1: no middle fingertip
+    return HandFrame(
+        palm_center=center,
+        palm_normal=normal,
+        hand_direction=rot @ np.array([0.0, 1.0, 0.0]),
+        fingertips=np.array(tips).reshape(len(tips), 3),
+        middle_index=None if middle < 0 else middle,
+    )
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=600)
+@given(frame=oracle_frames())
+def test_extract_matches_per_finger_oracle(frame):
+    try:
+        expected = tracking_loops(frame)
+    except GestureLabError as exc:
+        with pytest.raises(GestureLabError) as raised:
+            extract_tracking_features(frame)
+        assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
+        return
+    assert extract_tracking_features(frame).vector().tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
