@@ -11,7 +11,7 @@ wrote it, the digest of:
 - the model.json that the CLI's `train` writes, with and without PCA,
   and the CSV that `predict` writes from each;
 - every file of the report tree of a 3-combo ablation, and of a
-  K 0/1 x retention none/0.8 sweep in each grid mode;
+  K 0/1/3 x retention none/0.8/5 components sweep in each grid mode;
 - the tracking features of 20 synthetic captures at the default noise,
   20 at 40 mm / 45 degrees and hand-built frames with 0 and 1
   fingertips, and the image features of the 40 synthetic captures
@@ -150,7 +150,7 @@ def cli_digests(tmp):
 
 
 def report_digests(tmp):
-    """Report trees of a 3-combo ablation and of a 2 K x 2 retention sweep
+    """Report trees of a 3-combo ablation and of a 3 K x 3 retention sweep
     in each grid mode, over one 60-sample store."""
     cfg = ExperimentConfig(
         synthetic=SyntheticSpec(**SYNTHETIC), c_grid=(1.0, 100.0), gamma_grid=(0.01, 0.1),
@@ -164,7 +164,7 @@ def report_digests(tmp):
     }
     for mode in ("per_cell", "per_repetition"):
         cfg.grid_mode = mode
-        reports[f"sweep_{mode}"] = fusion_sweep(cfg, (0.0, 1.0), (None, 0.8), store=store)
+        reports[f"sweep_{mode}"] = fusion_sweep(cfg, (0.0, 1.0, 3.0), (None, 0.8, 5), store=store)
     out = {}
     for name, report in reports.items():
         emit_report(report, tmp / name)
