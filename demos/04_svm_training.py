@@ -45,7 +45,7 @@ print(f"probe at center 4 -> class {probe_label[0]} with {probe_votes[0]} votes"
 
 # Grid search scores every (C, gamma) cell with stratified k-fold CV
 # and keeps the best; ties go to the smaller C, then smaller gamma.
-params, table = grid_search(
+params, table, converged = grid_search(
     Xs,
     labels,
     c_grid=[1.0, 10.0, 100.0, 1000.0],
@@ -56,7 +56,7 @@ params, table = grid_search(
 print("\ncv table (C, gamma -> accuracy):")
 for row in table:
     print(f"  C={row['c']:>6}  gamma={row['gamma']:>6}  acc={row['accuracy']:.4f}")
-print("selected:", params)
+print("selected:", params, "(every fit converged)" if converged else "(some fits hit the budget)")
 
 final = train_multiclass(Xs, labels, params)
 holdout = np.vstack([rng.normal(c, 0.6, size=(5, 3)) for c in centers])

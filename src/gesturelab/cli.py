@@ -22,6 +22,7 @@ from .harness import (
     build_feature_store,
     config_from_dict,
     emit_report,
+    experiment_cells,
     fit_preprocessing,
     fusion_sweep,
     load_samples,
@@ -30,17 +31,8 @@ from .harness import (
     write_cv_table_csv,
     write_predictions_csv,
 )
-from .svm import (
-    KernelParams,
-    _grid_searches,
-    _squared_distances,
-    _training_rows,
-    classify,
-    load_model,
-    save_model,
-    train_multiclass,
-)
-from .tracking import FULL_MASK, FeatureMask
+from .svm import KernelParams, classify, grid_search, load_model, save_model, train_multiclass
+from .tracking import FULL_MASK
 
 
 class _Parser(argparse.ArgumentParser):
@@ -209,13 +201,6 @@ def _cmd_extract(args):
     return 0
 
 
-def _preprocessing_from_args(cfg, store):
-    """The preprocessing of the first K and retention, fitted on all rows
-    of `store`, and those rows through it."""
-    raw, fusion = raw_features(store, FeatureMask.parse(cfg.features), cfg.use_hog, cfg.k_values[0])
-    return fit_preprocessing(raw, fusion, cfg.retentions[0])
-
-
 def _cmd_train(args):
     cfg = _build_config(args)
     params = None
@@ -225,11 +210,14 @@ def _cmd_train(args):
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     store = _load_store(args, cfg)
-    pre, projected = _preprocessing_from_args(cfg, store)
+    pre, projected = fit_preprocessing(store, experiment_cells(cfg)[0])
 
     searched = True
     if params is None:
-        params, _, searched = _grid_search(projected, store.labels, cfg, "grid:train")
+        params, _, searched = grid_search(
+            projected, store.labels, cfg.c_grid, cfg.gamma_grid, cfg.folds,
+            harness.derive_seed(cfg.seed, "grid:train"), cfg.svm_max_iter,
+        )
         print(f"grid search selected C={params.c} gamma={params.gamma}")
     model = train_multiclass(
         projected,
@@ -255,11 +243,8 @@ def _cmd_predict(args):
         raise DataError("model carries no preprocessing; cannot derive features")
     cfg = _build_config(args)
     cfg.use_hog = model.preprocessing.fusion.hog_dim > 0
-    cfg.features = model.preprocessing.fusion.mask.label()
     store = _load_store(args, cfg)
-    fusion = model.preprocessing.fusion
-    raw, _ = raw_features(store, fusion.mask, cfg.use_hog, fusion.hog_weight)
-    labels, votes = classify(model, raw)
+    labels, votes = classify(model, raw_features(store, model.preprocessing.fusion))
     rows = [
         (store.sample_ids[i], int(store.labels[i]), int(labels[i]), int(votes[i]))
         for i in range(len(labels))
@@ -273,8 +258,11 @@ def _cmd_predict(args):
 def _cmd_grid_search(args):
     cfg = _build_config(args)
     store = _load_store(args, cfg)
-    _, projected = _preprocessing_from_args(cfg, store)
-    params, table, converged = _grid_search(projected, store.labels, cfg, "grid:cli")
+    _, projected = fit_preprocessing(store, experiment_cells(cfg)[0])
+    params, table, converged = grid_search(
+        projected, store.labels, cfg.c_grid, cfg.gamma_grid, cfg.folds,
+        harness.derive_seed(cfg.seed, "grid:cli"), cfg.svm_max_iter,
+    )
     if args.out:
         write_cv_table_csv(table, args.out)
         print(f"cv table -> {args.out}")
@@ -284,15 +272,6 @@ def _cmd_grid_search(args):
         print("warning: some models hit the iteration budget", file=sys.stderr)
         return 3
     return 0
-
-
-def _grid_search(projected, labels, cfg, tag):
-    """`grid_search` of the rows over cfg's grids and folds, seeded by
-    `tag`, plus whether all its fits converged: (params, table, converged)."""
-    X, labels = _training_rows(projected, labels)
-    search = (0, np.arange(len(X)), harness.derive_seed(cfg.seed, tag))
-    sq = _squared_distances(X, X)
-    return _grid_searches(sq, labels, [search], cfg.c_grid, cfg.gamma_grid, cfg.folds, cfg.svm_max_iter)[0]
 
 
 def _finish_report(report, out_dir):

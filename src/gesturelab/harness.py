@@ -9,12 +9,17 @@ Reports are written as CSV (one accuracy row per repetition plus an
 aggregate, a summed confusion matrix per cell, and per-sample
 prediction logs); plotting is left to external tools.
 
+A cell's rows come from one place, `fit_preprocessing`: one
+`fuse_matrix` call over the store's tracking columns and HOG, then PCA
+fitted on the training rows when the cell has a retention.  The CLI's
+`train` and `grid-search` use it with all rows.
+
 Cells run in batches of units, each one squared-distance matrix over
 all rows of a cell, training and test: one per cell without PCA, and
 one per repetition with PCA.  A batch stacks its units' matrices, then
 runs all its grid searches and then all its final fits, each stage in
 shared lockstep calls over per-gamma kernel stacks
-(`svm._grid_searches`, `svm._final_fits`).
+(`svm._grid_searches`, `svm._train_and_vote`).
 """
 
 import hashlib
@@ -27,11 +32,11 @@ from typing import get_args, get_origin
 import numpy as np
 
 from .data import default_templates, generate_synthetic, load_dataset, split_indices
-from .errors import ConfigError, GestureLabError
-from .fusion import FusionConfig, fit_pca
+from .errors import ConfigError, DataError, GestureLabError
+from .fusion import FusionConfig, fit_pca, fuse_matrix
 from .image import ImagePipelineConfig, UndistortionMap, extract_image_features
-from .svm import STACK_ENTRIES, KernelParams, Preprocessing, _blame, _final_fits, _grid_searches
-from .svm import _slab, _squared_distances, _training_rows
+from .svm import STACK_ENTRIES, KernelParams, Preprocessing, _blame, _grid_searches
+from .svm import _slab, _squared_distances, _train_and_vote, _training_rows
 from .tracking import FULL_MASK, FeatureMask, extract_tracking_features
 
 def derive_seed(master_seed, tag):
@@ -245,12 +250,15 @@ def load_samples(cfg):
 
 @dataclass(frozen=True)
 class CellSpec:
-    """One experiment cell: feature mask, HOG usage, weight, retention."""
+    """One experiment cell: feature mask, HOG weight (None: no HOG), retention."""
 
     mask: FeatureMask
-    use_hog: bool
     k: float | None = None
     retention: object = None
+
+    @property
+    def use_hog(self):
+        return self.k is not None
 
     def label(self):
         base = self.mask.label()
@@ -305,56 +313,49 @@ class Report:
         ]
 
 
-def raw_features(store, mask, use_hog, k):
-    """Unweighted [tracking[mask], hog] rows of a store and their layout.
+def _store_hog(store):
+    """The store's HOG rows; DataError if it was extracted without HOG."""
+    if store.hog is None:
+        raise DataError("HOG features are asked for, but the feature store has none")
+    return store.hog
 
-    The returned FusionConfig weights the HOG segment by `k` when HOG is
-    used; Preprocessing.apply turns the raw rows into fused ones.
+
+def raw_features(store, fusion):
+    """Unweighted [tracking[mask], hog] rows of a store: the raw input of a
+    model whose preprocessing has the layout `fusion`."""
+    tracking = store.tracking[:, fusion.mask.column_indices()]
+    return np.hstack([tracking, _store_hog(store)]) if fusion.hog_dim else tracking
+
+
+def fit_preprocessing(store, cell, train=slice(None)):
+    """The cell's preprocessing, fitted on the store rows `train` (all of
+    them by default), and every store row passed through it.
+
+    One fuse_matrix call weights the store's HOG by the cell's K next to
+    its tracking columns; a cell with K on a store without HOG raises
+    DataError.  With a retention, PCA is fitted on the fused `train` rows:
+    an int is a component count, a float a retained-variance fraction.
     """
-    tracking = store.tracking[:, mask.column_indices()]
-    hog = store.hog if use_hog else None
+    hog = _store_hog(store) if cell.use_hog else np.empty((len(store.labels), 0))
     fusion = FusionConfig(
-        mask=mask,
-        hog_weight=float(k) if use_hog else 1.0,
-        hog_dim=0 if hog is None else hog.shape[1],
+        mask=cell.mask, hog_weight=float(cell.k) if cell.use_hog else 1.0, hog_dim=hog.shape[1]
     )
-    raw = tracking if hog is None else np.hstack([tracking, hog])
-    return raw, fusion
-
-
-def fit_preprocessing(raw, fusion, retention):
-    """Preprocessing fitted on the raw training rows `raw`.
-
-    `retention` is None (no PCA), an int component count or a float
-    retained-variance fraction; PCA is fitted on the weighted rows.
-    Returns (pre, rows): the preprocessing and `raw` passed through it,
-    the same values pre.apply(raw) gives, computed once.
-    """
+    fused = fuse_matrix(store.tracking[:, cell.mask.column_indices()], hog, fusion)
     pre = Preprocessing(fusion=fusion)
-    weighted = pre.apply(raw)
-    if retention is None:
-        return pre, weighted
-    pre.pca = _fit_pca(weighted, retention)
-    return pre, pre.pca.transform(weighted)
-
-
-def _fit_pca(weighted, retention):
-    """PCA of the weighted rows: an int retention is a component count,
-    a float a retained-variance fraction."""
-    if isinstance(retention, int) and not isinstance(retention, bool):
-        return fit_pca(weighted, n_components=retention)
-    return fit_pca(weighted, retained_fraction=float(retention))
+    if cell.retention is None:
+        return pre, fused
+    if isinstance(cell.retention, int) and not isinstance(cell.retention, bool):
+        pre.pca = fit_pca(fused[train], n_components=cell.retention)
+    else:
+        pre.pca = fit_pca(fused[train], retained_fraction=float(cell.retention))
+    return pre, pre.pca.transform(fused)
 
 
 def experiment_cells(cfg):
     """The (fusion weight x retention) cell grid an experiment will run."""
     mask = FeatureMask.parse(cfg.features)
-    cells = []
-    ks = list(cfg.k_values) if cfg.use_hog else [None]
-    for k in ks:
-        for retention in cfg.retentions:
-            cells.append(CellSpec(mask=mask, use_hog=cfg.use_hog, k=k, retention=retention))
-    return cells
+    ks = cfg.k_values if cfg.use_hog else [None]
+    return [CellSpec(mask=mask, k=k, retention=retention) for k in ks for retention in cfg.retentions]
 
 
 def _run_cells(store, cells, cfg):
@@ -380,30 +381,25 @@ def _run_cells(store, cells, cfg):
         for group in ([reps] if cell.retention is None else [[r] for r in reps])
     ]
     searches, outcomes = {}, {}  # by (cell index, repetition)
-    fused = (None, None)  # (cell index, fused rows) of the PCA cell in progress
     size = max(1, STACK_ENTRIES // n**2)  # units per batch
     for start in range(0, len(units), size):
         batch = units[start : start + size]
         try:
             # Fusing and PCA fits hold the most memory, so they run before
-            # the stack exists: first every PCA unit's fit and projection,
-            # then each unit's rows, with the stack made after the first.
+            # the stack exists: first every PCA unit's rows, each fused and
+            # fitted on its repetition's training rows, then the other
+            # units' rows one at a time, with the stack made after the first.
             projected = {}
             for u, (c, group) in enumerate(batch):
                 if cells[c].retention is not None:
                     with _blame(u):
-                        if fused[0] != c:
-                            fused = (c, None)  # the last cell's rows go before this cell's come
-                            fused = (c, _fused_rows(store, cells[c]))
-                        pca = _fit_pca(fused[1][splits[group[0]][0]], cells[c].retention)
-                        projected[u] = pca.transform(fused[1])
-            if start + size >= len(units) or units[start + size][0] != fused[0]:
-                fused = (None, None)  # no later unit needs these rows
+                        projected[u] = fit_preprocessing(store, cells[c], splits[group[0]][0])[1]
             sq = None
             for u, (c, _) in enumerate(batch):
                 with _blame(u):
-                    rows = projected.pop(u) if u in projected else _fused_rows(store, cells[c])
-                    rows, _ = _training_rows(rows, labels)
+                    if u not in projected:
+                        projected[u] = fit_preprocessing(store, cells[c])[1]
+                    rows, _ = _training_rows(projected.pop(u), labels)
                     if sq is None:
                         sq = np.empty((len(batch) * n, n))
                     _squared_distances(rows, rows, out=_slab(sq, u))
@@ -422,7 +418,7 @@ def _run_cells(store, cells, cfg):
             ], cfg.c_grid, cfg.gamma_grid, cfg.folds, cfg.svm_max_iter)
             searches.update(((c, r), result) for (_, c, r), result in zip(wanted, found))
             fits = [(u, c, r) for u, (c, group) in enumerate(batch) for r in group]
-            done = _final_fits(sq, labels, [
+            done = _train_and_vote(sq, labels, [
                 (u, *splits[r], searches[c, r if per_repetition else 0][0]) for u, c, r in fits
             ], cfg.svm_max_iter)
             outcomes.update(((c, r), outcome) for (_, c, r), outcome in zip(fits, done))
@@ -432,12 +428,6 @@ def _run_cells(store, cells, cfg):
     searched = reps if per_repetition else [0]
     return [_cell_result(store, cell, splits, [outcomes[c, r] for r in reps],
                          [searches[c, r] for r in searched]) for c, cell in enumerate(cells)]
-
-
-def _fused_rows(store, cell):
-    """All rows of the store, fused for the cell."""
-    raw, fusion_cfg = raw_features(store, cell.mask, cell.use_hog, cell.k)
-    return Preprocessing(fusion=fusion_cfg).apply(raw)
 
 
 def _cell_result(store, cell, splits, outcomes, searches):
@@ -486,10 +476,7 @@ def ablation_table(cfg, combos, store=None):
     if not combos:
         raise ConfigError("combos must be non-empty")
     store = _store_for(cfg, store)
-    cells = []
-    for combo in combos:
-        mask = combo if isinstance(combo, FeatureMask) else FeatureMask.parse(combo)
-        cells.append(CellSpec(mask=mask, use_hog=False, k=None, retention=None))
+    cells = [CellSpec(c if isinstance(c, FeatureMask) else FeatureMask.parse(c)) for c in combos]
     return Report(config=cfg, cells=_run_cells(store, cells, cfg))
 
 

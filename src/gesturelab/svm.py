@@ -19,9 +19,9 @@ Every pair of every fold and C indexes that kernel by row id, with no
 per-fold copy.  The experiment harness stacks the distance matrices of
 several units (a cell, or a PCA repetition) as one (units x n, n)
 array; all their grid searches (`_grid_searches`), then all their final
-fits (`_final_fits`), go through `_train_and_vote`, which solves the
-fits of one gamma in a few lockstep calls over one kernel stack and
-votes each from its unit's kernel.
+fits, go through `_train_and_vote`, which solves the fits of one gamma
+in a few lockstep calls over one kernel stack and votes each from its
+unit's kernel.  `grid_search` is `_grid_searches` of one unit.
 
 Prediction runs training's code on its rows as an (n, 1, d) stack, so a
 row gets the same decision values, bit for bit, alone or in a batch.
@@ -241,8 +241,11 @@ def _fit_pairs(kernel, labels, fits, max_iter):
 
 def _pair_shape(labels):
     """(pairs, width) of the one-vs-one problems over `labels`: the pair
-    count and the row count of the largest pair."""
+    count and the row count of the largest pair.  Fewer than 2 classes
+    raise SingleClassData."""
     counts = np.sort(np.unique(labels, return_counts=True)[1])
+    if len(counts) < 2:
+        raise SingleClassData(f"training needs at least 2 classes, got {len(counts)}")
     return len(counts) * (len(counts) - 1) // 2, int(counts[-2:].sum())
 
 
@@ -392,13 +395,18 @@ def _train_and_vote(sq, labels, fits, max_iter):
     with K[held][:, train] @ coef + bias, as train_multiclass and classify
     would; consecutive fits on the same unit, train and held rows share the
     gather.  Returns (predicted labels, winners' votes, every pair converged)
-    per fit, in order.
+    per fit, in order.  A fit with fewer than 2 classes raises
+    SingleClassData carrying its `unit`, before any kernel is built.
     """
+    shapes = []
+    for unit, train, _, _ in fits:
+        with _blame(unit):
+            shapes.append(_pair_shape(labels[train]))
     out = [None] * len(fits)
     for gamma in sorted({params.gamma for *_, params in fits}):
         same = [i for i, (*_, params) in enumerate(fits) if params.gamma == gamma]
         kernel = _kernel_stack(sq, {fits[i][0] for i in same}, gamma)
-        for call in _lockstep_calls([_pair_shape(labels[fits[i][1]]) for i in same]):
+        for call in _lockstep_calls([shapes[i] for i in same]):
             batch = [fits[same[i]] for i in call]
             pairs = [(unit, train, params.c) for unit, train, _, params in batch]
             solved = _fit_pairs(kernel, labels, pairs, max_iter)
@@ -422,16 +430,17 @@ def grid_search(X, labels, c_grid, gamma_grid, folds=10, seed=0, max_iter=DEFAUL
     to the smaller C, then the smaller gamma.  Classes with fewer
     samples than `folds` degrade the fold count to the smallest class
     size (leave-one-out per class) with a warning; classes with fewer
-    than 2 samples are an error.  Returns the winning params and the CV
-    table: one {"c", "gamma", "accuracy"} dict per grid point, in
-    ascending C then gamma order, with the accuracy pooled over all
-    held-out folds.  The search is `_grid_searches` of one unit, the
-    squared distances of all rows of X.
+    than 2 samples are an error, and so is a single class
+    (SingleClassData).  Returns (params, table, converged): the winning
+    params, the CV table, one {"c", "gamma", "accuracy"} dict per grid
+    point in ascending C then gamma order with the accuracy pooled over
+    all held-out folds, and whether every fit converged.  The search is
+    `_grid_searches` of one unit, the squared distances of all rows of X.
     """
     X, labels = _training_rows(X, labels)
     search = (0, np.arange(len(X)), seed)
     sq = _squared_distances(X, X)
-    return _grid_searches(sq, labels, [search], c_grid, gamma_grid, folds, max_iter)[0][:2]
+    return _grid_searches(sq, labels, [search], c_grid, gamma_grid, folds, max_iter)[0]
 
 
 def _grid_searches(sq, labels, searches, c_grid, gamma_grid, folds, max_iter):
@@ -487,17 +496,6 @@ def _grid_searches(sq, labels, searches, c_grid, gamma_grid, folds, max_iter):
     return found
 
 
-def _final_fits(sq, labels, fits, max_iter):
-    """`_train_and_vote` of final fits (unit, train, test, params); a fit
-    with fewer than 2 classes raises SingleClassData carrying its `unit`."""
-    for unit, train, _, _ in fits:
-        with _blame(unit):
-            n_classes = len(np.unique(labels[train]))
-            if n_classes < 2:
-                raise SingleClassData(f"training needs at least 2 classes, got {n_classes}")
-    return _train_and_vote(sq, labels, fits, max_iter)
-
-
 # ---------------------------------------------------------------------------
 # Serialization
 
@@ -538,8 +536,10 @@ def model_from_dict(data):
 
     `classes` must be distinct integers, at least two, and the pairs
     exactly `class_pairs(classes)`.  A missing or mistyped field, any
-    other pair list, arrays whose shapes disagree and any non-finite
-    number raise ParseError; any other version raises SchemaVersionMismatch.
+    other pair list, arrays whose shapes disagree, widths that disagree
+    (the fused layout against the PCA input, the support vectors against
+    the preprocessing's output) and any non-finite number raise
+    ParseError; any other version raises SchemaVersionMismatch.
     """
     try:
         version = data.get("version")
@@ -554,21 +554,29 @@ def model_from_dict(data):
         converged = np.array([_flag(flag) for flag in data["converged"]], dtype=bool)
         if len(set(classes)) < max(len(classes), 2) or pairs != class_pairs(classes):
             raise ValueError(f"pairs must be those of >= 2 distinct classes in order: {classes}")
-        pre = None
+        pre, width = None, 0  # width: the preprocessing's output width
         if data.get("preprocessing") is not None:
             raw = data["preprocessing"]
             pre = Preprocessing(
                 fusion=FusionConfig.from_dict(raw["fusion"]),
                 pca=None if raw.get("pca") is None else PcaModel.from_dict(raw["pca"]),
             )
+            width = pre.fusion.total_dim
+            if pre.pca is not None:
+                if pre.pca.input_dim != width:
+                    raise ValueError(f"PCA takes {pre.pca.input_dim} dims, the layout has {width}")
+                width = pre.pca.n_components
         n = len(pairs)
         if not len(vectors) and not len(coef):
             # No support vectors: JSON "[]" keeps neither the (0, d) nor the
-            # (0, pairs) shape.  d is the preprocessing's output width, or 0.
-            width = 0 if pre is None else pre.pca.n_components if pre.pca else pre.fusion.total_dim
+            # (0, pairs) shape.
             vectors, coef = np.empty((0, width)), np.empty((0, n))
         if vectors.ndim != 2 or coef.shape != (len(vectors), n):
             raise ValueError(f"{coef.shape} coefficients for {vectors.shape} vectors and {n} pairs")
+        if pre is not None and vectors.shape[1] != width:
+            raise ValueError(
+                f"support vectors have {vectors.shape[1]} dims, preprocessing gives {width}"
+            )
         if bias.shape != (n,) or converged.shape != (n,):
             raise ValueError(f"{bias.shape} biases and {converged.shape} flags for {n} pairs")
         numbers = (vectors, coef, bias, params.c, params.gamma)

@@ -90,6 +90,32 @@ def test_predict_from_dataset(tmp_path, dataset_dir):
     assert correct / len(rows) > 0.9  # training data, should be near-perfect
 
 
+def test_hog_asked_for_without_hog_features_is_a_data_error(tmp_path, dataset_dir, capsys):
+    # --use-hog is the default; features extracted with --no-hog have no
+    # HOG to fuse, so neither a model nor a CV table is written.
+    hogless, full = tmp_path / "hogless.npz", tmp_path / "full.npz"
+    assert run_cli("extract", "--manifest", dataset_dir, "--no-hog", "--out", hogless) == 0
+    commands = {
+        "train": ("--c", 10.0, "--gamma", 0.02, "--out", tmp_path / "m.json"),
+        "grid-search": ("--c-grid", 10, "--gamma-grid", 0.02, "--folds", 2,
+                        "--out", tmp_path / "cv.csv"),
+    }
+    for command, flags in commands.items():
+        capsys.readouterr()
+        assert run_cli(command, "--features-file", hogless, *flags) == 2, command
+        assert capsys.readouterr().err == (
+            "data error: HOG features are asked for, but the feature store has none\n"
+        )
+    assert not (tmp_path / "m.json").exists() and not (tmp_path / "cv.csv").exists()
+    # A fused model predicting from features without HOG fails the same way.
+    assert run_cli("extract", "--manifest", dataset_dir, "--out", full) == 0
+    assert run_cli("train", "--features-file", full, *commands["train"]) == 0
+    capsys.readouterr()
+    code = run_cli("predict", "--model", tmp_path / "m.json", "--features-file", hogless,
+                   "--out", tmp_path / "p.csv")
+    assert code == 2 and "the feature store has none" in capsys.readouterr().err
+
+
 def test_grid_search_command(tmp_path, dataset_dir):
     cv = tmp_path / "cv.csv"
     code = run_cli(

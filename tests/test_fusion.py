@@ -317,6 +317,28 @@ def test_model_rejects_non_orthonormal_pca_components(rng):
             pytest.fail(f"{name}: no ParseError")
 
 
+def test_model_rejects_widths_its_preprocessing_cannot_give(rng):
+    # The fused layout is the PCA input, and the PCA output (without PCA,
+    # the layout) is the support vectors' width.  A record that breaks
+    # either would load and fail only when it classifies.
+    raw = rng.normal(size=(20, ADT.dims() + 4))
+    labels = np.repeat([0, 1], 10)
+    plain = Preprocessing(fusion=FusionConfig(mask=ADT, hog_weight=0.5, hog_dim=4))
+    pca = Preprocessing(fusion=plain.fusion, pca=fit_pca(plain.apply(raw), n_components=3))
+    edits = [
+        (pca, lambda r: r["preprocessing"]["fusion"].update(mask="ang+dist"), "PCA takes 24 dims"),
+        (pca, lambda r: r["preprocessing"].update(pca=None), "support vectors have 3 dims"),
+        (plain, lambda r: r["preprocessing"]["fusion"].update(hog_dim=5), "preprocessing gives 25"),
+    ]
+    for pre, edit, match in edits:
+        model = train_multiclass(pre.apply(raw), labels, KernelParams(1.0, 0.1), preprocessing=pre)
+        record = model_to_dict(model)
+        assert model_from_dict(record)  # unedited, it loads
+        edit(record)
+        with pytest.raises(ParseError, match=match):
+            model_from_dict(record)
+
+
 def test_gram_route_pca_with_a_wide_spectrum_loads():
     # d > n takes the Gram route, whose components lose orthogonality as
     # the kept variances spread: here by far more than d * eps.

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gesturelab.data import split_indices
-from gesturelab.errors import ConfigError
+from gesturelab.errors import ConfigError, DataError
 from gesturelab.harness import (
     DEFAULT_ABLATION_COMBOS,
     ExperimentConfig,
@@ -16,7 +16,6 @@ from gesturelab.harness import (
     derive_seed,
     emit_report,
     experiment_cells,
-    fit_preprocessing,
     fusion_sweep,
     load_samples,
     raw_features,
@@ -24,7 +23,8 @@ from gesturelab.harness import (
     write_confusion_csv,
     write_report_csv,
 )
-from gesturelab.svm import classify, grid_search, train_multiclass
+from gesturelab.fusion import FusionConfig, fit_pca
+from gesturelab.svm import Preprocessing, classify, grid_search, train_multiclass
 from gesturelab.tracking import FeatureMask
 
 
@@ -184,7 +184,7 @@ def test_per_repetition_grid_mode(store):
 def test_pca_fitted_once_per_repetition(store, monkeypatch, grid_mode):
     from gesturelab import harness, svm
 
-    calls = {"fit_pca": 0, "fuse_matrix": 0}
+    calls = {"fit_pca": 0, "fuse_matrix": 0, "apply": 0}
 
     def counting(module, name):
         original = getattr(module, name)
@@ -196,13 +196,15 @@ def test_pca_fitted_once_per_repetition(store, monkeypatch, grid_mode):
         monkeypatch.setattr(module, name, wrapper)
 
     counting(harness, "fit_pca")
-    counting(svm, "fuse_matrix")
+    counting(harness, "fuse_matrix")
+    counting(svm.Preprocessing, "apply")
     cfg = small_config(retentions=(0.9,), repetitions=3, grid_mode=grid_mode)
     report = run_experiment(cfg, store=store)
     assert len(report.cells) == 1
     assert calls["fit_pca"] == cfg.repetitions
-    # one fusion of all rows, training and test, per cell
-    assert calls["fuse_matrix"] == 1
+    # each repetition fuses all rows, training and test, in one call, and
+    # no raw rows are joined and split again
+    assert calls["fuse_matrix"] == cfg.repetitions and calls["apply"] == 0
 
 
 def test_grid_search_fits_get_the_iteration_budget(store, monkeypatch):
@@ -228,21 +230,26 @@ def test_grid_search_fits_get_the_iteration_budget(store, monkeypatch):
 
 
 def reference_cell(store, cell, cfg):
-    """The protocol as a plain loop over repetitions: fit_preprocessing,
-    grid_search, train_multiclass and classify on each split's own rows.
-    Returns the CellResult fields it determines."""
+    """The protocol as a plain loop over repetitions: Preprocessing.apply
+    and fit_pca, grid_search, train_multiclass and classify on each
+    split's own raw rows.  Returns the CellResult fields it determines."""
     labels = store.labels
-    raw, fusion = raw_features(store, cell.mask, cell.use_hog, cell.k)
+    hog_dim = store.hog.shape[1] if cell.use_hog else 0
+    fusion = FusionConfig(cell.mask, cell.k if cell.use_hog else 1.0, hog_dim)
+    raw = raw_features(store, fusion)
     classes = [int(c) for c in np.unique(labels)]
     per_repetition = cfg.grid_mode == "per_repetition"
     accuracies, predictions, converged = [], [], True
     confusion = np.zeros((len(classes), len(classes)), dtype=int)
     for r in range(cfg.repetitions):
         train, test = split_indices(labels, cfg.train_fraction, derive_seed(cfg.seed, f"split:{r}"))
-        pre, rows = fit_preprocessing(raw[train], fusion, cell.retention)
+        pre = Preprocessing(fusion=fusion)
+        if cell.retention is not None:
+            pre.pca = fit_pca(pre.apply(raw[train]), retained_fraction=cell.retention)
+        rows = pre.apply(raw[train])
         if per_repetition or r == 0:
             tag = f"grid:{cell.tag()}:{r}" if per_repetition else f"grid:{cell.tag()}"
-            params, cv_table = grid_search(
+            params, cv_table, _ = grid_search(
                 rows, labels[train], cfg.c_grid, cfg.gamma_grid,
                 folds=cfg.folds, seed=derive_seed(cfg.seed, tag), max_iter=cfg.svm_max_iter,
             )
@@ -500,6 +507,16 @@ def test_sweep_k_zero_equals_tracking_only(store):
         assert [(sid, t, p) for sid, t, p, _ in rows_a] == [
             (sid, t, p) for sid, t, p, _ in rows_b
         ]
+
+
+def test_sweep_on_a_store_without_hog_is_a_data_error(store):
+    # A HOG-less store would otherwise give "+hog" cells of tracking rows
+    # alone, every K the same.
+    cfg = small_config(use_hog=True)
+    no_hog = replace(store, hog=None)
+    with pytest.raises(DataError, match=r"\[cell ang\+dist\+tip\+hog_K1\.0_ret.*has none"):
+        fusion_sweep(cfg, k_values=(1.0, 3.0), retentions=(None, 0.8), store=no_hog)
+    assert ablation_table(cfg, ("ang+dist+tip",), store=no_hog).cells  # tracking-only runs
 
 
 def test_retention_component_count_mode(store):

@@ -697,7 +697,7 @@ def test_multiclass_single_class_pair_reports_identity():
 
 def test_grid_search_cell_count(rng):
     X, y = make_blobs(rng, [(0.0, 0.0), (6.0, 0.0)], per_class=10)
-    params, table = grid_search(
+    params, table, _ = grid_search(
         X, y, [1.0, 10.0, 100.0, 1000.0], [1e-4, 1e-3, 1e-2, 1e-1, 1.0], folds=2, seed=3
     )
     assert len(table) == 20
@@ -706,7 +706,8 @@ def test_grid_search_cell_count(rng):
 
 def test_grid_search_single_cell(rng):
     X, y = make_blobs(rng, [(0.0, 0.0), (6.0, 0.0)], per_class=10)
-    params, table = grid_search(X, y, [7.0], [0.3], folds=2, seed=3)
+    params, table, converged = grid_search(X, y, [7.0], [0.3], folds=2, seed=3)
+    assert converged
     assert params == KernelParams(c=7.0, gamma=0.3)
     assert len(table) == 1
 
@@ -724,15 +725,15 @@ def test_grid_search_gives_every_fit_its_budget(rng, monkeypatch):
     assert len(budgets) == 2 and set(budgets) == {7}  # one lockstep call per gamma
 
 
-def test_grid_search_single_class_leaves_the_error_to_training(rng):
-    # One class has no pair to solve: every held-out row gets the only
-    # class, and the fit that follows raises the typed error.
+def test_grid_search_single_class_raises_like_training(rng):
+    # One class has no pair to solve: the search raises the typed error
+    # that train_multiclass raises, before any kernel is built.
     X, _ = make_blobs(rng, [(0.0, 0.0)], per_class=6)
     y = np.zeros(6, dtype=int)
-    params, table = grid_search(X, y, [1.0, 10.0], [0.5], folds=2, seed=3)
-    assert [row["accuracy"] for row in table] == [1.0, 1.0]
-    with pytest.raises(SingleClassData):
-        train_multiclass(X, y, params)
+    with pytest.raises(SingleClassData, match="got 1"):
+        grid_search(X, y, [1.0, 10.0], [0.5], folds=2, seed=3)
+    with pytest.raises(SingleClassData, match="got 1"):
+        train_multiclass(X, y, KernelParams(1.0, 0.5))
     empty = np.zeros((0, 0))
     result = _smo_lockstep(np.eye(2), empty.astype(np.intp), empty, 1.0, DEFAULT_TOL, 9)
     assert result.alpha.shape == (0, 0) and result.bias.shape == (0,)
@@ -740,7 +741,7 @@ def test_grid_search_single_class_leaves_the_error_to_training(rng):
 
 def test_grid_search_tie_prefers_smaller_c_then_gamma(rng):
     X, y = make_blobs(rng, [(0.0, 0.0), (10.0, 0.0)], per_class=10, spread=0.2)
-    params, table = grid_search(X, y, [10.0, 1.0], [1.0, 0.1], folds=2, seed=3)
+    params, table, _ = grid_search(X, y, [10.0, 1.0], [1.0, 0.1], folds=2, seed=3)
     assert all(row["accuracy"] == 1.0 for row in table)  # everything separates
     assert params == KernelParams(c=1.0, gamma=0.1)
 
@@ -760,7 +761,7 @@ def test_grid_search_equals_per_fold_training(rng):
 
     X, y = exact_blobs(rng, [(0.0, 0.0), (1.5, 0.0), (0.0, 1.5)], per_class=12, spread=0.7)
     c_grid, gamma_grid, folds, seed = [1.0, 100.0], [0.1, 2.0], 3, 4
-    _, table = grid_search(X, y, c_grid, gamma_grid, folds=folds, seed=seed)
+    _, table, _ = grid_search(X, y, c_grid, gamma_grid, folds=folds, seed=seed)
     fold_of = stratified_folds(y, folds, seed)
     expected = []
     for c in c_grid:
@@ -829,7 +830,7 @@ def test_grid_search_equals_per_fold_reference_loop(monkeypatch, slots):
         gamma_grid = list(rng.choice([0.1, 0.5, 2.0], size=2, replace=False))
         seed = int(rng.integers(100))
         calls.clear()
-        params, table = grid_search(X, y, c_grid, gamma_grid, folds=folds, seed=seed)
+        params, table, _ = grid_search(X, y, c_grid, gamma_grid, folds=folds, seed=seed)
         assert sum(calls) == len(c_grid) * len(gamma_grid) * folds * m * (m - 1) // 2, k
         if slots is None:
             assert len(calls) == len(gamma_grid), k  # one call per gamma
@@ -874,7 +875,7 @@ def test_grid_search_insufficient_data(rng):
 def test_grid_search_degrades_folds_with_warning(rng):
     X, y = make_blobs(rng, [(0.0, 0.0), (6.0, 0.0)], per_class=3, spread=0.2)
     with pytest.warns(UserWarning, match="reducing folds"):
-        params, table = grid_search(X, y, [1.0], [0.5], folds=10, seed=0)
+        params, table, _ = grid_search(X, y, [1.0], [0.5], folds=10, seed=0)
     assert len(table) == 1
 
 
