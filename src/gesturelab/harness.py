@@ -355,7 +355,7 @@ def experiment_cells(cfg):
     """The (fusion weight x retention) cell grid an experiment will run."""
     mask = FeatureMask.parse(cfg.features)
     ks = cfg.k_values if cfg.use_hog else [None]
-    return [CellSpec(mask=mask, k=k, retention=retention) for k in ks for retention in cfg.retentions]
+    return [CellSpec(mask=mask, k=k, retention=ret) for k in ks for ret in cfg.retentions]
 
 
 def _run_cells(store, cells, cfg):
