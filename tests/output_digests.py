@@ -15,7 +15,11 @@ wrote it, the digest of:
 - the tracking features of 20 synthetic captures at the default noise,
   20 at 40 mm / 45 degrees and hand-built frames with 0 and 1
   fingertips, and the image features of the 40 synthetic captures
-  without a map and through a barrel map with invalid corner points.
+  without a map and through a barrel map with invalid corner points;
+- the image features, without a map and through the barrel map, of
+  gray captures made from the default ones: two gray levels plus
+  seeded Gaussian noise, whole and as one odd-sized crop, so that the
+  histogram of images that are not two-valued is pinned too.
 
 `tests/test_output_digests.py` recomputes them.  A change that alters
 output bits on purpose regenerates the file with
@@ -193,6 +197,18 @@ def _hand_built_frames():
     ]
 
 
+def _gray_images(samples, seed=19, sigma=12.0):
+    """The samples' first images as gray captures: background 60, hand 170,
+    plus Gaussian noise, rounded and clipped to uint8."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for sample in samples:
+        img = sample.images[0]
+        gray = np.where(img > 0, 170.0, 60.0) + rng.normal(0.0, sigma, size=img.shape)
+        out.append(np.clip(np.rint(gray), 0, 255).astype(np.uint8))
+    return out
+
+
 def capture_digests():
     """Tracking and image features of single captures, one digest per set."""
     captures = {
@@ -200,6 +216,8 @@ def capture_digests():
         "noisy": generate_synthetic(default_templates(40.0, 45.0), subjects=1, reps=2, seed=18),
     }
     umap = _barrel_map()
+    gray = _gray_images(captures["default"])
+    grays = {"gray": gray, "gray_crop": [img[61:200, 63:180] for img in gray]}  # 139 x 117, cuts hands
     out = {}
     for name, samples in captures.items():
         out[name] = {
@@ -207,6 +225,13 @@ def capture_digests():
             "image": _sha(np.vstack([extract_image_features(s.images) for s in samples]).tobytes()),
             "image_undistorted": _sha(
                 np.vstack([extract_image_features(s.images, umap=umap) for s in samples]).tobytes()
+            ),
+        }
+    for name, images in grays.items():
+        out[name] = {
+            "image": _sha(np.vstack([extract_image_features([img]) for img in images]).tobytes()),
+            "image_undistorted": _sha(
+                np.vstack([extract_image_features([img], umap=umap) for img in images]).tobytes()
             ),
         }
     out["hand_built"] = {
