@@ -3,10 +3,15 @@
 Subcommands: synth, extract, train, predict, grid-search, ablation,
 sweep, report.  Options can come from one JSON config file (--config)
 with individual flags taking precedence.  Exit codes: 0 success,
-1 configuration error, 2 data error, 3 numerical failure.
+1 configuration error, 2 data error, 3 numerical failure.  An output
+path that cannot be written is a data error, found before any work
+when its directory is missing or it names a file where a directory
+belongs.
 """
 
 import argparse
+import contextlib
+import os
 import sys
 from dataclasses import asdict, fields
 
@@ -129,6 +134,27 @@ def _build_config(args, **defaults):
     return config_from_dict(defaults | file | flags)
 
 
+def _check_outputs(args):
+    """Refuse, before any work, a file output (--out of extract, train,
+    predict and grid-search) whose directory does not exist, and a
+    directory output (synth's --out, --out-dir) that is a file."""
+    out = getattr(args, "out", None)
+    if out is not None and not os.path.isdir(os.path.dirname(os.path.abspath(out))):
+        raise DataError(f"cannot write {out}: its directory does not exist")
+    out_dir = getattr(args, "out_dir", None)
+    if out_dir is not None and os.path.exists(out_dir) and not os.path.isdir(out_dir):
+        raise DataError(f"cannot write into {out_dir}: not a directory")
+
+
+@contextlib.contextmanager
+def _writing(path):
+    """Turn an OSError while writing the outputs at `path` into a DataError."""
+    try:
+        yield
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _load_store(args, cfg):
     features_file = getattr(args, "features_file", None)
     if features_file:
@@ -183,7 +209,8 @@ def _write_feature_store(store, path):
 
 def _cmd_synth(args):
     samples = load_samples(_build_config(args))
-    manifest = save_dataset(samples, args.out)
+    with _writing(args.out_dir):
+        manifest = save_dataset(samples, args.out_dir)
     counts = dataset_summary(samples)
     print(f"wrote {len(samples)} samples over {len(counts)} (subject, gesture) groups")
     print(f"manifest: {manifest}")
@@ -192,7 +219,8 @@ def _cmd_synth(args):
 
 def _cmd_extract(args):
     store = _load_store(args, _build_config(args))
-    _write_feature_store(store, args.out)
+    with _writing(args.out):
+        _write_feature_store(store, args.out)
     hog_dim = 0 if store.hog is None else store.hog.shape[1]
     print(
         f"extracted {len(store.labels)} samples: tracking {store.tracking.shape[1]} dims, "
@@ -226,7 +254,8 @@ def _cmd_train(args):
         max_iter=cfg.svm_max_iter,
         preprocessing=pre,
     )
-    save_model(model, args.out)
+    with _writing(args.out):
+        save_model(model, args.out)
     print(
         f"trained {model.n_pairs} pair models on {len(store.labels)} samples "
         f"({len(model.support_vectors)} support vectors) -> {args.out}"
@@ -249,7 +278,8 @@ def _cmd_predict(args):
         (store.sample_ids[i], int(store.labels[i]), int(labels[i]), int(votes[i]))
         for i in range(len(labels))
     ]
-    write_predictions_csv(rows, args.out)
+    with _writing(args.out):
+        write_predictions_csv(rows, args.out)
     accuracy = float(np.mean(labels == store.labels))
     print(f"predicted {len(labels)} samples, accuracy {accuracy:.4f} -> {args.out}")
     return 0
@@ -264,7 +294,8 @@ def _cmd_grid_search(args):
         harness.derive_seed(cfg.seed, "grid:cli"), cfg.svm_max_iter,
     )
     if args.out:
-        write_cv_table_csv(table, args.out)
+        with _writing(args.out):
+            write_cv_table_csv(table, args.out)
         print(f"cv table -> {args.out}")
     best = max(row["accuracy"] for row in table)
     print(f"best: C={params.c} gamma={params.gamma} cv-accuracy={best:.4f}")
@@ -275,7 +306,8 @@ def _cmd_grid_search(args):
 
 
 def _finish_report(report, out_dir):
-    path = emit_report(report, out_dir)
+    with _writing(out_dir):
+        path = emit_report(report, out_dir)
     for combo, k, retention, mean, std in report.aggregate_rows():
         label = f"{combo} K={harness._fmt(k)} ret={harness._fmt(retention)}"
         print(f"{label}: mean accuracy {mean:.4f} (std {std:.4f})")
@@ -317,7 +349,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset on disk")
-    p.add_argument("--out", required=True, help="output dataset directory")
+    p.add_argument("--out", dest="out_dir", required=True, help="output dataset directory")
     p.add_argument("--subjects", type=int)
     p.add_argument("--reps", type=int)
     p.add_argument("--seed", dest="data_seed", type=int)
@@ -389,6 +421,7 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_outputs(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

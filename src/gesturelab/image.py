@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, GeometryError, MapSizeMismatch, MissingFile, ParseError
+from .errors import DataError, GeometryError, MapSizeMismatch, ParseError
+from .jsonio import read_bytes
 
 MAP_MAGIC = b"LMUM"
 
@@ -35,9 +36,11 @@ MAP_MAGIC = b"LMUM"
 
 
 def read_pgm(path):
-    """Read a binary PGM (P5) file into a 2-D uint8 array."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    """Read a binary PGM (P5) file into a 2-D uint8 array.
+
+    A file that cannot be read raises as `jsonio.read_bytes` does.
+    """
+    data = read_bytes(path, "image")
     fields = []
     pos = 0
     while len(fields) < 4:
@@ -129,11 +132,7 @@ class UndistortionMap:
 
     @classmethod
     def load(cls, path):
-        try:
-            with open(path, "rb") as fh:
-                data = fh.read()
-        except FileNotFoundError as exc:
-            raise MissingFile(f"undistortion map not found: {path}") from exc
+        data = read_bytes(path, "undistortion map")
         if data[:4] != MAP_MAGIC:
             raise ParseError(f"{path}: bad undistortion map magic")
         if len(data) < 12:
@@ -262,6 +261,7 @@ def _apply_taps(img, taps):
 
 _LEVELS = np.arange(256.0)
 _LEVELS.flags.writeable = False
+_BYTE_REPEAT = np.uint64(0x0101010101010101)  # low byte * this = that byte 8 times
 
 
 def otsu_threshold(img):
@@ -270,9 +270,25 @@ def otsu_threshold(img):
     Returns the smallest t such that classifying pixels >= t as
     foreground realizes the optimal split (ties resolved to the lowest
     threshold).
+
+    The histogram is counted in 8-pixel words: a word whose 8 bytes are
+    equal (a uniform word, equal to its low byte times 0x0101010101010101
+    in either byte order) adds 8 to its value's bin, and only the bytes
+    of the other words and the n mod 8 tail pixels are counted one by
+    one.  Most words of a two-valued silhouette are uniform, and a
+    one-by-one count of them is a chain of increments to the same bin.
+    The counts are integers, so the histogram is the plain per-pixel one.
     """
     img = _as_image(img)
-    hist = np.bincount(img.ravel(), minlength=256).astype(float)
+    flat = img.ravel()
+    n_words = flat.size // 8
+    words = flat[: 8 * n_words].view(np.uint64)
+    low = words & np.uint64(0xFF)
+    uniform = words == low * _BYTE_REPEAT
+    hist = 8 * np.bincount(low[uniform].view(np.int64), minlength=256)
+    hist += np.bincount(words[~uniform].view(np.uint8), minlength=256)
+    hist += np.bincount(flat[8 * n_words :], minlength=256)
+    hist = hist.astype(float)
     weight0 = np.cumsum(hist)
     mean0 = np.cumsum(hist * _LEVELS)
     total, mean_total = weight0[-1], mean0[-1]  # integers, so any summation order is exact

@@ -14,7 +14,7 @@ import json
 
 import numpy as np
 
-from .errors import MissingFile, ParseError
+from .errors import DataError, MissingFile, ParseError
 
 
 def dumps(obj):
@@ -29,17 +29,31 @@ def dump_path(obj, path):
         fh.write(text)
 
 
+def read_bytes(path, what="file"):
+    """The bytes of the file at `path`.
+
+    A missing file raises MissingFile; any other OSError (a directory, a
+    file that may not be read) raises DataError.  `what` names the file
+    in the message.
+    """
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except FileNotFoundError as exc:
+        raise MissingFile(f"{what} not found: {path}") from exc
+    except OSError as exc:
+        raise DataError(f"cannot read {what} {path}: {exc.strerror or exc}") from exc
+
+
 def load_path(path):
     """Parse a UTF-8 JSON file.
 
-    A missing file raises MissingFile; undecodable or malformed content
-    raises ParseError.
+    A file that cannot be read raises as `read_bytes` does; undecodable
+    or malformed content raises ParseError.
     """
+    data = read_bytes(path)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError as exc:
-        raise MissingFile(f"file not found: {path}") from exc
+        return json.loads(data.decode("utf-8"))
     except ValueError as exc:  # json.JSONDecodeError or UnicodeDecodeError
         raise ParseError(f"{path}: {exc}") from exc
 

@@ -43,3 +43,19 @@ def test_tracer_sees_each_pca_fit_of_a_sweep(tmp_path):
         output = workload.run_op(state, 0)
     assert workload.check(state, 0, output).ok
     assert [span.name for span in traced.spans].count("fusion.fit_pca") == 2
+
+
+def test_tracer_sees_each_binarize_and_hog_of_recognize(tmp_path):
+    # image.binarize_s and image.hog_s are the time in these spans; a stage
+    # the pipeline reached by another name would read 0 unnoticed.
+    workload = workloads.WORKLOADS["recognize"]
+    state = workload.setup(1, str(tmp_path))
+    ops = 5
+    with tracer.Tracer() as traced:
+        start = traced.mark()
+        outputs = [workload.run_op(state, i) for i in range(ops)]
+        metrics = traced.metrics([(start, traced.mark())])
+    assert all(workload.check(state, i, output).ok for i, output in enumerate(outputs))
+    names = [span.name for span in traced.spans]
+    assert names.count("image.binarize") == names.count("image.hog") == ops
+    assert metrics["image.binarize_s"] > 0 and metrics["image.hog_s"] > 0

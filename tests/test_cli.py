@@ -463,6 +463,46 @@ def test_exit_code_data_error(tmp_path, dataset_dir):
         assert run_cli("extract", "--manifest", path, "--out", tmp_path / "f.npz") == 2, name
 
 
+# (argv, exit code, whether the command may load samples first); "{dir}" is
+# an existing directory, "{file}" an existing file, "{ds}" the dataset.
+FILE_SYSTEM_ERRORS = {
+    "extract --undistort-map dir": (
+        ["extract", "--manifest", "{ds}", "--undistort-map", "{dir}", "--out", "{tmp}/f.npz"], 2, True),
+    "extract --config dir": (["extract", "--config", "{dir}", "--out", "{tmp}/f.npz"], 1, False),
+    "predict --model dir": (
+        ["predict", "--model", "{dir}", "--manifest", "{ds}", "--out", "{tmp}/p.csv"], 2, False),
+    "train --out nodir": (
+        ["train", "--manifest", "{ds}", "--c", 1, "--gamma", 0.1, "--out", "{tmp}/nodir/m.json"],
+        2, False),
+    "extract --out nodir": (["extract", "--manifest", "{ds}", "--out", "{tmp}/nodir/f.npz"], 2, False),
+    "synth --out file": (["synth", "--out", "{file}", "--subjects", 1, "--reps", 1], 2, False),
+    "sweep --out-dir file": (["sweep", "--manifest", "{ds}", "--out-dir", "{file}"], 2, False),
+    "train --out dir": (  # the directory exists, so the write itself fails
+        ["train", "--manifest", "{ds}", "--no-hog", "--c", 1, "--gamma", 0.1, "--out", "{dir}"],
+        2, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FILE_SYSTEM_ERRORS))
+def test_file_system_errors_exit_with_typed_errors(case, tmp_path, dataset_dir, capsys, monkeypatch):
+    """A directory where a file belongs, or a missing output directory, exits
+    1 or 2 with one message, never a traceback; an output that cannot be
+    written is refused before any sample is loaded."""
+    argv, expected, loads = FILE_SYSTEM_ERRORS[case]
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("")
+    if not loads:
+        def refuse(*_):
+            raise AssertionError("samples loaded before the error was found")
+
+        monkeypatch.setattr("gesturelab.cli.load_samples", refuse)
+    paths = dict(ds=dataset_dir, tmp=tmp_path, dir=tmp_path / "dir", file=tmp_path / "file")
+    assert run_cli(*[str(a).format(**paths) for a in argv]) == expected
+    err = capsys.readouterr().err
+    assert err.startswith("config error:" if expected == 1 else "data error:"), err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
 def _feature_arrays(**changes):
     """A valid 6-sample, 2-class feature archive with `changes` applied."""
     rng = np.random.default_rng(3)

@@ -17,7 +17,8 @@ from gesturelab.data import (
     split_indices,
 )
 from gesturelab.errors import DataError, MissingFile, ParseError, SchemaVersionMismatch
-from gesturelab.jsonio import dump_path
+from gesturelab.image import UndistortionMap, read_pgm
+from gesturelab.jsonio import dump_path, load_path
 from gesturelab.tracking import FeatureMask, extract_tracking_features
 from oracles import render_loops
 
@@ -258,6 +259,15 @@ def test_missing_files_all_reported(tmp_path):
         load_dataset(path)
     assert "f0.json" in str(err.value)
     assert "i0.pgm" in str(err.value)
+
+
+@pytest.mark.parametrize("load", [read_pgm, UndistortionMap.load, load_path])
+def test_unreadable_input_paths_raise_typed_errors(load, tmp_path):
+    with pytest.raises(MissingFile):
+        load(tmp_path / "absent")
+    with pytest.raises(DataError, match="cannot read") as err:  # a directory
+        load(tmp_path)
+    assert not isinstance(err.value, MissingFile)
 
 
 def test_version_mismatch(tmp_path):

@@ -245,6 +245,49 @@ def test_otsu_matches_bruteforce(rng):
         assert otsu_threshold(img) == otsu_bruteforce(img) + 1
 
 
+def _otsu_input(shape, kind, layout, seed):
+    """An image of `shape` laid out as `layout` asks, with its pixels in a fresh array."""
+    h, w = shape
+    rng = np.random.default_rng(seed)
+    if kind == "blocky":  # runs of random length over a few values: many uniform 8-pixel words
+        values = rng.choice(256, size=rng.integers(1, 5), replace=False)
+        runs = rng.integers(1, 25, size=h * w)
+        pixels = np.repeat(rng.choice(values, size=h * w), runs)[: h * w]
+    else:
+        pixels = np.clip(np.rint(rng.normal(rng.uniform(0, 255), rng.uniform(1, 40), h * w)), 0, 255)
+    img = pixels.astype(np.uint8).reshape(h, w)
+    if layout == "strided":
+        base = np.zeros((2 * h, w + 3), np.uint8)
+        base[::2, 1 : w + 1] = img
+        view = base[::2, 1 : w + 1]
+    elif layout == "transposed":
+        view = np.ascontiguousarray(img.T).T
+    elif layout == "odd_offset":
+        buf = np.zeros(h * w + 16, np.uint8)
+        start = 1 if buf.ctypes.data % 2 == 0 else 0
+        view = buf[start : start + h * w].reshape(h, w)
+        view[...] = img
+        assert view.ctypes.data % 2 == 1
+    else:
+        view = img
+    assert np.array_equal(view, img)
+    return view
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(
+    shape=st.tuples(st.integers(1, 40), st.integers(1, 41)),
+    kind=st.sampled_from(["blocky", "gray"]),
+    layout=st.sampled_from(["contiguous", "strided", "transposed", "odd_offset"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_otsu_matches_bruteforce_on_any_layout(shape, kind, layout, seed):
+    # Shapes from 1x1 up give n < 8 and every n mod 8; blocky images hold
+    # uniform 8-pixel words, gray ones hardly any.
+    img = _otsu_input(shape, kind, layout, seed)
+    assert otsu_threshold(img) == otsu_bruteforce(img) + 1
+
+
 def test_otsu_separates_two_valued_images(rng):
     for _ in range(50):
         a, b = sorted(rng.choice(256, size=2, replace=False))
