@@ -51,9 +51,8 @@ def load_path(path):
     A file that cannot be read raises as `read_bytes` does; undecodable
     or malformed content raises ParseError.
     """
-    data = read_bytes(path)
-    try:
-        return json.loads(data.decode("utf-8"))
+    try:  # the bytes are freed before parsing, as json.load does
+        return json.loads(read_bytes(path).decode("utf-8"))
     except ValueError as exc:  # json.JSONDecodeError or UnicodeDecodeError
         raise ParseError(f"{path}: {exc}") from exc
 
