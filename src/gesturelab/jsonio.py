@@ -6,7 +6,8 @@ that reads back to the same double, so save/load round-trips are
 bit-exact, whole-number floats stay floats (``1.0``, not ``1``) and
 negative zero stays ``-0.0``.  NaN and infinity raise ValueError.
 Readers take numbers through `number`, `integer` and `numbers`, which
-refuse strings and booleans where JSON numbers belong.
+refuse strings and booleans where JSON numbers belong.  `read_bytes`
+reads any input file, JSON or not, with typed errors.
 """
 
 import itertools

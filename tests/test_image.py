@@ -246,7 +246,7 @@ def test_otsu_matches_bruteforce(rng):
 
 
 def _otsu_input(shape, kind, layout, seed):
-    """An image of `shape` laid out as `layout` asks, with its pixels in a fresh array."""
+    """An image of `shape` and `kind`, as a view laid out as `layout` names."""
     h, w = shape
     rng = np.random.default_rng(seed)
     if kind == "blocky":  # runs of random length over a few values: many uniform 8-pixel words
