@@ -10,7 +10,6 @@ belongs.
 """
 
 import argparse
-import contextlib
 import os
 import sys
 from dataclasses import asdict, fields
@@ -146,15 +145,6 @@ def _check_outputs(args):
         raise DataError(f"cannot write into {out_dir}: not a directory")
 
 
-@contextlib.contextmanager
-def _writing(path):
-    """Turn an OSError while writing the outputs at `path` into a DataError."""
-    try:
-        yield
-    except OSError as exc:
-        raise DataError(f"cannot write {path}: {exc.strerror or exc}") from exc
-
-
 def _load_store(args, cfg):
     features_file = getattr(args, "features_file", None)
     if features_file:
@@ -209,8 +199,7 @@ def _write_feature_store(store, path):
 
 def _cmd_synth(args):
     samples = load_samples(_build_config(args))
-    with _writing(args.out_dir):
-        manifest = save_dataset(samples, args.out_dir)
+    manifest = save_dataset(samples, args.out_dir)
     counts = dataset_summary(samples)
     print(f"wrote {len(samples)} samples over {len(counts)} (subject, gesture) groups")
     print(f"manifest: {manifest}")
@@ -219,8 +208,7 @@ def _cmd_synth(args):
 
 def _cmd_extract(args):
     store = _load_store(args, _build_config(args))
-    with _writing(args.out):
-        _write_feature_store(store, args.out)
+    _write_feature_store(store, args.out)
     hog_dim = 0 if store.hog is None else store.hog.shape[1]
     print(
         f"extracted {len(store.labels)} samples: tracking {store.tracking.shape[1]} dims, "
@@ -254,8 +242,7 @@ def _cmd_train(args):
         max_iter=cfg.svm_max_iter,
         preprocessing=pre,
     )
-    with _writing(args.out):
-        save_model(model, args.out)
+    save_model(model, args.out)
     print(
         f"trained {model.n_pairs} pair models on {len(store.labels)} samples "
         f"({len(model.support_vectors)} support vectors) -> {args.out}"
@@ -278,8 +265,7 @@ def _cmd_predict(args):
         (store.sample_ids[i], int(store.labels[i]), int(labels[i]), int(votes[i]))
         for i in range(len(labels))
     ]
-    with _writing(args.out):
-        write_predictions_csv(rows, args.out)
+    write_predictions_csv(rows, args.out)
     accuracy = float(np.mean(labels == store.labels))
     print(f"predicted {len(labels)} samples, accuracy {accuracy:.4f} -> {args.out}")
     return 0
@@ -294,8 +280,7 @@ def _cmd_grid_search(args):
         harness.derive_seed(cfg.seed, "grid:cli"), cfg.svm_max_iter,
     )
     if args.out:
-        with _writing(args.out):
-            write_cv_table_csv(table, args.out)
+        write_cv_table_csv(table, args.out)
         print(f"cv table -> {args.out}")
     best = max(row["accuracy"] for row in table)
     print(f"best: C={params.c} gamma={params.gamma} cv-accuracy={best:.4f}")
@@ -306,8 +291,7 @@ def _cmd_grid_search(args):
 
 
 def _finish_report(report, out_dir):
-    with _writing(out_dir):
-        path = emit_report(report, out_dir)
+    path = emit_report(report, out_dir)
     for combo, k, retention, mean, std in report.aggregate_rows():
         label = f"{combo} K={harness._fmt(k)} ret={harness._fmt(retention)}"
         print(f"{label}: mean accuracy {mean:.4f} (std {std:.4f})")
@@ -435,6 +419,9 @@ def main(argv=None):
     except GestureLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # inputs are read through typed errors, so this is an output
+        print(f"data error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
 
 
 def entry():
