@@ -277,6 +277,9 @@ def otsu_threshold(img):
     of the other words and the n mod 8 tail pixels are counted one by
     one.  Most words of a two-valued silhouette are uniform, and a
     one-by-one count of them is a chain of increments to the same bin.
+    A gray image has almost no uniform word, so there the word test and
+    the copy of the other words are extra work: its histogram is slower
+    than one per-pixel count, by about 30 us on a 240 x 240 capture.
     The counts are integers, so the histogram is the plain per-pixel one.
     """
     img = _as_image(img)
