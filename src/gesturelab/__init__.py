@@ -61,7 +61,6 @@ from .image import (
     undistort,
     write_pgm,
 )
-from .smo import smo_solve
 from .svm import (
     KernelParams,
     MulticlassSvm,

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import harness, jsonio
 from .data import NUM_GESTURES, dataset_summary, save_dataset
-from .errors import ConfigError, DataError, GestureLabError, NumericalError
+from .errors import ConfigError, DataError, GestureLabError, InsufficientData, NumericalError
 from .harness import (
     DEFAULT_ABLATION_COMBOS,
     FeatureStore,
@@ -145,6 +145,16 @@ def _check_outputs(args):
         raise DataError(f"cannot write into {out_dir}: not a directory")
 
 
+def _one_cell(cfg):
+    """The one cell that train and grid-search fit, else ConfigError."""
+    cells = experiment_cells(cfg)
+    if len(cells) > 1:
+        raise ConfigError(
+            f"train and grid-search fit one cell; the K values and retentions give {len(cells)}"
+        )
+    return cells[0]
+
+
 def _load_store(args, cfg):
     features_file = getattr(args, "features_file", None)
     if features_file:
@@ -169,6 +179,8 @@ def _read_feature_store(path):
             f"feature file {path}: tracking is {tracking.shape}, expected (n, {FULL_MASK.dims()})"
         )
     n = len(tracking)
+    if n == 0:
+        raise InsufficientData(f"feature file {path} holds no samples")
     for name, array, ndim in (("labels", labels, 1), ("sample_ids", sample_ids, 1), ("hog", hog, 2)):
         if array is not None and (array.ndim != ndim or len(array) != n):
             raise DataError(f"feature file {path}: {name} is {array.shape}, tracking has {n} rows")
@@ -219,14 +231,17 @@ def _cmd_extract(args):
 
 def _cmd_train(args):
     cfg = _build_config(args)
+    if (args.c is None) != (args.gamma is None):
+        raise ConfigError("--c and --gamma go together; without both, train grid-searches")
     params = None
-    if args.c is not None and args.gamma is not None:
+    if args.c is not None:
         try:
             params = KernelParams(c=args.c, gamma=args.gamma)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+    cell = _one_cell(cfg)
     store = _load_store(args, cfg)
-    pre, projected = fit_preprocessing(store, experiment_cells(cfg)[0])
+    pre, projected = fit_preprocessing(store, cell)
 
     searched = True
     if params is None:
@@ -273,8 +288,9 @@ def _cmd_predict(args):
 
 def _cmd_grid_search(args):
     cfg = _build_config(args)
+    cell = _one_cell(cfg)
     store = _load_store(args, cfg)
-    _, projected = fit_preprocessing(store, experiment_cells(cfg)[0])
+    _, projected = fit_preprocessing(store, cell)
     params, table, converged = grid_search(
         projected, store.labels, cfg.c_grid, cfg.gamma_grid, cfg.folds,
         harness.derive_seed(cfg.seed, "grid:cli"), cfg.svm_max_iter,
@@ -354,8 +370,8 @@ def build_parser():
     _add_override_args(p)
     p.add_argument("--features-file", help="reuse features from an extract .npz")
     _add_one_value_args(p)
-    p.add_argument("--c", type=float, help="fixed C (skips grid search with --gamma)")
-    p.add_argument("--gamma", type=float, help="fixed gamma (skips grid search with --c)")
+    p.add_argument("--c", type=float, help="fixed C, with --gamma: skips the grid search")
+    p.add_argument("--gamma", type=float, help="fixed gamma, with --c: skips the grid search")
     p.add_argument("--out", required=True, help="output model.json path")
     p.set_defaults(func=_cmd_train)
 

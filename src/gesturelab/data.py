@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jsonio
-from .errors import DataError, MissingFile, ParseError, SchemaVersionMismatch
+from .errors import DataError, InsufficientData, MissingFile, ParseError, SchemaVersionMismatch
 from .geometry import random_rotation
 from .image import read_pgm, write_pgm
 from .tracking import HandFrame, load_frame, save_frame
@@ -281,7 +281,8 @@ def load_dataset(manifest_path):
     """Load every sample referenced by a manifest.
 
     Any missing referenced file is a hard error naming every missing
-    path.  Samples come back sorted by (subject, gesture, repetition).
+    path, and a manifest with no samples raises InsufficientData.
+    Samples come back sorted by (subject, gesture, repetition).
     """
     if os.path.isdir(manifest_path):
         manifest_path = os.path.join(manifest_path, MANIFEST_NAME)
@@ -294,6 +295,8 @@ def load_dataset(manifest_path):
         )
 
     records = _manifest_records(manifest["samples"], manifest_path)
+    if not records:
+        raise InsufficientData(f"{manifest_path}: the manifest lists no samples")
     base = os.path.dirname(os.path.abspath(manifest_path))
     missing = [
         rel

@@ -15,15 +15,19 @@ bias and feasibility checks), is one set of array operations over every
 problem, with the kernel rows gathered from the stack.  A problem that
 stops stays frozen in the state until half of them have stopped, so the
 state is compacted a few times per call, not at every stop.  Each
-problem gets exactly the steps and result it would get alone;
-`smo_solve` runs the same code on a single problem.
+problem gets exactly the steps and result it would get alone.
+
+Every kernel must have a diagonal of exactly 1, as the RBF training
+kernels of `svm._training_kernel` do: the curvature K_ii + K_tt - 2 K_it
+of the working-set selection is computed as 2 - 2 K_it, and the
+diagonal is never read.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DimensionMismatch, InsufficientData, NumericalError
+from .errors import NumericalError
 
 DEFAULT_TOL = 1e-3
 DEFAULT_MAX_ITER = 1_000_000
@@ -33,7 +37,7 @@ EQUALITY_RTOL = 1e-12
 
 @dataclass
 class SmoResult:
-    """One problem's solution; from `_smo_lockstep`, every field has a leading problem axis."""
+    """The solutions of `_smo_lockstep`'s problems; every field has a leading problem axis."""
 
     alpha: np.ndarray
     bias: float
@@ -41,36 +45,6 @@ class SmoResult:
     iterations: int
     # Final KKT violation max(v | up) - min(v | low), 0 if either set is empty.
     gap: float
-
-
-def smo_solve(kernel, y, c, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
-    """Solve the SVM dual for labels y in {-1, +1}.
-
-    `kernel` is the dense (n, n) training kernel matrix, as LIBSVM's
-    precomputed-kernel mode takes it, solved by `_smo_lockstep` as a set
-    of one.  Returns multipliers, the bias (averaged over free support
-    vectors, or the midpoint of the feasible interval if none are free),
-    a convergence flag, the update count and the final gap.  Bad
-    arguments raise typed errors; a non-finite kernel raises
-    NumericalError before any update, as does a non-finite or infeasible
-    result.
-    """
-    y = np.asarray(y, dtype=float)
-    n = y.size
-    kernel = np.asarray(kernel, dtype=float)
-    if y.ndim != 1 or kernel.shape != (n, n):
-        raise DimensionMismatch(f"kernel is {kernel.shape}, labels {y.shape} need ({n}, {n})")
-    if n == 0:
-        raise InsufficientData("SMO needs at least one row")
-    if not np.isin(y, (-1.0, 1.0)).all():
-        raise DataError("SMO labels must all be -1 or +1")
-    if not (np.isfinite(c) and c > 0):
-        raise ConfigError(f"c must be finite and > 0, got {c!r}")
-    if not np.isfinite(kernel).all():
-        raise NumericalError("SMO kernel holds a non-finite value")
-    result = _smo_lockstep(kernel, np.arange(n)[None], y[None], c, tol, max_iter)
-    fields = (result.bias, result.converged, result.iterations, result.gap)
-    return SmoResult(result.alpha[0], *(x[0].item() for x in fields))
 
 
 def _smo_lockstep(kernel, index, labels, c, tol, max_iter):
@@ -81,12 +55,14 @@ def _smo_lockstep(kernel, index, labels, c, tol, max_iter):
     the rows `index[p]` of `kernel`, all in one kernel u, whose columns
     are `index[p] % n`, with the labels `labels[p]` in {-1, +1} and the
     box bound `c`, a scalar or one C per problem; slots labelled 0 are
-    padding, and index a row of the same kernel (its diagonal is read).
-    With v = -y * gradient, each update picks its pair by second-order
-    working set selection (Fan, Chen & Lin, JMLR 6, 2005; LIBSVM's
-    default): i maximises v over the rows whose alpha may move up along
-    y, and j is the row t that may move down with b_t = v_i - v_t > 0
-    maximising b_t^2 / a_t, where a_t = max(K_ii + K_tt - 2 K_it, 1e-12);
+    padding, and index a row of the same kernel.  Every kernel's
+    diagonal must be exactly 1, as `svm._training_kernel` sets it; it is
+    not checked.  With v = -y * gradient, each update picks its pair by
+    second-order working set selection (Fan, Chen & Lin, JMLR 6, 2005;
+    LIBSVM's default): i maximises v over the rows whose alpha may move
+    up along y, and j is the row t that may move down with
+    b_t = v_i - v_t > 0 maximising b_t^2 / a_t, where
+    a_t = max(K_ii + K_tt - 2 K_it, 1e-12) = max(2 - 2 K_it, 1e-12);
     ties go to the first row.  The step b_j / a_j is capped at the box.
     A problem stops when its KKT violation gap max(v | up) - min(v | low)
     drops to `tol` or the iteration budget is spent; its state is then
@@ -94,8 +70,8 @@ def _smo_lockstep(kernel, index, labels, c, tol, max_iter):
     frozen by a zero step (alpha and v are never -0.0, so adding a signed
     zero leaves them bit-identical), until at most half the rows are
     live; only then is the state compacted to the live rows.  The state
-    is one (6, problems, width) array of y, diag, alpha, v and the
-    up/low penalties.
+    is one (5, problems, width) array of y, alpha, v and the up/low
+    penalties.
 
     Each iteration gathers kernel rows i and j of every active problem
     from `kernel`, so no per-problem block is built.  Padded slots are in
@@ -116,7 +92,7 @@ def _smo_lockstep(kernel, index, labels, c, tol, max_iter):
     # and the negatives down.  Only slots i and j change per update.
     blocked = -np.inf
     state = np.stack((
-        labels, kernel.take(index * n + cols), np.zeros_like(labels), labels,
+        labels, np.zeros_like(labels), labels,
         np.where(labels > 0, 0.0, blocked), np.where(labels < 0, 0.0, blocked),
     ))
     penalty = np.array([blocked, 0.0])  # indexed by set membership
@@ -128,7 +104,7 @@ def _smo_lockstep(kernel, index, labels, c, tol, max_iter):
     live = np.arange(len(labels))  # the problem of each state row
     iterations = 0
     while len(live):
-        y, diag, alpha, v, up, low = state  # views: updates write the state
+        y, alpha, v, up, low = state  # views: updates write the state
         # take/put index the flattened state: row k starts at k * width.
         m, width = y.shape
         base = np.arange(m) * width
@@ -147,15 +123,15 @@ def _smo_lockstep(kernel, index, labels, c, tol, max_iter):
             done = b.take(base + b.argmax(axis=1)) <= tol
             done &= ~stopped
             if done.any():
-                final[:, live[done]] = state[2:, done]
+                final[:, live[done]] = state[1:, done]
                 converged[live[done]], steps[live[done]] = True, iterations
                 stopped |= done
                 if 2 * stopped.sum() >= m:
                     break
             # Curvatures a_it of row i against every slot.
             kernel_i = kernel.take(cols + (n * index.take(fi))[:, None])
-            curv = diag.take(fi)[:, None] + diag
-            curv -= 2.0 * kernel_i
+            curv = np.multiply(kernel_i, -2.0)
+            curv += 2.0
             np.maximum(curv, 1e-12, out=curv)
             # Clipped at 0, slots off the low set or with b <= 0 score 0,
             # below every candidate.
@@ -187,7 +163,7 @@ def _smo_lockstep(kernel, index, labels, c, tol, max_iter):
             iterations += 1
 
         if iterations >= max_iter:  # the budget stops every live problem
-            final[:, live[~stopped]] = state[2:, ~stopped]
+            final[:, live[~stopped]] = state[1:, ~stopped]
             steps[live[~stopped]] = iterations
             break
         state, live = state[:, ~stopped], live[~stopped]

@@ -40,7 +40,7 @@ from .data import stratified_folds
 from .errors import DataError, DimensionMismatch, GestureLabError, InsufficientData, NumericalError
 from .errors import ParseError, SchemaVersionMismatch, SingleClassData
 from .fusion import FusionConfig, PcaModel, fuse_matrix
-from .smo import DEFAULT_MAX_ITER, DEFAULT_TOL, _smo_lockstep, smo_solve  # noqa: F401  (API)
+from .smo import DEFAULT_MAX_ITER, DEFAULT_TOL, _smo_lockstep
 
 SV_EPS = 1e-8
 # Largest lockstep call of a grid search, in padded slots (pairs x width):

@@ -7,6 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
 
 from gesturelab.geometry import rotation_matrix
+from gesturelab.smo import DEFAULT_MAX_ITER, DEFAULT_TOL, SmoResult, _smo_lockstep
 from gesturelab.tracking import HandFrame
 
 
@@ -35,6 +36,15 @@ def make_random_frame(rng, n_tips=5, with_middle=True):
         fingertips=np.array(tips).reshape(n_tips, 3),
         middle_index=middle,
     )
+
+
+def solve_one(kernel, y, c, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+    """The SVM dual over all rows of one unit-diagonal kernel, solved by
+    `_smo_lockstep` as a set of one: its result with the problem axis dropped."""
+    y = np.asarray(y, dtype=float)
+    result = _smo_lockstep(kernel, np.arange(len(y))[None], y[None], c, tol, max_iter)
+    fields = (result.bias, result.converged, result.iterations, result.gap)
+    return SmoResult(result.alpha[0], *(x[0].item() for x in fields))
 
 
 @pytest.fixture

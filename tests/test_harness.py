@@ -391,6 +391,28 @@ def test_experiment_makes_one_lockstep_call_per_stage(store, monkeypatch):
     assert calls[:2] == [45 * 9, 45 * 9] and sum(calls[2:]) == 45 * 3
 
 
+def test_every_solved_kernel_has_a_unit_diagonal(store, monkeypatch):
+    # _smo_lockstep takes K_ii + K_tt - 2 K_it as 2 - 2 K_it, so every row a
+    # problem addresses must have a diagonal entry of exactly 1.0 in its
+    # unit's kernel: in a train_multiclass, a grid_search, and an
+    # experiment whose PCA and non-PCA units share one kernel stack.
+    from gesturelab import svm
+
+    calls, solve = [], svm._smo_lockstep
+
+    def checked(kernel, index, *args):
+        n = kernel.shape[1]
+        calls.append((len(kernel) // n, np.unique(kernel.take(index * n + index % n))))
+        return solve(kernel, index, *args)
+
+    monkeypatch.setattr(svm, "_smo_lockstep", checked)
+    train_multiclass(store.tracking, store.labels, svm.KernelParams(10.0, 0.5))
+    grid_search(store.tracking, store.labels, [1.0, 100.0], [0.1, 0.5], folds=3, seed=2)
+    run_experiment(small_config(use_hog=True, retentions=(0.9, None)), store=store)
+    assert len(calls) == 1 + 2 + 2 and max(units for units, _ in calls) == 3
+    assert all(diagonal.tolist() == [1.0] for _, diagonal in calls)
+
+
 def test_splits_computed_once_per_experiment(store, monkeypatch):
     from gesturelab import harness
 

@@ -7,10 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import gesturelab.smo
 import gesturelab.svm
 from gesturelab.errors import (
-    ConfigError,
     DataError,
     DimensionMismatch,
     InsufficientData,
@@ -38,10 +36,10 @@ from gesturelab.svm import (
     model_to_dict,
     rbf_kernel_matrix,
     save_model,
-    smo_solve,
     train_multiclass,
 )
 from gesturelab.tracking import FeatureMask
+from conftest import solve_one
 from oracles import (
     dual_objective,
     jacobi_eigh,
@@ -68,14 +66,14 @@ def pair_values(model, X):
 
 
 def solve_binary(X, y, c, gamma, tol):
-    """smo_solve on the training kernel of X, as one pair of train_multiclass
+    """solve_one on the training kernel of X, as one pair of train_multiclass
     solves it.  Returns (coef, bias): alpha_i * y_i of the support vectors
     (alpha > SV_EPS), zero elsewhere; decisions are
     rbf_kernel_matrix(rows, X, gamma) @ coef + bias."""
     y = np.asarray(y, dtype=float)
     K = rbf_kernel_matrix(X, X, gamma)
     np.fill_diagonal(K, 1.0)
-    result = smo_solve(K, y, c, tol=tol)
+    result = solve_one(K, y, c, tol=tol)
     return np.where(result.alpha > SV_EPS, result.alpha * y, 0.0), result.bias
 
 
@@ -171,7 +169,8 @@ def test_smo_matches_projected_gradient_oracle(rng):
         c = float(rng.uniform(0.5, 10.0))
         gamma = float(rng.uniform(0.1, 2.0))
         K = rbf_kernel_matrix(X, X, gamma)
-        result = smo_solve(K, y, c, tol=1e-6)
+        np.fill_diagonal(K, 1.0)
+        result = solve_one(K, y, c, tol=1e-6)
         alpha_pg = svm_dual_solve_pg(K, y, c)
         assert result.alpha.min() >= 0.0
         assert result.alpha.max() <= c + 1e-8
@@ -181,46 +180,20 @@ def test_smo_matches_projected_gradient_oracle(rng):
         assert abs(smo_obj - pg_obj) < 1e-4
 
 
-def test_smo_rejects_non_finite_kernel():
-    y = np.array([1.0, -1.0, 1.0, -1.0])
-    with pytest.raises(NumericalError):
-        smo_solve(np.full((4, 4), np.nan), y, 1.0, max_iter=5)
-    with pytest.raises(DimensionMismatch):
-        smo_solve(np.eye(3), y, 1.0)
-
-
 def test_non_finite_kernel_fails_before_any_update(monkeypatch, rng):
     # With the default budget a NaN kernel used to run 1,000,000 updates
     # before the epilogue caught it; now no solve may start.
     def no_solve(*args):
         raise AssertionError("SMO ran on a non-finite kernel")
 
-    monkeypatch.setattr(gesturelab.smo, "_smo_lockstep", no_solve)
     monkeypatch.setattr(gesturelab.svm, "_smo_lockstep", no_solve)
-    y = np.array([1.0, -1.0, 1.0, -1.0])
     for bad in (np.nan, np.inf):
-        K = np.eye(4)
-        K[1, 2] = bad
-        with pytest.raises(NumericalError):
-            smo_solve(K, y, 1.0)
         X, labels = make_blobs(rng, [(0.0, 0.0), (3.0, 0.0)], per_class=6)
         X[4, 1] = bad
         with pytest.raises(NumericalError):
             train_multiclass(X, labels, KernelParams(1.0, 1.0))
         with pytest.raises(NumericalError):
             grid_search(X, labels, [1.0, 10.0], [0.1, 1.0], folds=2, seed=0)
-
-
-def test_smo_solve_rejects_bad_arguments():
-    y = np.array([1.0, -1.0])
-    for c in (np.nan, np.inf, 0.0, -1.0):
-        with pytest.raises(ConfigError):
-            smo_solve(np.eye(2), y, c)
-    for labels in ([2.0, -3.0], [1.0, 0.0], [1.0, np.nan]):
-        with pytest.raises(DataError):
-            smo_solve(np.eye(2), labels, 1.0)
-    with pytest.raises(InsufficientData):
-        smo_solve(np.zeros((0, 0)), [], 1.0)
 
 
 def seeded_smo_problems():
@@ -243,7 +216,7 @@ def test_smo_iterates_equal_reference_loop():
     # Unconverged iterates are compared too.
     at_bound = unconverged = 0
     for k, K, y, c, max_iter in seeded_smo_problems():
-        result = smo_solve(K, y, c, max_iter=max_iter)
+        result = solve_one(K, y, c, max_iter=max_iter)
         alpha, bias, converged, iterations = smo_reference(K, y, c, 1e-3, max_iter)
         assert result.alpha.tobytes() == alpha.tobytes(), k
         assert (result.bias, result.converged, result.iterations) == (bias, converged, iterations), k
@@ -258,7 +231,7 @@ def test_smo_gap_is_final_kkt_violation():
     # terms no larger than C over n rows and at most 20 n updates, so they
     # may differ by a few thousand ulps of C * n: allowed 1e-12 * C * n.
     for k, K, y, c, max_iter in seeded_smo_problems():
-        result = smo_solve(K, y, c, max_iter=max_iter)
+        result = solve_one(K, y, c, max_iter=max_iter)
         alpha, pos = result.alpha, y > 0
         v = y - K @ (alpha * y)
         up = (pos & (alpha < c)) | (~pos & (alpha > 0.0))
@@ -375,7 +348,7 @@ def test_lockstep_mixed_c_equals_reference_per_problem():
 def test_lockstep_raises_when_one_problem_is_infeasible():
     # The batched epilogue checks every problem: only the third, whose
     # kernel block holds NaN, fails, and the narrower ones (padded) pass.
-    K = np.eye(9) + 0.1
+    K = 0.9 * np.eye(9) + 0.1
     rows = [np.arange(0, 2), np.arange(2, 5), np.arange(5, 9)]
     signs = [np.array([1.0, -1.0]), np.array([1.0, -1.0, 1.0]), np.array([1.0, 1.0, -1.0, -1.0])]
     result = _smo_lockstep(K, *padded(rows, signs), 1.0, DEFAULT_TOL, 50)
@@ -461,8 +434,9 @@ def test_distance_and_kernel_slabs_equal_fresh_matrices(rng):
 
 def test_smo_curvature_edge_cases_match_projected_gradient_oracle(rng):
     # Rows duplicated with opposite labels have a = K_ii + K_tt - 2 K_it = 0,
-    # clamped to 1e-12; a linear kernel plus a constant has a diagonal other
-    # than 1.  15 problems of each.
+    # clamped to 1e-12, in an RBF kernel; a cosine-normalised linear kernel
+    # plus a constant, L / sqrt(diag L diag L'), is a unit-diagonal kernel
+    # that is not RBF.  15 problems of each.
     for trial in range(30):
         n = int(rng.integers(4, 13))
         X = rng.normal(size=(n, int(rng.integers(1, 5))))
@@ -470,11 +444,12 @@ def test_smo_curvature_edge_cases_match_projected_gradient_oracle(rng):
         if trial % 2 == 0:
             X[1] = X[0]
             K = rbf_kernel_matrix(X, X, float(rng.uniform(0.1, 2.0)))
-            np.fill_diagonal(K, 1.0)
         else:
-            K = X @ X.T + 0.5
+            L = X @ X.T + 0.5
+            K = L / np.sqrt(np.outer(np.diag(L), np.diag(L)))
+        np.fill_diagonal(K, 1.0)
         c = float(rng.uniform(0.5, 10.0))
-        result = smo_solve(K, y, c, tol=1e-6)
+        result = solve_one(K, y, c, tol=1e-6)
         assert result.converged, trial
         alpha_pg = svm_dual_solve_pg(K, y, c)
         gap = abs(dual_objective(K, y, result.alpha) - dual_objective(K, y, alpha_pg))
