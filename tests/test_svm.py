@@ -180,6 +180,19 @@ def test_smo_matches_projected_gradient_oracle(rng):
         assert abs(smo_obj - pg_obj) < 1e-4
 
 
+def test_smo_rejects_non_finite_kernel(rng):
+    # The lockstep solver's own epilogue refuses a NaN kernel that reaches
+    # it, and the training route refuses rows that do not match the labels.
+    y = np.array([1.0, -1.0, 1.0, -1.0])
+    K = np.full((4, 4), np.nan)
+    np.fill_diagonal(K, 1.0)
+    with pytest.raises(NumericalError):
+        solve_one(K, y, 1.0, max_iter=5)
+    X, labels = make_blobs(rng, [(0.0, 0.0), (3.0, 0.0)], per_class=2)
+    with pytest.raises(DimensionMismatch):
+        train_multiclass(X[:3], labels, KernelParams(1.0, 0.5))
+
+
 def test_non_finite_kernel_fails_before_any_update(monkeypatch, rng):
     # With the default budget a NaN kernel used to run 1,000,000 updates
     # before the epilogue caught it; now no solve may start.
