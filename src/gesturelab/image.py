@@ -10,9 +10,13 @@ Raw sensor images suffer barrel distortion; a device-provided
 calibration grid maps output pixels to normalized source coordinates
 and is applied with bilinear interpolation.  Work that depends only on
 shapes is cached as read-only arrays: the undistortion taps (source
-indices and weights) per (map contents, output size, source shape),
+indices and weights) and the source rows and columns that each output
+row and column reads per (map contents, output size, source shape),
 the resize taps per axis length pair and the HOG layout per image size
-and parameters.  The descriptor is a
+and parameters.  Undistortion samples only the output window that can
+read the source's nonzero box, so its cost follows the hand's footprint
+on a silhouette; a gray capture, nonzero on every border, takes the
+full-frame path.  The descriptor is a
 histogram of oriented gradients: unsigned orientations over [0, 180)
 with linear vote interpolation between adjacent bins, per-cell
 histograms, and L2-Hys normalization over sliding blocks, all blocks
@@ -141,6 +145,8 @@ class UndistortionMap:
         expected = 12 + gw * gh * 8
         if len(data) < expected:
             raise ParseError(f"{path}: truncated undistortion map")
+        if len(data) > expected:
+            raise ParseError(f"{path}: {len(data) - expected} bytes after the undistortion map")
         flat = np.frombuffer(data, dtype="<f4", count=gw * gh * 2, offset=12)
         try:
             return cls(flat.astype(float).reshape(gh, gw, 2))
@@ -162,6 +168,14 @@ def undistort(raw, umap, out_size):
     sampled there.  Output pixels whose grid neighborhood contains an
     invalid sample are 0.  The sampling taps are built once per (map
     contents, output size, source shape) and reused for every image.
+
+    Only the output window whose rows and columns can read a pixel of
+    the source's nonzero bounding box is sampled; every other pixel
+    reads 0 with finite weights >= 0, which is +0.0, so the bytes are
+    those of sampling the whole frame.  The cost follows the source's
+    nonzero box.  A source with a nonzero pixel on each of its borders,
+    such as a gray capture, has the whole frame as its box and takes
+    the full-frame path without the box scan.
     """
     raw = _as_image(raw)
     out_w, out_h = out_size
@@ -173,15 +187,37 @@ def undistort(raw, umap, out_size):
             f"map grid {gw}x{gh} cannot cover a {out_w}x{out_h} output"
         )
     samples = np.ascontiguousarray(umap.samples, dtype=float)
-    taps = _undistort_taps(samples.tobytes(), samples.shape, (out_w, out_h), raw.shape)
-    out = _apply_taps(raw, taps)
-    return np.rint(out, out=out).astype(np.uint8)
+    taps, row_band, col_band = _undistort_taps(
+        samples.tobytes(), samples.shape, (out_w, out_h), raw.shape
+    )
+    # A nonzero pixel on each border makes the box the whole frame.
+    borders = (raw[0], raw[-1], raw[:, 0], raw[:, -1])
+    if all(np.count_nonzero(border) for border in borders):
+        out = _apply_taps(raw, taps)
+        return np.rint(out, out=out).astype(np.uint8)
+    out = np.zeros((out_h, out_w), dtype=np.uint8)
+    box = _nonzero_box(raw)
+    if box is None:
+        return out
+    top, bottom, left, right = box
+    rows = np.flatnonzero((row_band[0] < bottom) & (row_band[1] >= top))
+    cols = np.flatnonzero((col_band[0] < right) & (col_band[1] >= left))
+    if not rows.size or not cols.size:
+        return out
+    window = np.s_[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
+    values = _apply_taps(raw, [[tap[window] for tap in group] for group in taps])
+    out[window] = np.rint(values, out=values)
+    return out
 
 
 @functools.lru_cache(maxsize=4)
 def _undistort_taps(sample_bytes, grid_shape, out_size, src_shape):
-    """Source taps of `undistort`, keyed by map content.  The y weights
-    of pixels in an invalid grid cell are 0, so those pixels come out 0."""
+    """Source taps of `undistort`, keyed by map content, and its row and
+    column bands.  The y weights of pixels in an invalid grid cell are 0,
+    so those pixels come out 0.  The row band holds, per output row, the
+    lowest and the highest source row that its valid pixels read, and
+    (src_h, -1) when it has none; the column band the same per output
+    column over source columns."""
     samples = np.frombuffer(sample_bytes).reshape(grid_shape)
     gh, gw = grid_shape[:2]
     out_w, out_h = out_size
@@ -201,11 +237,25 @@ def _undistort_taps(sample_bytes, grid_shape, out_size, src_shape):
     ys = _apply_taps(samples[..., 1], grid_taps) * (src_h - 1)
     del grid_taps  # frees its full-size index arrays before the source taps are built
     corners, fx, fy = _bilinear_taps(src_shape, xs, ys)
+    del xs, ys
     for weight in fy:
         weight[invalid] = 0.0
-    for tap in (*corners, *fx, *fy):
+    # Corner 00 is the lowest source row and column a pixel reads, 11 the
+    # highest.  Flat index // src_w is the row, and it keeps the order of
+    # the flat indices, so the row band reduces the flat indices.
+    valid = ~invalid
+    top, bottom = corners[0], corners[3]
+    row_band = np.stack([
+        np.min(top, axis=1, where=valid, initial=src_h * src_w) // src_w,
+        np.max(bottom, axis=1, where=valid, initial=-1) // src_w,
+    ])
+    col_band = np.stack([
+        np.min(top % src_w, axis=0, where=valid, initial=src_w),
+        np.max(bottom % src_w, axis=0, where=valid, initial=-1),
+    ])
+    for tap in (*corners, *fx, *fy, row_band, col_band):
         tap.flags.writeable = False
-    return corners, fx, fy
+    return (corners, fx, fy), row_band, col_band
 
 
 def _axis_taps(n, coords):
@@ -323,18 +373,28 @@ def crop_to_foreground(img, margin=0):
     img = _as_image(img)
     if margin < 0:
         raise ValueError("margin must be >= 0")
+    box = _nonzero_box(img)
+    if box is None:
+        return img
+    top, bottom, left, right = box
+    r0 = max(top - margin, 0)
+    r1 = min(bottom + margin, img.shape[0])
+    c0 = max(left - margin, 0)
+    c1 = min(right + margin, img.shape[1])
+    return img[r0:r1, c0:c1].copy()
+
+
+def _nonzero_box(img):
+    """(top, bottom, left, right) of the nonzero pixels of `img`, as
+    slice bounds (bottom and right exclusive), or None when all are 0."""
     # A row's bitwise OR is nonzero where the row holds a nonzero pixel;
     # only the rows between the first and the last such row can hold one.
     rows = np.flatnonzero(np.bitwise_or.reduce(img, axis=1))
     if rows.size == 0:
-        return img
-    top, bottom = rows[0], rows[-1]
-    cols = np.flatnonzero(img[top : bottom + 1].any(axis=0))
-    r0 = max(top - margin, 0)
-    r1 = min(bottom + margin + 1, img.shape[0])
-    c0 = max(cols[0] - margin, 0)
-    c1 = min(cols[-1] + margin + 1, img.shape[1])
-    return img[r0:r1, c0:c1].copy()
+        return None
+    top, bottom = rows[0], rows[-1] + 1
+    cols = np.flatnonzero(np.bitwise_or.reduce(img[top:bottom], axis=0))
+    return top, bottom, cols[0], cols[-1] + 1
 
 
 def resize_bilinear(img, out_size):

@@ -59,3 +59,18 @@ def test_tracer_sees_each_binarize_and_hog_of_recognize(tmp_path):
     names = [span.name for span in traced.spans]
     assert names.count("image.binarize") == names.count("image.hog") == ops
     assert metrics["image.binarize_s"] > 0 and metrics["image.hog_s"] > 0
+
+
+def test_tracer_sees_each_undistort_of_extract(tmp_path):
+    # image.undistort_s is the time in these spans; undistortion work moved
+    # behind another name would read 0 unnoticed.  One extract operation
+    # undistorts the first image of each of its 40 samples.
+    workload = workloads.WORKLOADS["extract"]
+    state = workload.setup(1, str(tmp_path))
+    with tracer.Tracer() as traced:
+        start = traced.mark()
+        output = workload.run_op(state, 0)
+        metrics = traced.metrics([(start, traced.mark())])
+    assert workload.check(state, 0, output).ok
+    assert [span.name for span in traced.spans].count("image.undistort") == len(state["samples"]) == 40
+    assert metrics["image.undistort_s"] > 0

@@ -377,6 +377,8 @@ def test_exit_code_data_error(tmp_path, dataset_dir):
     maps = {
         "short_header": b"LMUM\x01\x00",
         "nan_point": b"LMUM" + struct.pack("<II", 3, 3) + nan_map.tobytes(),
+        "trailing_bytes": b"LMUM" + struct.pack("<II", 3, 3)
+        + UndistortionMap.identity(3, 3).samples.astype("<f4").tobytes() + bytes(8),
         "missing": None,
     }
     for name, content in maps.items():

@@ -25,6 +25,7 @@ from gesturelab.image import (
 )
 from gesturelab.image import _hog_geometry
 from oracles import hog_loops, otsu_bruteforce, resize_loops, undistort_loops
+from output_digests import _barrel_map as digest_map, _gray_images
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +162,89 @@ def test_undistort_taps_match_per_pixel_oracle(umap, raw, out_size):
     _assert_matches_oracle(raw, umap, out_size)
 
 
+def _full_frame(raw, umap, out_size):
+    """undistort(raw) computed over every output pixel."""
+    samples = np.ascontiguousarray(umap.samples, dtype=float)
+    taps, _, _ = image._undistort_taps(samples.tobytes(), samples.shape, out_size, raw.shape)
+    return np.rint(image._apply_taps(raw, taps)).astype(np.uint8)
+
+
+@st.composite
+def sparse_sources(draw):
+    """1 to 30 px sources of zeros holding 0 to 3 random nonzero rectangles."""
+    h, w = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    raw = np.zeros((h, w), np.uint8)
+    for _ in range(draw(st.integers(0, 3))):
+        r0, c0 = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
+        r1, c1 = draw(st.integers(r0 + 1, h)), draw(st.integers(c0 + 1, w))
+        raw[r0:r1, c0:c1] = draw(hnp.arrays(np.uint8, (r1 - r0, c1 - c0), elements=st.integers(1, 255)))
+    return raw
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(umap=calibration_maps(), raw=sparse_sources(), out_size=st.tuples(st.integers(1, 40), st.integers(1, 40)))
+def test_undistort_of_zero_background_matches_full_frame(umap, raw, out_size):
+    assert np.array_equal(undistort(raw, umap, out_size), _full_frame(raw, umap, out_size))
+
+
+def _box_source(rows, cols, shape=(20, 24), seed=5):
+    raw = np.zeros(shape, np.uint8)
+    raw[rows, cols] = np.random.default_rng(seed).integers(1, 256, size=raw[rows, cols].shape)
+    return raw
+
+
+LEFT_HALF_MAP = UndistortionMap(UndistortionMap.identity(4, 4).samples * [0.4, 1.0])
+
+SPARSE_CASES = {
+    "all zero": (_box_source(slice(0), slice(0)), _barrel_map()),
+    "top-left pixel": (_box_source(0, 0), _barrel_map()),
+    "top-right pixel": (_box_source(0, -1), _barrel_map()),
+    "bottom-left pixel": (_box_source(-1, 0), _barrel_map()),
+    "bottom-right pixel": (_box_source(-1, -1), _barrel_map()),
+    "box on 1 border": (_box_source(slice(0, 6), slice(5, 11)), _barrel_map()),
+    "box on 2 borders": (_box_source(slice(14, 20), slice(0, 9)), _barrel_map()),
+    "box on 3 borders": (_box_source(slice(3, 20), slice(0, 24)), _barrel_map()),
+    "box on 4 borders": (_box_source(slice(0, 20), slice(0, 24)), _barrel_map()),
+    "box the map never samples": (_box_source(slice(4, 15), slice(14, 24)), LEFT_HALF_MAP),
+}
+
+
+@pytest.mark.parametrize("case", SPARSE_CASES)
+@pytest.mark.parametrize("out_size", [(17, 13), (40, 40)])
+def test_undistort_of_sparse_cases_matches_full_frame(case, out_size):
+    raw, umap = SPARSE_CASES[case]
+    out = undistort(raw, umap, out_size)
+    assert np.array_equal(out, _full_frame(raw, umap, out_size))
+    if case == "box the map never samples":
+        assert raw.any() and not out.any()
+
+
+def test_undistort_samples_only_the_hand_window(monkeypatch):
+    # Silhouettes: the window that can read the hand is under a quarter
+    # of the output; gray captures are nonzero on every border, so every
+    # output pixel is sampled.
+    samples = generate_synthetic(subjects=1, reps=2, seed=17)
+    silhouettes = [s.images[0] for s in samples]
+    umap, out_size = digest_map(), (240, 240)
+    undistort(silhouettes[0], umap, out_size)  # builds the taps before the spy
+    asked = []
+    apply_taps = image._apply_taps
+
+    def spy(img, taps):
+        asked.append(taps[0][0].size)
+        return apply_taps(img, taps)
+
+    monkeypatch.setattr(image, "_apply_taps", spy)
+    for img in silhouettes:
+        undistort(img, umap, out_size)
+    assert len(silhouettes) == 20 and len(asked) <= 20
+    assert sum(asked) < 0.25 * 20 * 240 * 240
+    asked.clear()
+    for img in _gray_images(samples):
+        undistort(img, umap, out_size)
+    assert asked == [240 * 240] * 20
+
+
 def test_map_too_small():
     img = np.zeros((4, 4), dtype=np.uint8)
     samples = np.zeros((1, 3, 2))
@@ -198,6 +282,7 @@ def test_map_file_magic(tmp_path):
         "value 2.0": _map_bytes(_identity_with(2.0)),
         "value inf": _map_bytes(_identity_with(np.inf)),
         "value nan": _map_bytes(_identity_with(np.nan)),
+        "trailing bytes": _map_bytes(UndistortionMap.identity(4, 3).samples) + bytes(8),
     }
     path = tmp_path / "map.lmum"
     for name, content in cases.items():
