@@ -15,8 +15,8 @@ row and column reads per (map contents, output size, source shape),
 the resize taps per axis length pair and the HOG layout per image size
 and parameters.  Undistortion samples only the output window that can
 read the source's nonzero box, so its cost follows the hand's footprint
-on a silhouette; a gray capture, nonzero on every border, takes the
-full-frame path.  The descriptor is a
+on a zero-background silhouette; on a gray capture the box, and so the
+window, is the whole frame.  The descriptor is a
 histogram of oriented gradients: unsigned orientations over [0, 180)
 with linear vote interpolation between adjacent bins, per-cell
 histograms, and L2-Hys normalization over sliding blocks, all blocks
@@ -173,9 +173,8 @@ def undistort(raw, umap, out_size):
     the source's nonzero bounding box is sampled; every other pixel
     reads 0 with finite weights >= 0, which is +0.0, so the bytes are
     those of sampling the whole frame.  The cost follows the source's
-    nonzero box.  A source with a nonzero pixel on each of its borders,
-    such as a gray capture, has the whole frame as its box and takes
-    the full-frame path without the box scan.
+    nonzero box; a gray capture has the whole frame as its box and pays
+    the box scan on top of the full-frame sampling.
     """
     raw = _as_image(raw)
     out_w, out_h = out_size
@@ -190,11 +189,6 @@ def undistort(raw, umap, out_size):
     taps, row_band, col_band = _undistort_taps(
         samples.tobytes(), samples.shape, (out_w, out_h), raw.shape
     )
-    # A nonzero pixel on each border makes the box the whole frame.
-    borders = (raw[0], raw[-1], raw[:, 0], raw[:, -1])
-    if all(np.count_nonzero(border) for border in borders):
-        out = _apply_taps(raw, taps)
-        return np.rint(out, out=out).astype(np.uint8)
     out = np.zeros((out_h, out_w), dtype=np.uint8)
     box = _nonzero_box(raw)
     if box is None:
@@ -393,7 +387,7 @@ def _nonzero_box(img):
     if rows.size == 0:
         return None
     top, bottom = rows[0], rows[-1] + 1
-    cols = np.flatnonzero(np.bitwise_or.reduce(img[top:bottom], axis=0))
+    cols = np.flatnonzero(img[top:bottom].any(axis=0))
     return top, bottom, cols[0], cols[-1] + 1
 
 

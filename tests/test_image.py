@@ -221,8 +221,8 @@ def test_undistort_of_sparse_cases_matches_full_frame(case, out_size):
 
 def test_undistort_samples_only_the_hand_window(monkeypatch):
     # Silhouettes: the window that can read the hand is under a quarter
-    # of the output; gray captures are nonzero on every border, so every
-    # output pixel is sampled.
+    # of the output; a gray capture's nonzero box is the whole frame, so
+    # every output pixel is sampled.
     samples = generate_synthetic(subjects=1, reps=2, seed=17)
     silhouettes = [s.images[0] for s in samples]
     umap, out_size = digest_map(), (240, 240)
